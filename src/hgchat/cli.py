@@ -25,8 +25,6 @@ from .model import Model
 from .params import init_model_params
 from .training import train
 
-log = logging.getLogger(__name__)
-
 GRADCHECK_TOLERANCE = 1e-4
 # small dimensions keep the entry-by-entry finite differences fast
 GRADCHECK_DEFAULTS = dict(d_word=6, d_hidden=8, d_model=8, d_pe=8, heads=2,
@@ -157,17 +155,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.beam is not None and args.beam < 1:
+        raise UsageError(f"--beam must be at least 1, got {args.beam}")
     model = Model.load(args.ckpt)
     print("resolved configuration:")
     print(format_config(model.cfg))
     records = _load_records(args.corpus, model.cfg.max_turns)
     strategy = "beam" if args.beam and args.beam > 1 else "greedy"
     for rec in records:
-        tokens, truncated = model.generate(rec, strategy=strategy,
-                                           beam_width=args.beam or 1,
-                                           next_speaker=args.speaker)
-        if truncated:
-            log.warning("response truncated at the length cap")
+        # the decoder itself logs a response that hits the length cap
+        tokens, _ = model.generate(rec, strategy=strategy, beam_width=args.beam or 1,
+                                   next_speaker=args.speaker)
         print(" ".join(tokens))
     return 0
 

@@ -1,12 +1,13 @@
 """Attention and feed-forward blocks shared by encoder and decoder."""
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .diffcore import (Tensor, add, affine, concat_cols, dropout, elem_mul,
-                       matmul, relu, scale, softmax_rows, transpose)
+from .diffcore import (Tensor, add, affine, concat_cols, concat_rows, dropout,
+                       elem_mul, matmul, relu, scale, softmax_rows, transpose)
 
 # additive mask value for disallowed attention positions; large enough to
 # underflow to exactly zero after the row-max shift in softmax
@@ -32,25 +33,60 @@ def causal_mask(n: int) -> Tensor:
     return Tensor(np.triu(np.full((n, n), MASK_OFF), k=1))
 
 
+def head_weights(params, prefix: str, heads: int) -> tuple[Tensor, Tensor, Tensor]:
+    """The per-head projections of one attention block, joined column-wise
+    into ``Wq``, ``Wk``, ``Wv``: head h owns columns h*d/H .. (h+1)*d/H."""
+    return tuple(concat_cols(*(params[f"{prefix}.h{k}.{proj}"] for k in range(heads)))
+                 for proj in ("wq", "wk", "wv"))
+
+
+@functools.lru_cache(maxsize=256)
+def _head_layout(heads: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of ``attend``: the (H*n x d) head-column mask B and
+    the (n x H*n) fold Sᵀ; read-only, since calls share them."""
+    blocks = np.kron(np.eye(heads), np.ones((n, d // heads)))
+    fold = np.tile(np.eye(n), (1, heads))
+    blocks.flags.writeable = fold.flags.writeable = False
+    return blocks, fold
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, heads: int,
+           mask: Tensor | None = None) -> Tensor:
+    """Every head's scaled dot-product attention in one pass.
+
+    ``q`` (n x d), ``k`` and ``v`` (m x d) hold all heads side by side.
+    The n query rows are stacked H times, ``S q`` with S = [I_n; ...; I_n],
+    and masked by B, which keeps only head h's d/H columns in row block h.
+    Row block h of ``(S q ⊙ B) kᵀ`` is then head h's score matrix, a row
+    softmax over all H*n rows is exactly the per-head softmax, and
+    ``Sᵀ ((P v) ⊙ B)`` puts each head's context back in its own columns,
+    which is the column-wise concatenation of the heads' contexts.
+    """
+    n, d = q.shape
+    blocks, fold = _head_layout(heads, n, d)
+    blocks = Tensor(blocks)
+    stacked = elem_mul(concat_rows(*([q] * heads)), blocks)
+    scores = scale(matmul(stacked, transpose(k)), 1.0 / math.sqrt(d // heads))
+    if mask is not None:
+        scores = add(scores, Tensor(np.tile(mask.values, (heads, 1))))
+    per_head = elem_mul(matmul(softmax_rows(scores), v), blocks)
+    return matmul(Tensor(fold), per_head)
+
+
 def multihead(params, prefix: str, q_in: Tensor, k_in: Tensor, v_in: Tensor,
               heads: int, mask: Tensor | None = None,
               drop: Dropouter | None = None, residual: bool = False) -> Tensor:
-    """Scaled dot-product attention with per-head projections.
+    """Multi-head scaled dot-product attention, all heads in one pass.
 
-    Head parameters live at ``{prefix}.h{k}.wq/wk/wv`` and the shared
-    output projection at ``{prefix}.wo``.
+    Head parameters live at ``{prefix}.h{k}.wq/wk/wv`` (d_in x d/H each)
+    and the shared output projection at ``{prefix}.wo``. They are joined
+    per call into d_in x d matrices (``head_weights``) and the heads are
+    laid out as row blocks (``attend``); an additive ``mask`` (n x m) is
+    tiled once per head.
     """
-    contexts = []
-    for k in range(heads):
-        q = matmul(q_in, params[f"{prefix}.h{k}.wq"])
-        key = matmul(k_in, params[f"{prefix}.h{k}.wk"])
-        val = matmul(v_in, params[f"{prefix}.h{k}.wv"])
-        scores = scale(matmul(q, transpose(key)), 1.0 / math.sqrt(q.shape[1]))
-        if mask is not None:
-            scores = add(scores, mask)
-        contexts.append(matmul(softmax_rows(scores), val))
-    out = matmul(concat_cols(*contexts), params[f"{prefix}.wo"])
-    out = maybe_drop(out, drop)
+    wq, wk, wv = head_weights(params, prefix, heads)
+    context = attend(matmul(q_in, wq), matmul(k_in, wk), matmul(v_in, wv), heads, mask)
+    out = maybe_drop(matmul(context, params[f"{prefix}.wo"]), drop)
     if residual:
         out = add(out, q_in)
     return out

@@ -152,7 +152,8 @@ def evaluate(model: Model, records: list[DialogueRecord],
     """Full report: PPL, diversity and BLEU of decoded responses, and the
     emotion predictor's weighted F1 against the gold next emotions."""
     ppl = perplexity(model, records)
-    generated = [model.generate(rec, strategy, beam_width)[0] for rec in records]
+    outputs = [model.generate(rec, strategy, beam_width) for rec in records]
+    generated = [tokens for tokens, _ in outputs]
     refs = [tokenize(rec.response) for rec in records]
     preds = [model.predict_label(rec) for rec in records]
     golds = [rec.response_emotion for rec in records]
@@ -168,5 +169,6 @@ def evaluate(model: Model, records: list[DialogueRecord],
         per_class=per_class,
         counts={"dialogues": len(records),
                 "generated_tokens": sum(len(g) for g in generated),
+                "truncated": sum(truncated for _, truncated in outputs),
                 "emotion_accuracy": accuracy},
     )

@@ -38,3 +38,16 @@ def single_head_attention(q, k, v, wq, wk, wv, wo):
 
 def ffn_two_layer(x, w1, b1, w2, b2):
     return np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
+
+
+def multi_head_attention(q, k, v, wqs, wks, wvs, wo, causal=False):
+    """Per-head attention, one head at a time, contexts joined column-wise
+    and projected by ``wo``; ``causal`` hides key j from query i when j > i."""
+    contexts = []
+    for wq, wk, wv in zip(wqs, wks, wvs):
+        scores = (q @ wq) @ (k @ wk).T / np.sqrt(wq.shape[1])
+        if causal:
+            scores = np.where(np.triu(np.ones(scores.shape, dtype=bool), k=1),
+                              -np.inf, scores)
+        contexts.append(softmax(scores) @ (v @ wv))
+    return np.concatenate(contexts, axis=1) @ wo

@@ -1,0 +1,37 @@
+import pytest
+
+from hgchat import corpus as cp
+from hgchat.cli import run_command
+from hgchat.config import TrainConfig
+from hgchat.model import Model
+from hgchat.params import init_model_params
+
+
+@pytest.fixture
+def ckpt_and_corpus(tmp_path):
+    cfg = TrainConfig(d_word=4, d_hidden=6, d_model=8, heads=2, gnn_layers=1,
+                      z_speakers=3, max_turns=4, max_len=6, dropout=0.0)
+    records = cp.synthesize_corpus(2, seed=1, max_turns=2)
+    vocab = cp.build_vocab(records)
+    roster = cp.build_roster(records, cfg.z_speakers)
+    params = init_model_params(cfg, vocab.size, roster.size)
+    params["dec.out_proj.w"].values[:] = 0.0  # argmax is always <pad>: never EOS
+    Model(cfg, params, vocab, roster).save(tmp_path / "model.json")
+    cp.save_corpus(records, tmp_path / "corpus.jsonl")
+    return str(tmp_path / "model.json"), str(tmp_path / "corpus.jsonl")
+
+
+@pytest.mark.parametrize("beam", ["0", "-2"])
+def test_generate_beam_below_one_is_a_usage_error(ckpt_and_corpus, beam, capsys):
+    ckpt, corpus = ckpt_and_corpus
+    assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus, "--beam", beam]) == 1
+    assert "--beam must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beam", [[], ["--beam", "2"]])
+def test_generate_warns_once_per_truncated_response(ckpt_and_corpus, beam, caplog):
+    ckpt, corpus = ckpt_and_corpus
+    with caplog.at_level("WARNING"):
+        assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus, *beam]) == 0
+    warnings = [r for r in caplog.records if "cap" in r.getMessage()]
+    assert len(warnings) == 2  # one per record, from the decoder alone

@@ -135,12 +135,21 @@ def test_causality_future_mutation_bit_identical():
         assert np.array_equal(ref, got)
 
 
-def test_decode_step_is_last_row():
-    cfg, params, h_enc, e_p, s_p = setup()
-    prefix = [cp.BOS, 4, 5]
-    full = dec.step_distributions(prefix, h_enc, e_p, s_p, params, cfg).values
-    step = dec.decode_step(prefix, h_enc, e_p, s_p, params, cfg).values
-    assert np.array_equal(step[0], full[-1])
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cached_step_matches_step_distributions(seed, residual):
+    cfg, params, h_enc, e_p, s_p = setup(seed=seed, cfg=tiny_cfg(attention_residual=residual))
+    rng = np.random.default_rng(seed)
+    tokens = [cp.BOS] + [int(rng.integers(4, 9)) for _ in range(9)]
+    state = dec.DecodeState(h_enc, e_p, s_p, params, cfg)
+    full = dec.step_distributions(tokens, h_enc, e_p, s_p, params, cfg).values
+    cache = None
+    for t, tok in enumerate(tokens):
+        dist, cache = state.step(cache, tok)
+        prefix = dec.step_distributions(tokens[:t + 1], h_enc, e_p, s_p, params, cfg)
+        assert np.max(np.abs(dist - prefix.values[-1])) <= 1e-12
+        assert np.max(np.abs(dist - full[t])) <= 1e-12
+        assert cache[0].shape == (t + 1, cfg.d_model)
 
 
 # --- sequence NLL --------------------------------------------------------------
@@ -215,6 +224,53 @@ def test_cap_reached_flags_truncation(caplog):
     assert any("cap" in r.message for r in caplog.records)
 
 
+def reference_beam(h_enc, e_p, s_p, params, cfg, max_tokens, width):
+    """Beam search over uncached step_distributions, hypothesis by hypothesis."""
+    live = [([cp.BOS], 0.0)]
+    done = []
+    for _ in range(max_tokens):
+        pool = []
+        for ids, score in live:
+            logp = np.log(dec.step_distributions(ids, h_enc, e_p, s_p, params, cfg).values[-1])
+            for tok in np.argsort(-logp, kind="stable")[:width]:
+                pool.append((ids + [int(tok)], score + float(logp[tok])))
+        pool.sort(key=lambda item: (-item[1], item[0]))
+        live = []
+        for ids, score in pool[:width]:
+            if ids[-1] == cp.EOS:
+                done.append((ids[1:-1], score / max(1, len(ids) - 1)))
+            else:
+                live.append((ids, score))
+        if not live or len(done) >= width:
+            break
+    if done:
+        done.sort(key=lambda item: (-item[1], item[0]))
+        return done[0][0], False
+    best = max(live, key=lambda item: item[1] / max(1, len(item[0]) - 1))
+    return best[0][1:], True
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_cached_beam_matches_uncached_reference(width):
+    flags = set()
+    for seed in range(6):
+        cfg, params, h_enc, e_p, s_p = setup(seed=seed)
+        # point EOS along the gate's inputs, so that some beams end early
+        params["dec.out_proj.w"].values[cp.EOS] = 0.1 * (e_p.values[0] + s_p.values[0])
+        got = dec.beam_decode(h_enc, e_p, s_p, params, cfg, cfg.max_len, width)
+        assert got == reference_beam(h_enc, e_p, s_p, params, cfg, cfg.max_len, width)
+        flags.add(got[1])
+    assert flags == {False, True}  # both finished and truncated searches compared
+
+
+@pytest.mark.parametrize("width", [0, -1])
+def test_beam_width_below_one_rejected(width, caplog):
+    cfg, params, h_enc, e_p, s_p = setup()
+    with caplog.at_level("WARNING"), pytest.raises(ValueError, match="beam width"):
+        dec.beam_decode(h_enc, e_p, s_p, params, cfg, cfg.max_len, width)
+    assert not caplog.records
+
+
 # --- golden-emotion boundary ----------------------------------------------------
 
 def test_golden_substitution_changes_only_emotion_mix():
@@ -248,6 +304,7 @@ def test_decoder_parameter_gradients_match_fd():
     def build():
         return dec.sequence_nll(target, h_enc, e_p, s_p, params, cfg)
 
-    for name in ("dec.gate.w", "dec.out_proj.w", "dec.tok_emb"):
+    for name in ("dec.gate.w", "dec.out_proj.w", "dec.tok_emb", "dec.self_attn.h1.wq",
+                 "dec.cross_attn.h0.wk", "dec.self_attn.wo"):
         err = dc.grad_check(build, {name: params[name]}, eps=1e-5)
         assert err <= 1e-4, (name, err)

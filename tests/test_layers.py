@@ -1,0 +1,37 @@
+import numpy as np
+import pytest
+
+from hgchat import diffcore as dc
+from hgchat.layers import causal_mask, multihead
+from hgchat.params import ModelParams
+
+from oracles import multi_head_attention
+
+
+def attention_params(rng, heads, d_in, d):
+    params = ModelParams()
+    for k in range(heads):
+        for proj in ("wq", "wk", "wv"):
+            params.add(f"att.h{k}.{proj}", rng.standard_normal((d_in, d // heads)))
+    params.add("att.wo", rng.standard_normal((d, d)))
+    return params
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("causal", [False, True])
+def test_multihead_matches_per_head_oracle(heads, causal):
+    rng = np.random.default_rng(heads)
+    d_in, d, n = 6, 8, 5
+    m = n if causal else 7
+    params = attention_params(rng, heads, d_in, d)
+    q = rng.standard_normal((n, d_in))
+    kv = q if causal else rng.standard_normal((m, d_in))
+    got = multihead(params, "att", dc.Tensor(q), dc.Tensor(kv), dc.Tensor(kv), heads,
+                    mask=causal_mask(n) if causal else None).values
+    want = multi_head_attention(
+        q, kv, kv,
+        [params[f"att.h{k}.wq"].values for k in range(heads)],
+        [params[f"att.h{k}.wk"].values for k in range(heads)],
+        [params[f"att.h{k}.wv"].values for k in range(heads)],
+        params["att.wo"].values, causal=causal)
+    assert np.max(np.abs(got - want)) <= 1e-12

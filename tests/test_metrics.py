@@ -175,3 +175,11 @@ def test_evaluate_report_roundtrip():
     assert "ppl:" in text and "per_class:" in text
     lines = report.to_json_lines().strip().splitlines()
     assert len(lines) == 1 + 7  # header plus one row per emotion class
+
+
+def test_evaluate_counts_truncated_generations():
+    model, records = uniform_model(50)  # argmax is always <pad>, never EOS
+    report = mx.evaluate(model, records)
+    assert report.counts["truncated"] == len(records)
+    assert report.counts["generated_tokens"] == len(records) * model.cfg.max_len
+    assert f"count_truncated: {len(records)}" in report.to_text()
