@@ -271,13 +271,10 @@ def _bwd_transpose(arrays, meta, out, g):
 
 
 def _fwd_sigmoid(arrays, meta):
+    # exp(-|x|) never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below
     x = arrays[0]
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _bwd_sigmoid(arrays, meta, out, g):
@@ -500,12 +497,12 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return apply_primitive("dropout", (x,), mask=keep)
 
 
-def backward(loss: Tensor) -> dict[str, Tensor]:
+def backward(loss: Tensor) -> None:
     """Reverse sweep from a scalar loss over the active tape.
 
-    Populates ``grad`` on every named parameter leaf seen by the tape
-    (zeros stay in place for leaves the loss does not reach), consumes the
-    tape, and returns this call's gradient contribution per name.
+    Adds this call's gradient into ``grad`` on every leaf that requires
+    one and that the loss reaches (leaves it does not reach keep their
+    buffers as they were), and consumes the tape.
     """
     tape = _active_tape()
     if tape is None:
@@ -538,17 +535,12 @@ def backward(loss: Tensor) -> dict[str, Tensor]:
                     owned.add(tid)
                 cur += delta
 
-    result: dict[str, Tensor] = {}
     for tid, tensor in enumerate(tape._tensors):
-        if not tensor.requires_grad:
-            continue
-        delta = grads.get(tid)
-        if delta is not None:
-            tensor.grad += delta
-        if tensor.name is not None:
-            result[tensor.name] = Tensor(delta if delta is not None else np.zeros_like(tensor.values))
+        if tensor.requires_grad:
+            delta = grads.get(tid)
+            if delta is not None:
+                tensor.grad += delta
     tape.reset()
-    return result
 
 
 def grad_check(loss_builder: Callable[[], Tensor], params: Mapping[str, Tensor],

@@ -24,9 +24,6 @@ from .params import ModelParams
 
 log = logging.getLogger(__name__)
 
-_TYPE_CODES = {NodeType.UTTERANCE: "u", NodeType.FACE: "f", NodeType.AUDIO: "a",
-               NodeType.EMOTION: "e", NodeType.SPEAKER: "s"}
-
 
 def utterance_token_ids(record: DialogueRecord, vocab: Vocab, max_len: int) -> list[list[int]]:
     rows = []
@@ -40,33 +37,37 @@ def utterance_token_ids(record: DialogueRecord, vocab: Vocab, max_len: int) -> l
     return rows
 
 
-def lstm_last_hidden(params: ModelParams, token_rows: list[list[int]],
-                     d_hidden: int) -> Tensor:
+def _lstm_pre(params: ModelParams, gate: str, x: Tensor, h: Tensor | None) -> Tensor:
+    """One gate's pre-activation ``x W + b + h U``; no ``h U`` from the zero state."""
+    pre = affine(x, params[f"enc.lstm.w{gate}"], params[f"enc.lstm.b{gate}"])
+    return pre if h is None else add(pre, matmul(h, params[f"enc.lstm.u{gate}"]))
+
+
+def lstm_last_hidden(params: ModelParams, token_rows: list[list[int]]) -> Tensor:
     """Run the recurrence over all utterances at once and gather each
     utterance's state at its own final token.
 
     Short utterances are padded at the tail; the padded steps never feed
     the gathered states because state at step t only depends on tokens
-    up to t.
+    up to t. The recurrence starts from the zero state, so step 0 skips
+    the ``h U`` products and the forget path, which would add zeros.
     """
     n = len(token_rows)
     lengths = [len(row) for row in token_rows]
     width = max(lengths)
-    h = Tensor(np.zeros((n, d_hidden)))
-    c = Tensor(np.zeros((n, d_hidden)))
+    h = c = None  # the zero state: step 0 has no recurrent terms
     per_step = []
     for step in range(width):
         ids = [row[step] if step < len(row) else PAD for row in token_rows]
         x = row_lookup(params["enc.word_emb"], ids)
-        gate_in = sigmoid(add(affine(x, params["enc.lstm.wi"], params["enc.lstm.bi"]),
-                              matmul(h, params["enc.lstm.ui"])))
-        gate_forget = sigmoid(add(affine(x, params["enc.lstm.wf"], params["enc.lstm.bf"]),
-                                  matmul(h, params["enc.lstm.uf"])))
-        gate_out = sigmoid(add(affine(x, params["enc.lstm.wo"], params["enc.lstm.bo"]),
-                               matmul(h, params["enc.lstm.uo"])))
-        candidate = tanh(add(affine(x, params["enc.lstm.wc"], params["enc.lstm.bc"]),
-                             matmul(h, params["enc.lstm.uc"])))
-        c = add(elem_mul(gate_forget, c), elem_mul(gate_in, candidate))
+        gate_in = sigmoid(_lstm_pre(params, "i", x, h))
+        gate_out = sigmoid(_lstm_pre(params, "o", x, h))
+        candidate = tanh(_lstm_pre(params, "c", x, h))
+        if c is None:
+            c = elem_mul(gate_in, candidate)
+        else:
+            gate_forget = sigmoid(_lstm_pre(params, "f", x, h))
+            c = add(elem_mul(gate_forget, c), elem_mul(gate_in, candidate))
         h = elem_mul(gate_out, tanh(c))
         per_step.append(h)
     stacked = concat_rows(*per_step)  # [width*n, d_hidden]
@@ -83,7 +84,7 @@ def encode_utterances(record: DialogueRecord, params: ModelParams, vocab: Vocab,
     """
     token_rows = utterance_token_ids(record, vocab, cfg.max_len)
     n = len(token_rows)
-    last_hidden = lstm_last_hidden(params, token_rows, cfg.d_hidden)
+    last_hidden = lstm_last_hidden(params, token_rows)
     pe = row_lookup(params["enc.pe"], [n - 1 - i for i in range(n)])
     h_u = concat_cols(last_hidden, pe)
     residual = cfg.attention_residual
@@ -115,44 +116,73 @@ def lookup_node_embeddings(record: DialogueRecord, params: ModelParams,
     return x_e, x_s
 
 
-def _conv_matrix(raw: np.ndarray, normalize: bool) -> Tensor:
-    mat = raw.astype(np.float64)
-    if normalize:
-        sums = mat.sum(axis=1, keepdims=True)
-        mat = np.divide(mat, sums, out=np.zeros_like(mat), where=sums > 0)
-    return Tensor(mat)
+def _conv_matrix(graph: HeteroGraph, normalize: bool, typed: bool) -> np.ndarray:
+    """The adjacency as the convolution reads it, with normalisation folded in.
+
+    Untyped, and typed in receiver mode, each row is divided by its
+    degree. Typed in sender mode, ``A_ij`` is divided by i's degree into
+    j's type, which row-normalises each sender type's block on its own.
+    Rows or blocks with no neighbours stay zero.
+    """
+    a = graph.adjacency.astype(np.float64)
+    if not normalize:
+        return a
+    if typed and graph.mask_orientation == "sender":
+        one_hot = graph.node_type[:, np.newaxis] == np.arange(len(NODE_TYPES))
+        degree = (a @ one_hot)[:, graph.node_type]
+    else:
+        degree = a.sum(axis=1, keepdims=True)
+    return np.divide(a, degree, out=np.zeros_like(a), where=degree > 0)
 
 
 def hgnn_forward(graph: HeteroGraph, h0: Tensor, params: ModelParams,
                  cfg: TrainConfig, drop: Dropouter | None = None) -> Tensor:
-    """Stacked graph convolution over the typed adjacencies.
+    """Stacked graph convolution over the typed adjacency.
 
-    hetero mode applies one weight matrix per sender type and sums the
-    five contributions; homo mode collapses them to a single matrix over
-    the plain adjacency.
+    hetero mode is relational message passing (R-GCN, Schlichtkrull et
+    al., 2018): one weight matrix per node type and the five typed
+    contributions summed, ``Σ_τ A_τ H W_τ + b_τ``. It runs as one product
+    with the adjacency A. ``W_cat`` joins the five type weights
+    column-wise, the mask M keeps node j's type block of columns and F
+    stacks five d x d identities, which sums the blocks back to width d:
+
+    - sender mode (A_τ keeps columns of type τ):
+      ``A·((H·W_cat ⊙ M)·F) + Σ_τ b_τ``;
+    - receiver mode (A_τ keeps rows of type τ):
+      ``((A·H)·W_cat ⊙ M)·F + Σ_τ b_τ``.
+
+    ``normalize_adjacency`` row-normalises each A_τ; that folds into A
+    (see ``_conv_matrix``). homo mode applies a single matrix over the
+    plain adjacency.
     """
     if h0.shape[0] != graph.n_nodes:
         raise ValueError(f"feature matrix has {h0.shape[0]} rows for "
                          f"{graph.n_nodes} graph nodes")
     act = relu if cfg.gnn_activation == "relu" else tanh
     h = h0
-    if cfg.gnn_mode == "homo":
-        a = _conv_matrix(graph.adjacency, cfg.normalize_adjacency)
+    hetero = cfg.gnn_mode == "hetero"
+    a = Tensor(_conv_matrix(graph, cfg.normalize_adjacency, hetero))
+    if not hetero:
         for layer in range(cfg.gnn_layers):
             h = act(affine(matmul(a, h), params[f"enc.gnn.l{layer}.w"],
                            params[f"enc.gnn.l{layer}.b"]))
     else:
-        mats = {kind: _conv_matrix(graph.type_adjacency[kind], cfg.normalize_adjacency)
-                for kind in NODE_TYPES}
+        width, n_types = cfg.d_model, len(NODE_TYPES)
+        one_hot = graph.node_type[:, np.newaxis] == np.arange(n_types)
+        mask = Tensor(np.repeat(one_hot.astype(np.float64), width, axis=1))
+        fold = Tensor(np.tile(np.eye(width), (n_types, 1)))
+        ones = Tensor(np.ones((1, n_types)))
+        sender = graph.mask_orientation == "sender"
         for layer in range(cfg.gnn_layers):
-            total = None
-            for kind in NODE_TYPES:
-                code = _TYPE_CODES[kind]
-                term = affine(matmul(mats[kind], h),
-                              params[f"enc.gnn.l{layer}.{code}.w"],
-                              params[f"enc.gnn.l{layer}.{code}.b"])
-                total = term if total is None else add(total, term)
-            h = act(total)
+            w_cat = concat_cols(*(params[f"enc.gnn.l{layer}.{kind.value}.w"]
+                                  for kind in NODE_TYPES))
+            b_sum = matmul(ones, concat_rows(*(params[f"enc.gnn.l{layer}.{kind.value}.b"]
+                                               for kind in NODE_TYPES)))
+            if sender:
+                messages = matmul(elem_mul(matmul(h, w_cat), mask), fold)
+                h = act(affine(a, messages, b_sum))
+            else:
+                h = act(affine(elem_mul(matmul(matmul(a, h), w_cat), mask), fold, b_sum))
     return ffn(params, "enc.out_ffn", h, drop)
 
 
@@ -167,7 +197,7 @@ def assemble_node_features(record: DialogueRecord, graph: HeteroGraph,
                            params: ModelParams, vocab: Vocab, roster: SpeakerRoster,
                            cfg: TrainConfig, drop: Dropouter | None = None) -> Tensor:
     """Stack the per-type feature blocks in graph node order."""
-    present = {node.kind for node in graph.nodes}
+    present = {NODE_TYPES[t] for t in set(graph.node_type.tolist())}
     blocks = [encode_utterances(record, params, vocab, cfg, drop)]
     if NodeType.FACE in present:
         blocks.append(project_modality(record.faces, "face", params, cfg, drop))

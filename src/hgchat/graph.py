@@ -5,6 +5,13 @@ speakers] so the feature matrix fed to the graph convolution can be
 assembled by stacking the per-type blocks in the same order. Emotion
 nodes are instanced per utterance; speaker nodes once per distinct
 speaker, in order of first appearance.
+
+A graph stores one matrix, the 0/1 adjacency, plus the type of every
+node. Each of the eleven pairing rules joins exactly one unordered pair
+of node types, so the rule behind an edge, the typed adjacencies and
+the node list are all derived from those two arrays on demand
+(``edge_rules``, ``type_adjacency``, ``nodes``); only ``format_graph``,
+``inspect-graph`` and the tests read them.
 """
 from __future__ import annotations
 
@@ -28,6 +35,27 @@ NODE_TYPES = tuple(NodeType)
 ABLATABLE = {"face": NodeType.FACE, "audio": NodeType.AUDIO,
              "emotion": NodeType.EMOTION, "speaker": NodeType.SPEAKER}
 
+_U, _F, _A, _E, _S = NODE_TYPES
+# (rule number, type, type, relation between the two blocks' sources):
+# "turns" links two turns that are adjacent or share a speaker, "same"
+# links the nodes of one turn, "speaker" links a turn to its speaker.
+RULES = ((1, _U, _U, "turns"), (2, _U, _F, "same"), (3, _U, _A, "same"),
+         (4, _U, _E, "same"), (5, _U, _S, "speaker"), (6, _F, _F, "turns"),
+         (7, _A, _A, "turns"), (8, _F, _S, "speaker"), (9, _A, _S, "speaker"),
+         (10, _F, _E, "same"), (11, _A, _E, "same"))
+_TYPE_INDEX = {kind: t for t, kind in enumerate(NODE_TYPES)}
+
+
+def _rule_of_pair() -> np.ndarray:
+    """Type x type table of the rule joining that pair, 0 for none."""
+    table = np.zeros((len(NODE_TYPES), len(NODE_TYPES)), dtype=np.int64)
+    for rule, a, b, _ in RULES:
+        table[_TYPE_INDEX[a], _TYPE_INDEX[b]] = table[_TYPE_INDEX[b], _TYPE_INDEX[a]] = rule
+    return table
+
+
+_RULE_OF_PAIR = _rule_of_pair()
+
 
 @dataclass(frozen=True)
 class Node:
@@ -38,20 +66,43 @@ class Node:
 
 @dataclass
 class HeteroGraph:
-    nodes: list[Node]
-    adjacency: np.ndarray                      # |V| x |V|, entries 0/1
-    type_adjacency: dict[NodeType, np.ndarray]
-    edge_rules: dict[tuple[int, int], list[int]]  # (i<j) -> firing rule numbers
+    adjacency: np.ndarray   # |V| x |V|, entries 0/1
+    node_type: np.ndarray   # |V| indices into NODE_TYPES, in contiguous blocks
     n_utterances: int
     speaker_ids: list[str]
     mask_orientation: str
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.node_type)
+
+    @property
+    def nodes(self) -> list[Node]:
+        """Every node; a node's source is its position within its type block."""
+        starts: dict[int, int] = {}
+        return [Node(i, NODE_TYPES[t], i - starts.setdefault(t, i))
+                for i, t in enumerate(self.node_type.tolist())]
 
     def nodes_of(self, kind: NodeType) -> list[Node]:
         return [n for n in self.nodes if n.kind == kind]
+
+    @property
+    def type_adjacency(self) -> dict[NodeType, np.ndarray]:
+        """The adjacency kept to senders (columns) or receivers (rows) of
+        each type; the five matrices sum to the adjacency."""
+        typed = {}
+        for t, kind in enumerate(NODE_TYPES):
+            mask = self.node_type == t
+            typed[kind] = self.adjacency * (mask[np.newaxis, :] if self.mask_orientation == "sender"
+                                            else mask[:, np.newaxis])
+        return typed
+
+    @property
+    def edge_rules(self) -> dict[tuple[int, int], list[int]]:
+        """(i<j) -> the rule that links them; self-loops are not edges."""
+        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
+        rules = _RULE_OF_PAIR[self.node_type[rows], self.node_type[cols]]
+        return {(a, b): [r] for a, b, r in zip(rows.tolist(), cols.tolist(), rules.tolist())}
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self.edge_rules)
@@ -74,90 +125,41 @@ def build_hetero_graph(record: DialogueRecord, self_loops: bool = True,
 
     An edge exists iff at least one of the eleven pairing rules holds;
     rules touching absent node types (missing modalities or ablated
-    types) are skipped along with the nodes themselves.
+    types) are skipped along with the nodes themselves. Each rule fills
+    one block of the adjacency and its mirror.
     """
     if mask_orientation not in ("sender", "receiver"):
         raise ValueError(f"mask_orientation must be sender or receiver, got {mask_orientation!r}")
     n = record.n_turns
     dropped = _resolve_ablations(ablate)
-    has_face = record.faces is not None and NodeType.FACE not in dropped
-    has_audio = record.audios is not None and NodeType.AUDIO not in dropped
-    has_emotion = NodeType.EMOTION not in dropped
-    has_speaker = NodeType.SPEAKER not in dropped
+    missing = {NodeType.FACE: record.faces is None, NodeType.AUDIO: record.audios is None}
+    kinds = [kind for kind in NODE_TYPES if kind not in dropped and not missing.get(kind)]
 
     speaker_ids = distinct_speakers(record)
+    position = {name: k for k, name in enumerate(speaker_ids)}
+    spk_of = np.array([position[name] for name in record.speakers])
+    sizes = [len(speaker_ids) if kind is NodeType.SPEAKER else n for kind in kinds]
+    block, start = {}, 0
+    for kind, size in zip(kinds, sizes):
+        block[kind] = slice(start, start + size)
+        start += size
 
-    nodes: list[Node] = []
-    utt = [None] * n
-    face = [None] * n
-    audio = [None] * n
-    emo = [None] * n
-    spk: dict[int, int] = {}
+    turn = np.arange(n)
+    turns = (spk_of[:, np.newaxis] == spk_of) | (np.abs(turn[:, np.newaxis] - turn) == 1)
+    np.fill_diagonal(turns, False)
+    relation = {"turns": turns, "same": np.eye(n, dtype=bool),
+                "speaker": spk_of[:, np.newaxis] == np.arange(len(speaker_ids))}
 
-    def add(kind: NodeType, source: int) -> int:
-        nodes.append(Node(len(nodes), kind, source))
-        return nodes[-1].idx
-
-    for i in range(n):
-        utt[i] = add(NodeType.UTTERANCE, i)
-    if has_face:
-        for i in range(n):
-            face[i] = add(NodeType.FACE, i)
-    if has_audio:
-        for i in range(n):
-            audio[i] = add(NodeType.AUDIO, i)
-    if has_emotion:
-        for i in range(n):
-            emo[i] = add(NodeType.EMOTION, i)
-    if has_speaker:
-        for k in range(len(speaker_ids)):
-            spk[k] = add(NodeType.SPEAKER, k)
-
-    size = len(nodes)
-    adjacency = np.zeros((size, size), dtype=np.int64)
-    edge_rules: dict[tuple[int, int], list[int]] = {}
-
-    def connect(a: int | None, b: int | None, rule: int) -> None:
-        if a is None or b is None or a == b:
-            return
-        adjacency[a, b] = adjacency[b, a] = 1
-        key = (a, b) if a < b else (b, a)
-        rules = edge_rules.setdefault(key, [])
-        if rule not in rules:
-            rules.append(rule)
-
-    spk_of = [speaker_ids.index(s) for s in record.speakers]
-    for i in range(n):
-        for j in range(i + 1, n):
-            linked = (j == i + 1) or (spk_of[i] == spk_of[j])
-            if linked:
-                connect(utt[i], utt[j], 1)    # adjacent or same-speaker utterances
-                connect(face[i], face[j], 6)
-                connect(audio[i], audio[j], 7)
-        connect(utt[i], face[i], 2)
-        connect(utt[i], audio[i], 3)
-        connect(utt[i], emo[i], 4)
-        spk_node = spk.get(spk_of[i])
-        connect(utt[i], spk_node, 5)
-        connect(face[i], spk_node, 8)
-        connect(audio[i], spk_node, 9)
-        connect(face[i], emo[i], 10)
-        connect(audio[i], emo[i], 11)
-
+    adjacency = np.zeros((start, start), dtype=np.int64)
+    for _, a, b, rel in RULES:
+        if a in block and b in block:
+            adjacency[block[a], block[b]] = relation[rel]
+            adjacency[block[b], block[a]] = relation[rel].T
     if self_loops:
         np.fill_diagonal(adjacency, 1)
 
-    kinds = np.array([node.kind.value for node in nodes])
-    type_adj = {}
-    for kind in NODE_TYPES:
-        mask = kinds == kind.value
-        if mask_orientation == "sender":
-            type_adj[kind] = adjacency * mask[np.newaxis, :]
-        else:
-            type_adj[kind] = adjacency * mask[:, np.newaxis]
-
-    return HeteroGraph(nodes, adjacency, type_adj, edge_rules, n,
-                       speaker_ids, mask_orientation)
+    node_type = np.repeat([_TYPE_INDEX[kind] for kind in kinds], sizes)
+    return HeteroGraph(adjacency, node_type, n, speaker_ids, mask_orientation)
 
 
 def type_adjacency(graph: HeteroGraph, kind: NodeType) -> np.ndarray:
@@ -166,17 +168,18 @@ def type_adjacency(graph: HeteroGraph, kind: NodeType) -> np.ndarray:
 
 def format_graph(graph: HeteroGraph) -> str:
     """Human-readable dump: nodes, edges with rule numbers, 0/1 grids."""
+    edge_rules = graph.edge_rules
+    typed = graph.type_adjacency
     lines = [f"nodes: {graph.n_nodes}"]
     for node in graph.nodes:
         lines.append(f"  [{node.idx:3d}] {node.kind.name.lower():9s} source={node.source}")
-    lines.append(f"edges: {len(graph.edge_rules)}")
-    for (a, b), rules in sorted(graph.edge_rules.items()):
+    lines.append(f"edges: {len(edge_rules)}")
+    for (a, b), rules in sorted(edge_rules.items()):
         tag = ",".join(str(r) for r in sorted(rules))
         lines.append(f"  ({a},{b}) rules {tag}")
     lines.append("adjacency:")
     lines.extend("  " + " ".join(str(v) for v in row) for row in graph.adjacency)
     for kind in NODE_TYPES:
         lines.append(f"adjacency[{kind.name.lower()}]:")
-        lines.extend("  " + " ".join(str(v) for v in row)
-                     for row in graph.type_adjacency[kind])
+        lines.extend("  " + " ".join(str(v) for v in row) for row in typed[kind])
     return "\n".join(lines)

@@ -42,6 +42,9 @@ class Model:
     roster: SpeakerRoster
 
     def encode(self, record: DialogueRecord, drop: Dropouter | None = None) -> Encoded:
+        """Graph, node features and emotion distribution of one dialogue;
+        raises ``RecordError`` for a record this model cannot take."""
+        record.validate(self.cfg.max_turns)
         graph = build_hetero_graph(record, self_loops=self.cfg.self_loops,
                                    mask_orientation=self.cfg.mask_orientation,
                                    ablate=self.cfg.ablate)

@@ -76,7 +76,8 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
     time and the batch gradient is the per-dialogue average.
 
     Pass a previous result's model to continue training; the epoch count
-    always comes from ``cfg.epochs``.
+    always comes from ``cfg.epochs``. Records that fail validation are
+    logged once, before epoch 1, and skipped in every epoch.
     """
     if not records:
         raise ValueError("training corpus is empty")
@@ -89,6 +90,13 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed + params.adam_t)
     order = np.arange(len(records))
     history: list[EpochStats] = []
+    bad: set[int] = set()
+    for idx, rec in enumerate(records):
+        try:
+            rec.validate(cfg.max_turns)
+        except RecordError as exc:
+            bad.add(idx)
+            log.warning("skipping record %d: %s", idx, exc)
 
     for epoch in range(1, cfg.epochs + 1):
         rng.shuffle(order)
@@ -101,13 +109,10 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
             params.zero_grads()
             n_ok = 0
             for idx in batch:
-                rec = records[idx]
-                try:
-                    rec.validate(cfg.max_turns)
-                except RecordError as exc:
+                if idx in bad:
                     skipped += 1
-                    log.warning("skipping record %d: %s", idx, exc)
                     continue
+                rec = records[idx]
                 with recording():
                     out = joint_loss(model, rec, training=True, rng=rng)
                     value = out.joint.item()

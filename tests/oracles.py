@@ -51,3 +51,46 @@ def multi_head_attention(q, k, v, wqs, wks, wvs, wo, causal=False):
                               -np.inf, scores)
         contexts.append(softmax(scores) @ (v @ wv))
     return np.concatenate(contexts, axis=1) @ wo
+
+
+def typed_graph_conv(adjacency, kinds, h, layers, orientation, normalize,
+                     act=lambda x: np.maximum(x, 0.0)):
+    """Heterogeneous graph convolution as five typed matrices per layer.
+
+    ``kinds`` gives each node's type code; each layer of ``layers`` maps a
+    code to its ``(w, b)``. A_τ keeps the adjacency's columns of type τ in
+    sender orientation and its rows of type τ in receiver orientation;
+    ``normalize`` divides each row of each A_τ by its own sum. A layer is
+    ``act(Σ_τ A_τ h w_τ + b_τ)``.
+    """
+    adj = np.asarray(adjacency, dtype=np.float64)
+    kinds = np.asarray(kinds)
+    for weights in layers:
+        pre = 0.0
+        for code, (w, b) in weights.items():
+            keep = (kinds == code).astype(np.float64)
+            a_t = adj * (keep[np.newaxis, :] if orientation == "sender" else keep[:, np.newaxis])
+            if normalize:
+                sums = a_t.sum(axis=1, keepdims=True)
+                a_t = np.divide(a_t, sums, out=np.zeros_like(a_t), where=sums > 0)
+            pre = pre + a_t @ h @ w + b
+        h = act(pre)
+    return h
+
+
+def lstm_final_states(emb, token_rows, wi, ui, bi, wf, uf, bf, wo, uo, bo, wc, uc, bc):
+    """Each token row's LSTM state after its last token, from h = c = 0."""
+    sig = lambda x: 1.0 / (1.0 + np.exp(-x))
+    out = []
+    for row in token_rows:
+        h = np.zeros((1, ui.shape[0]))
+        c = np.zeros((1, ui.shape[0]))
+        for tok in row:
+            x = emb[[tok]]
+            i = sig(x @ wi + h @ ui + bi)
+            f = sig(x @ wf + h @ uf + bf)
+            o = sig(x @ wo + h @ uo + bo)
+            c = f * c + i * np.tanh(x @ wc + h @ uc + bc)
+            h = o * np.tanh(c)
+        out.append(h[0])
+    return np.array(out)

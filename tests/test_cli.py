@@ -1,8 +1,10 @@
 import pytest
 
+from hgchat import cli
 from hgchat import corpus as cp
 from hgchat.cli import run_command
 from hgchat.config import TrainConfig
+from hgchat.diffcore import NumericalError
 from hgchat.model import Model
 from hgchat.params import init_model_params
 
@@ -35,3 +37,30 @@ def test_generate_warns_once_per_truncated_response(ckpt_and_corpus, beam, caplo
         assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus, *beam]) == 0
     warnings = [r for r in caplog.records if "cap" in r.getMessage()]
     assert len(warnings) == 2  # one per record, from the decoder alone
+
+
+def test_synth_exits_zero(tmp_path):
+    out = tmp_path / "corpus.jsonl"
+    assert run_command(["synth", "--out", str(out), "--dialogues", "2", "--seed", "3"]) == 0
+    assert len(cp.load_corpus(out)) == 2
+
+
+def test_unknown_flag_is_a_usage_error(ckpt_and_corpus):
+    _, corpus = ckpt_and_corpus
+    assert run_command(["eval", "--corpus", corpus, "--no-such-flag"]) == 1
+
+
+def test_train_on_missing_corpus_is_a_data_error(tmp_path, capsys):
+    missing = str(tmp_path / "absent.jsonl")
+    assert run_command(["train", "--corpus", missing, "--out", str(tmp_path / "m.json")]) == 2
+    assert "corpus file not found" in capsys.readouterr().err
+
+
+def test_numerical_failure_in_training_exits_three(ckpt_and_corpus, tmp_path, monkeypatch):
+    _, corpus = ckpt_and_corpus
+
+    def diverging(*args, **kwargs):
+        raise NumericalError("non-finite loss on record 0")
+
+    monkeypatch.setattr(cli, "train", diverging)
+    assert run_command(["train", "--corpus", corpus, "--out", str(tmp_path / "m.json")]) == 3

@@ -11,7 +11,8 @@ from hgchat.graph import NodeType, build_hetero_graph
 from hgchat.model import Model
 from hgchat.params import ModelParams, init_model_params
 
-from oracles import ffn_two_layer, single_head_attention, softmax
+from oracles import (ffn_two_layer, lstm_final_states, single_head_attention, softmax,
+                     typed_graph_conv)
 
 
 def tiny_cfg(**kw):
@@ -54,8 +55,7 @@ def test_single_utterance_attention_is_projected_value():
     rec, cfg, vocab, roster, params = build_everything(n=1)
     x_u = enc.encode_utterances(rec, params, vocab, cfg).values
     # with one row, each head's softmax weight is exactly 1 over itself
-    h = enc.lstm_last_hidden(params, enc.utterance_token_ids(rec, vocab, cfg.max_len),
-                             cfg.d_hidden).values
+    h = enc.lstm_last_hidden(params, enc.utterance_token_ids(rec, vocab, cfg.max_len)).values
     pe = params["enc.pe"].values[[0]]
     hu = np.concatenate([h, pe], axis=1)
     heads = [hu @ params[f"enc.ctx_attn.h{k}.wv"].values for k in range(cfg.heads)]
@@ -81,7 +81,7 @@ def test_two_turn_attention_matches_hand_oracle():
     cfg = tiny_cfg(heads=1, d_model=4, d_hidden=3, d_pe=3)
     rec, cfg, vocab, roster, params = build_everything(n=2, cfg=cfg)
     token_rows = enc.utterance_token_ids(rec, vocab, cfg.max_len)
-    h = enc.lstm_last_hidden(params, token_rows, cfg.d_hidden).values
+    h = enc.lstm_last_hidden(params, token_rows).values
     pe = params["enc.pe"].values[[1, 0]]
     hu = np.concatenate([h, pe], axis=1)
     want = single_head_attention(
@@ -116,9 +116,25 @@ def test_lstm_gather_ignores_padding():
     cfg = tiny_cfg()
     vocab = cp.Vocab(list(cp.RESERVED_TOKENS) + ["a", "b", "c"])
     params = init_model_params(cfg, vocab.size, 3)
-    short = enc.lstm_last_hidden(params, [[4, 5]], cfg.d_hidden).values
-    batched = enc.lstm_last_hidden(params, [[4, 5], [4, 5, 6, 6]], cfg.d_hidden).values
+    short = enc.lstm_last_hidden(params, [[4, 5]]).values
+    batched = enc.lstm_last_hidden(params, [[4, 5], [4, 5, 6, 6]]).values
     assert np.allclose(short[0], batched[0], rtol=0, atol=1e-14)
+
+
+def test_lstm_matches_zero_state_recurrence():
+    cfg = tiny_cfg()
+    vocab = cp.Vocab(list(cp.RESERVED_TOKENS) + ["a", "b", "c"])
+    params = init_model_params(cfg, vocab.size, 3)
+    rng = np.random.default_rng(4)
+    for name, t in params.items():
+        if name.startswith("enc.lstm."):  # biases too, so no gate input is trivial
+            t.values[:] = rng.standard_normal(t.shape)
+    rows = [[4, 5, 6], [6], [5, 4, 4, 6, 5]]
+    weights = [params[f"enc.lstm.{kind}{gate}"].values
+               for gate in "ifoc" for kind in "wub"]
+    want = lstm_final_states(params["enc.word_emb"].values, rows, *weights)
+    got = enc.lstm_last_hidden(params, rows).values
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # --- modality projection ----------------------------------------------------
@@ -260,6 +276,52 @@ def test_two_node_graph_hand_convolution():
     assert np.allclose(got, want, atol=1e-12)
 
 
+def randomize_gnn(params, seed):
+    rng = np.random.default_rng(seed)
+    for name, t in params.items():
+        if name.startswith("enc.gnn."):
+            t.values[:] = rng.uniform(-0.5, 0.5, size=t.shape)
+
+
+@pytest.mark.parametrize("ablate", [(), ("face",), ("speaker", "emotion")])
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("orientation", ["sender", "receiver"])
+def test_hgnn_matches_five_matrix_oracle(orientation, normalize, ablate):
+    cfg = tiny_cfg(mask_orientation=orientation, normalize_adjacency=normalize,
+                   ablate=ablate)
+    rec = cp.synthesize_corpus(1, seed=7, min_turns=5, max_turns=5, n_speakers=3,
+                               face_dim=cfg.face_dim, audio_dim=cfg.audio_dim)[0]
+    vocab = cp.build_vocab([rec])
+    roster = cp.build_roster([rec], cfg.z_speakers)
+    params = init_model_params(cfg, vocab.size, roster.size)
+    randomize_gnn(params, seed=3)
+    graph, h0 = encoded_features(rec, cfg, vocab, roster, params)
+    layers = [{code: (params[f"enc.gnn.l{layer}.{code}.w"].values,
+                      params[f"enc.gnn.l{layer}.{code}.b"].values) for code in "ufaes"}
+              for layer in range(cfg.gnn_layers)]
+    h = typed_graph_conv(graph.adjacency, [n.kind.value for n in graph.nodes], h0.values,
+                         layers, orientation, normalize)
+    want = ffn_two_layer(h, params["enc.out_ffn.w1"].values, params["enc.out_ffn.b1"].values,
+                         params["enc.out_ffn.w2"].values, params["enc.out_ffn.b2"].values)
+    got = enc.hgnn_forward(graph, h0, params, cfg).values
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_gnn_gradients_match_fd_receiver_normalized():
+    cfg = tiny_cfg(gnn_layers=1, mask_orientation="receiver", normalize_adjacency=True,
+                   lam=0.5)
+    rec = cp.synthesize_corpus(1, seed=5, min_turns=3, max_turns=3,
+                               face_dim=cfg.face_dim, audio_dim=cfg.audio_dim)[0]
+    vocab = cp.build_vocab([rec])
+    roster = cp.build_roster([rec], cfg.z_speakers)
+    params = init_model_params(cfg, vocab.size, roster.size)
+    randomize_gnn(params, seed=8)
+    model = Model(cfg, params, vocab, roster)
+    gnn = {name: t for name, t in params.items() if name.startswith("enc.gnn.")}
+    err = dc.grad_check(lambda: model.losses(rec).joint, gnn, eps=1e-5)
+    assert err <= 1e-6, err
+
+
 def test_row_count_contract():
     rec, cfg, vocab, roster, params = build_everything()
     graph, h0 = encoded_features(rec, cfg, vocab, roster, params)
@@ -278,13 +340,20 @@ def test_node_order_equivariance():
     perm = rng.permutation(graph.n_nodes)
     permuted = build_hetero_graph(rec, cfg.self_loops, cfg.mask_orientation, cfg.ablate)
     permuted.adjacency = graph.adjacency[np.ix_(perm, perm)]
-    for kind in permuted.type_adjacency:
-        permuted.type_adjacency[kind] = graph.type_adjacency[kind][np.ix_(perm, perm)]
+    permuted.node_type = graph.node_type[perm]
     h0_perm = dc.Tensor(h0.values[perm])
     out_perm = enc.hgnn_forward(permuted, h0_perm, params, cfg)
     p_perm = enc.predict_emotion(out_perm, params)
     assert np.allclose(out_perm.values, out.values[perm], atol=1e-12)
     assert np.allclose(p_perm.values, p.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("call", ["generate", "predict_label"])
+def test_encode_rejects_record_over_max_turns(call):
+    rec, cfg, vocab, roster, params = build_everything(n=5, cfg=tiny_cfg(max_turns=4))
+    model = Model(cfg, params, vocab, roster)
+    with pytest.raises(cp.RecordError, match="5 turns exceeds max_turns=4"):
+        getattr(model, call)(rec)
 
 
 # --- emotion predictor -------------------------------------------------------

@@ -1,4 +1,5 @@
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,3 +246,11 @@ def test_format_graph_contains_rule_annotations():
     text = format_graph(build_hetero_graph(record_for(["s1"]), self_loops=False))
     assert "nodes: 5" in text and "edges: 8" in text
     assert "rules" in text and "adjacency[speaker]" in text
+
+
+@pytest.mark.parametrize("orientation", ["sender", "receiver"])
+def test_format_graph_text_is_pinned(orientation):
+    # three turns, two speakers, every node type: all eleven rules fire
+    graph = build_hetero_graph(record_for(["s1", "s2", "s1"]), mask_orientation=orientation)
+    pinned = Path(__file__).parent / "data" / f"format_graph_3turn_{orientation}.txt"
+    assert format_graph(graph) + "\n" == pinned.read_text()

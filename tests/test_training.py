@@ -174,6 +174,17 @@ def test_invalid_record_skipped_and_counted():
     assert res.log[0].skipped == 1
 
 
+def test_invalid_record_warned_once_and_skipped_every_epoch(caplog):
+    cfg = tiny_cfg(epochs=3)
+    records = tiny_corpus(4, cfg=cfg)
+    records[1].speakers = records[1].speakers[:-1]
+    with caplog.at_level("WARNING", logger="hgchat.training"):
+        res = tr.train(records, cfg)
+    warnings = [r for r in caplog.records if "skipping record 1" in r.getMessage()]
+    assert len(warnings) == 1
+    assert [s.skipped for s in res.log] == [1, 1, 1]
+
+
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError, match="empty"):
         tr.train([], tiny_cfg())
