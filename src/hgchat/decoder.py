@@ -3,6 +3,7 @@ cross-attention into the encoded graph, and a learned gate that blends the
 emotion mixture with the responding speaker's personality."""
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
@@ -11,9 +12,9 @@ from .config import TrainConfig
 from .corpus import BOS, EOS
 from .diffcore import (ContractError, Tensor, add, affine, concat_cols,
                        concat_rows, elem_mul, matmul, neg_pick, row_lookup,
-                       sigmoid, softmax_rows, transpose)
-from .layers import (Dropouter, attend, broadcast_row, causal_mask, ffn,
-                     head_weights, multihead, one_minus)
+                       scale, sigmoid, softmax_rows, transpose)
+from .layers import (MASK_OFF, Dropouter, attend, broadcast_row, causal_mask,
+                     ffn, head_weights, multihead, one_minus)
 from .params import ModelParams
 
 log = logging.getLogger(__name__)
@@ -73,47 +74,96 @@ def sequence_nll(target_ids: list[int], h_enc: Tensor, e_p: Tensor, s_p: Tensor,
 
 class DecodeState:
     """One dialogue's constants for incremental decoding (Shazeer 2019,
-    arXiv:1911.02150).
+    arXiv:1911.02150), shared by W live hypotheses of equal length.
 
     The joined self-attention weights, the cross-attention keys and values
-    of ``h_enc`` and the transposed output projection are computed once;
-    ``step`` then runs the decoder on the newest token's row only. Its
-    self-attention cache holds the key and value rows of every earlier
-    token, and without later rows no causal mask is needed. Caches are
-    extended into new tensors, never written in place, so beam hypotheses
-    can share their parent's. ``step_distributions`` stays the
-    teacher-forced reference that this path must reproduce.
+    of ``h_enc``, the transposed output projection and the gate's
+    per-dialogue terms are computed once. ``step`` then runs the decoder on
+    the newest token of each hypothesis, W rows in one pass. Its
+    self-attention cache ``(K, V)`` is step-major: row ``s*W + i`` holds
+    hypothesis i's token s, so a step appends its W rows with one
+    ``concat_rows``. With W > 1 the self-attention scores get a block mask
+    that lets query i see only the rows ``≡ i (mod W)``; greedy decoding
+    is W = 1 and needs none, and without later rows no causal mask is
+    needed either. ``reorder`` picks the cache rows of the hypotheses that
+    survive a beam step. Caches are extended into new tensors, never
+    written in place.
+
+    The gate's input ``[o; e_p; s_p]`` has constant emotion and personality
+    columns, so ``[o; e_p; s_p]·W_g + b = o·W_o + c`` with ``W_o`` the first
+    d rows of ``W_g`` and ``c = [0; e_p; s_p]·W_g + b``, and the fused state
+    ``o + g ⊙ e_p + (1 − g) ⊙ s_p`` is ``o + s_p + g ⊙ (e_p − s_p)``. The
+    product with ``e_p − s_p`` is taken as ``g·diag(e_p − s_p)``, an affine
+    whose bias row ``s_p`` broadcasts over the W rows. ``step_distributions``
+    and ``gate_fuse`` stay the teacher-forced reference that this path must
+    reproduce.
     """
 
     def __init__(self, h_enc: Tensor, e_p: Tensor, s_p: Tensor,
                  params: ModelParams, cfg: TrainConfig):
         self.params, self.heads, self.residual = params, cfg.heads, cfg.attention_residual
-        self.e_p, self.s_p = e_p, s_p
         self.self_w = head_weights(params, "dec.self_attn", cfg.heads)
         wq, wk, wv = head_weights(params, "dec.cross_attn", cfg.heads)
         self.cross_wq, self.cross_k, self.cross_v = wq, matmul(h_enc, wk), matmul(h_enc, wv)
         self.out_t = transpose(params["dec.out_proj.w"])
+        d = cfg.d_model
+        gate_w = params["dec.gate.w"]
+        self.gate_wo = matmul(Tensor(np.eye(d, 3 * d)), gate_w)
+        self.gate_c = affine(concat_cols(Tensor(np.zeros((1, d))), e_p, s_p),
+                             gate_w, params["dec.gate.b"])
+        spread = broadcast_row(add(e_p, scale(s_p, -1.0)), d)
+        self.gate_diag = elem_mul(Tensor(np.eye(d)), spread)
+        self.s_p = s_p
 
-    def _attend(self, prefix: str, x: Tensor, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        out = matmul(attend(q, k, v, self.heads), self.params[f"{prefix}.wo"])
+    def _attend(self, prefix: str, x: Tensor, q: Tensor, k: Tensor, v: Tensor,
+                mask: Tensor | None = None) -> Tensor:
+        out = matmul(attend(q, k, v, self.heads, mask), self.params[f"{prefix}.wo"])
         return add(out, x) if self.residual else out
 
-    def step(self, cache: tuple[Tensor, Tensor] | None, token: int
+    def step(self, cache: tuple[Tensor, Tensor] | None, tokens: list[int]
              ) -> tuple[np.ndarray, tuple[Tensor, Tensor]]:
-        """Next-token distribution after ``token``, given the self-attention
-        ``cache`` of the tokens before it (None at BOS), and the cache
-        extended by ``token``."""
-        x = row_lookup(self.params["dec.tok_emb"], [token])
+        """Next-token distributions (W x V) after the last token of each of
+        W hypotheses, ``tokens[i]`` being hypothesis i's, given the
+        step-major self-attention ``cache`` of the tokens before them (None
+        at BOS), and the cache extended by ``tokens``."""
+        width = len(tokens)
+        x = row_lookup(self.params["dec.tok_emb"], tokens)
         wq, wk, wv = self.self_w
         k, v = matmul(x, wk), matmul(x, wv)
         if cache is not None:
             k, v = concat_rows(cache[0], k), concat_rows(cache[1], v)
-        h_r = self._attend("dec.self_attn", x, matmul(x, wq), k, v)
+        mask = Tensor(_hypothesis_mask(width, k.shape[0] // width)) if width > 1 else None
+        h_r = self._attend("dec.self_attn", x, matmul(x, wq), k, v, mask)
         attended = self._attend("dec.cross_attn", h_r, matmul(h_r, self.cross_wq),
                                 self.cross_k, self.cross_v)
         o = ffn(self.params, "dec.ffn", attended)
-        fused, _ = gate_fuse(o, self.e_p, self.s_p, self.params)
-        return softmax_rows(matmul(fused, self.out_t)).values[0], (k, v)
+        g = sigmoid(affine(o, self.gate_wo, self.gate_c))
+        fused = add(o, affine(g, self.gate_diag, self.s_p))
+        return softmax_rows(matmul(fused, self.out_t)).values, (k, v)
+
+    @staticmethod
+    def reorder(cache: tuple[Tensor, Tensor], width: int, parents: list[int]
+                ) -> tuple[Tensor, Tensor]:
+        """The step-major cache of new hypotheses, given the cache of
+        ``width`` old ones: hypothesis j continues old hypothesis
+        ``parents[j]``, so row ``s*W_new + j`` is old row
+        ``s*width + parents[j]``. Parents may repeat, and there may be
+        fewer new hypotheses than old. Keeping every hypothesis in place
+        returns ``cache`` itself."""
+        if parents == list(range(width)):
+            return cache
+        steps = cache[0].shape[0] // width
+        rows = (np.arange(steps)[:, None] * width + np.asarray(parents)).ravel()
+        return row_lookup(cache[0], rows), row_lookup(cache[1], rows)
+
+
+@functools.lru_cache(maxsize=256)
+def _hypothesis_mask(width: int, steps: int) -> np.ndarray:
+    """Additive (W x steps*W) mask: query i sees only the cache rows
+    ``≡ i (mod W)``, its own hypothesis's tokens; read-only, as calls share it."""
+    mask = np.tile(np.where(np.eye(width, dtype=bool), 0.0, MASK_OFF), (1, steps))
+    mask.flags.writeable = False
+    return mask
 
 
 def greedy_decode(h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
@@ -121,8 +171,8 @@ def greedy_decode(h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
     state = DecodeState(h_enc, e_p, s_p, params, cfg)
     ids, cache = [BOS], None
     for _ in range(max_tokens):
-        dist, cache = state.step(cache, ids[-1])
-        nxt = int(np.argmax(dist))
+        dist, cache = state.step(cache, [ids[-1]])
+        nxt = int(np.argmax(dist[0]))
         if nxt == EOS:
             return ids[1:], False
         ids.append(nxt)
@@ -135,32 +185,37 @@ def beam_decode(h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
                 ) -> tuple[list[int], bool]:
     """Length-normalized beam search; width 1 reproduces greedy decoding.
 
-    A hypothesis is (ids, log-probability, self-attention cache of every
-    token but its last); children share the cache their parent's step
-    returned.
+    A hypothesis is (ids, log-probability). All live hypotheses step in one
+    ``DecodeState.step`` call, their caches held step-major. Each of the
+    W_old hypotheses proposes its ``width`` best tokens; the best ``width``
+    children overall survive or finish on EOS, and ``DecodeState.reorder``
+    gathers each survivor's parent's cache rows, ``s*W_old + parent``. This
+    covers siblings of one parent and a beam that narrows as hypotheses
+    finish.
     """
     if width < 1:
         raise ValueError(f"beam width must be at least 1, got {width}")
     state = DecodeState(h_enc, e_p, s_p, params, cfg)
-    live = [([BOS], 0.0, None)]
+    live, cache = [([BOS], 0.0)], None
     done: list[tuple[list[int], float]] = []
     for _ in range(max_tokens):
+        dists, cache = state.step(cache, [ids[-1] for ids, _ in live])
+        logp = np.log(dists)
         pool = []
-        for ids, score, cache in live:
-            dist, cache = state.step(cache, ids[-1])
-            logp = np.log(dist)
-            best = np.argsort(-logp, kind="stable")[:width]
-            for tok in best:
-                pool.append((ids + [int(tok)], score + float(logp[tok]), cache))
+        for parent, (ids, score) in enumerate(live):
+            for tok in np.argsort(-logp[parent], kind="stable")[:width]:
+                pool.append((ids + [int(tok)], score + float(logp[parent, tok]), parent))
         pool.sort(key=lambda item: (-item[1], item[0]))
-        live = []
-        for ids, score, cache in pool[:width]:
+        live, parents = [], []
+        for ids, score, parent in pool[:width]:
             if ids[-1] == EOS:
                 done.append((ids[1:-1], score / max(1, len(ids) - 1)))
             else:
-                live.append((ids, score, cache))
+                live.append((ids, score))
+                parents.append(parent)
         if not live or len(done) >= width:
             break
+        cache = state.reorder(cache, len(dists), parents)
     if done:
         done.sort(key=lambda item: (-item[1], item[0]))
         return done[0][0], False

@@ -14,7 +14,8 @@ import logging
 import numpy as np
 
 from .config import ConfigError, TrainConfig
-from .corpus import EMOTION_INDEX, PAD, DialogueRecord, SpeakerRoster, Vocab, distinct_speakers, tokenize
+from .corpus import (EMOTION_INDEX, PAD, DialogueRecord, RecordError, SpeakerRoster,
+                     Vocab, distinct_speakers, tokenize)
 from .diffcore import (Tensor, add, affine, concat_cols, concat_rows, elem_mul,
                        matmul, mean_rows, relu, row_lookup, sigmoid,
                        softmax_rows, tanh, transpose)
@@ -101,7 +102,7 @@ def project_modality(vectors: np.ndarray, which: str, params: ModelParams,
         raise ValueError(f"which must be face or audio, got {which!r}")
     expected = cfg.face_dim if which == "face" else cfg.audio_dim
     if vectors.shape[1] != expected:
-        raise ConfigError(f"{which} vectors: expected dim {expected}, "
+        raise RecordError(f"{which} vectors: expected dim {expected}, "
                           f"got {vectors.shape[1]}")
     return ffn(params, f"enc.{which}_ffn", Tensor(vectors), drop)
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hgchat import cli
@@ -64,3 +66,48 @@ def test_numerical_failure_in_training_exits_three(ckpt_and_corpus, tmp_path, mo
 
     monkeypatch.setattr(cli, "train", diverging)
     assert run_command(["train", "--corpus", corpus, "--out", str(tmp_path / "m.json")]) == 3
+
+
+def test_generate_on_a_corpus_of_other_face_width_is_a_data_error(ckpt_and_corpus, tmp_path,
+                                                                   capsys):
+    ckpt, _ = ckpt_and_corpus
+    other = tmp_path / "face5.jsonl"
+    cp.save_corpus(cp.synthesize_corpus(2, seed=1, max_turns=2, face_dim=5), other)
+    assert run_command(["generate", "--ckpt", ckpt, "--corpus", str(other)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "face vectors: expected dim 8, got 5" in err
+
+
+def resolved_seed(out: str) -> int:
+    return int(re.search(r"^seed = (-?\d+)$", out, re.MULTILINE).group(1))
+
+
+@pytest.mark.parametrize("file_seed, env_seed, want", [
+    ("7", "9", 7),    # the config file beats HGNN_SEED
+    (None, "9", 9),   # HGNN_SEED when the file sets none
+    (None, None, 0),  # the default
+])
+def test_inspect_graph_seed_precedence(ckpt_and_corpus, tmp_path, monkeypatch, capsys,
+                                       file_seed, env_seed, want):
+    _, corpus = ckpt_and_corpus
+    config = tmp_path / "run.cfg"
+    config.write_text(f"seed = {file_seed}\n" if file_seed else "# no seed\n")
+    if env_seed:
+        monkeypatch.setenv("HGNN_SEED", env_seed)
+    else:
+        monkeypatch.delenv("HGNN_SEED", raising=False)
+    assert run_command(["inspect-graph", "--corpus", corpus, "--config", str(config)]) == 0
+    assert resolved_seed(capsys.readouterr().out) == want
+
+
+def test_seed_flag_beats_config_file_and_environment(ckpt_and_corpus, tmp_path, monkeypatch,
+                                                     capsys):
+    # inspect-graph takes no --seed flag; train resolves its configuration the same way
+    _, corpus = ckpt_and_corpus
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 7\nd_model = 8\nheads = 2\nmax_len = 4\n")
+    monkeypatch.setenv("HGNN_SEED", "9")
+    argv = ["train", "--corpus", corpus, "--config", str(config), "--epochs", "1",
+            "--out", str(tmp_path / "m.json"), "--seed", "5"]
+    assert run_command(argv) == 0
+    assert resolved_seed(capsys.readouterr().out) == 5

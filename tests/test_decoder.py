@@ -145,11 +145,47 @@ def test_cached_step_matches_step_distributions(seed, residual):
     full = dec.step_distributions(tokens, h_enc, e_p, s_p, params, cfg).values
     cache = None
     for t, tok in enumerate(tokens):
-        dist, cache = state.step(cache, tok)
+        dist, cache = state.step(cache, [tok])
+        assert dist.shape == (1, params["dec.out_proj.w"].shape[0])
         prefix = dec.step_distributions(tokens[:t + 1], h_enc, e_p, s_p, params, cfg)
-        assert np.max(np.abs(dist - prefix.values[-1])) <= 1e-12
-        assert np.max(np.abs(dist - full[t])) <= 1e-12
+        assert np.max(np.abs(dist[0] - prefix.values[-1])) <= 1e-12
+        assert np.max(np.abs(dist[0] - full[t])) <= 1e-12
         assert cache[0].shape == (t + 1, cfg.d_model)
+
+
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_batched_step_matches_step_distributions_per_hypothesis(seed, residual):
+    """Four hypotheses stepped together, reordered with a repeated parent,
+    then narrowed to two: every row is the last row of its own prefix's
+    teacher-forced distributions."""
+    cfg, params, h_enc, e_p, s_p = setup(seed=seed, cfg=tiny_cfg(attention_residual=residual))
+    rng = np.random.default_rng(seed)
+    state = dec.DecodeState(h_enc, e_p, s_p, params, cfg)
+
+    def distinct_tokens(n):
+        return [int(t) for t in rng.choice(np.arange(4, 9), n, replace=False)]
+
+    def check(dists, prefixes):
+        assert dists.shape[0] == len(prefixes)
+        for prefix, row in zip(prefixes, dists):
+            want = dec.step_distributions(prefix, h_enc, e_p, s_p, params, cfg).values[-1]
+            assert np.max(np.abs(row - want)) <= 1e-12
+
+    prefixes = [[cp.BOS, a, b] for a, b in zip(distinct_tokens(4), distinct_tokens(4))]
+    cache = None
+    for t in range(3):
+        dists, cache = state.step(cache, [p[t] for p in prefixes])
+        check(dists, [p[:t + 1] for p in prefixes])
+    for parents in ([3, 1, 1, 0], [2, 0]):  # a repeated parent, then 4 -> 2
+        cache = dec.DecodeState.reorder(cache, len(prefixes), parents)
+        prefixes = [list(prefixes[j]) for j in parents]
+        for _ in range(3):
+            for prefix, tok in zip(prefixes, distinct_tokens(len(prefixes))):
+                prefix.append(tok)
+            dists, cache = state.step(cache, [p[-1] for p in prefixes])
+            check(dists, prefixes)
+            assert cache[0].shape == (len(prefixes[0]) * len(prefixes), cfg.d_model)
 
 
 # --- sequence NLL --------------------------------------------------------------
@@ -185,16 +221,6 @@ def test_two_token_nll_hand_computed():
 
 
 # --- generation ------------------------------------------------------------------
-
-def rig_first_step_argmax(cfg, params, h_enc, e_p, s_p, token):
-    """Bias the output projection so the first decoded token is `token`."""
-    probs = dec.step_distributions([cp.BOS], h_enc, e_p, s_p, params, cfg).values
-    current = int(np.argmax(probs[0]))
-    if current != token:
-        fused_probe = probs  # any row works; tweak the row weight directly
-        params["dec.out_proj.w"].values[token] += 10.0 * np.sign(
-            params["dec.out_proj.w"].values[current] + 1e-9)
-
 
 def test_immediate_eos_gives_empty_response():
     cfg, params, h_enc, e_p, s_p = setup()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hgchat import corpus as cp
 from hgchat import diffcore as dc
 from hgchat import encoder as enc
-from hgchat.config import ConfigError, TrainConfig
+from hgchat.config import TrainConfig
 from hgchat.graph import NodeType, build_hetero_graph
 from hgchat.model import Model
 from hgchat.params import ModelParams, init_model_params
@@ -166,7 +166,7 @@ def test_project_modality_hand_weights():
 
 def test_project_modality_dim_mismatch_names_dims():
     rec, cfg, vocab, roster, params = build_everything()
-    with pytest.raises(ConfigError, match=f"expected dim {cfg.face_dim}, got 7"):
+    with pytest.raises(cp.RecordError, match=f"expected dim {cfg.face_dim}, got 7"):
         enc.project_modality(np.ones((2, 7)), "face", params, cfg)
 
 
