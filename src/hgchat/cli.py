@@ -17,7 +17,8 @@ import time
 import numpy as np
 
 from . import corpus as cp
-from .config import ConfigError, TrainConfig, format_config, resolve_config
+from .config import (ConfigError, TrainConfig, format_config, parse_config_file,
+                     resolve_config)
 from .diffcore import NumericalError, grad_check
 from .graph import build_hetero_graph, format_graph
 from .metrics import evaluate
@@ -100,8 +101,6 @@ def _seed_fallback(explicit: int | None, file_values: dict) -> int | None:
 
 
 def _resolved(args, extra_overrides: dict | None = None) -> TrainConfig:
-    from .config import parse_config_file
-
     file_path = getattr(args, "config", None)
     file_values = parse_config_file(file_path) if file_path else {}
     overrides = dict(extra_overrides or {})
@@ -125,10 +124,9 @@ def _load_records(path: str, max_turns: int) -> list[cp.DialogueRecord]:
 
 
 def cmd_synth(args) -> int:
-    seed = args.seed
+    seed = _seed_fallback(args.seed, {})
     if seed is None:
-        env = os.environ.get("HGNN_SEED")
-        seed = int(env) if env else 0
+        seed = 0
     records = cp.synthesize_corpus(args.dialogues, n_speakers=args.speakers,
                                    seed=seed)
     cp.save_corpus(records, args.out)
@@ -198,8 +196,6 @@ def cmd_inspect_graph(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .config import parse_config_file
-
     file_values = parse_config_file(args.config) if args.config else {}
     overrides = dict(GRADCHECK_DEFAULTS)
     overrides.update(file_values)

@@ -14,7 +14,7 @@ from .diffcore import (ContractError, Tensor, add, affine, concat_cols,
                        concat_rows, elem_mul, matmul, neg_pick, row_lookup,
                        scale, sigmoid, softmax_rows, transpose)
 from .layers import (MASK_OFF, Dropouter, attend, broadcast_row, causal_mask,
-                     ffn, head_weights, multihead, one_minus)
+                     ffn, multihead, one_minus)
 from .params import ModelParams
 
 log = logging.getLogger(__name__)
@@ -76,10 +76,11 @@ class DecodeState:
     """One dialogue's constants for incremental decoding (Shazeer 2019,
     arXiv:1911.02150), shared by W live hypotheses of equal length.
 
-    The joined self-attention weights, the cross-attention keys and values
-    of ``h_enc``, the transposed output projection and the gate's
-    per-dialogue terms are computed once. ``step`` then runs the decoder on
-    the newest token of each hypothesis, W rows in one pass. Its
+    The cross-attention keys and values of ``h_enc``, the transposed output
+    projection and the gate's per-dialogue terms are computed once; the
+    stored attention projections hold all heads each and are read as they
+    are. ``step`` then runs the decoder on the newest token of each
+    hypothesis, W rows in one pass. Its
     self-attention cache ``(K, V)`` is step-major: row ``s*W + i`` holds
     hypothesis i's token s, so a step appends its W rows with one
     ``concat_rows``. With W > 1 the self-attention scores get a block mask
@@ -102,9 +103,8 @@ class DecodeState:
     def __init__(self, h_enc: Tensor, e_p: Tensor, s_p: Tensor,
                  params: ModelParams, cfg: TrainConfig):
         self.params, self.heads, self.residual = params, cfg.heads, cfg.attention_residual
-        self.self_w = head_weights(params, "dec.self_attn", cfg.heads)
-        wq, wk, wv = head_weights(params, "dec.cross_attn", cfg.heads)
-        self.cross_wq, self.cross_k, self.cross_v = wq, matmul(h_enc, wk), matmul(h_enc, wv)
+        self.cross_k = matmul(h_enc, params["dec.cross_attn.wk"])
+        self.cross_v = matmul(h_enc, params["dec.cross_attn.wv"])
         self.out_t = transpose(params["dec.out_proj.w"])
         d = cfg.d_model
         gate_w = params["dec.gate.w"]
@@ -115,8 +115,10 @@ class DecodeState:
         self.gate_diag = elem_mul(Tensor(np.eye(d)), spread)
         self.s_p = s_p
 
-    def _attend(self, prefix: str, x: Tensor, q: Tensor, k: Tensor, v: Tensor,
+    def _attend(self, prefix: str, x: Tensor, k: Tensor, v: Tensor,
                 mask: Tensor | None = None) -> Tensor:
+        """Attention of the query rows ``x`` over ``k``, ``v``."""
+        q = matmul(x, self.params[f"{prefix}.wq"])
         out = matmul(attend(q, k, v, self.heads, mask), self.params[f"{prefix}.wo"])
         return add(out, x) if self.residual else out
 
@@ -128,14 +130,13 @@ class DecodeState:
         at BOS), and the cache extended by ``tokens``."""
         width = len(tokens)
         x = row_lookup(self.params["dec.tok_emb"], tokens)
-        wq, wk, wv = self.self_w
-        k, v = matmul(x, wk), matmul(x, wv)
+        k = matmul(x, self.params["dec.self_attn.wk"])
+        v = matmul(x, self.params["dec.self_attn.wv"])
         if cache is not None:
             k, v = concat_rows(cache[0], k), concat_rows(cache[1], v)
         mask = Tensor(_hypothesis_mask(width, k.shape[0] // width)) if width > 1 else None
-        h_r = self._attend("dec.self_attn", x, matmul(x, wq), k, v, mask)
-        attended = self._attend("dec.cross_attn", h_r, matmul(h_r, self.cross_wq),
-                                self.cross_k, self.cross_v)
+        h_r = self._attend("dec.self_attn", x, k, v, mask)
+        attended = self._attend("dec.cross_attn", h_r, self.cross_k, self.cross_v)
         o = ffn(self.params, "dec.ffn", attended)
         g = sigmoid(affine(o, self.gate_wo, self.gate_c))
         fused = add(o, affine(g, self.gate_diag, self.s_p))

@@ -85,10 +85,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}{tag})"
 
 
-def as_tensor(values) -> Tensor:
-    return values if isinstance(values, Tensor) else Tensor(values)
-
-
 class TapeEntry:
     __slots__ = ("kind", "inputs", "output", "in_ids", "out_id", "meta")
 

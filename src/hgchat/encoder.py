@@ -143,9 +143,10 @@ def hgnn_forward(graph: HeteroGraph, h0: Tensor, params: ModelParams,
     hetero mode is relational message passing (R-GCN, Schlichtkrull et
     al., 2018): one weight matrix per node type and the five typed
     contributions summed, ``Σ_τ A_τ H W_τ + b_τ``. It runs as one product
-    with the adjacency A. ``W_cat`` joins the five type weights
-    column-wise, the mask M keeps node j's type block of columns and F
-    stacks five d x d identities, which sums the blocks back to width d:
+    with the adjacency A. The layer's stored ``w`` is ``W_cat``, the five
+    type weights side by side, and its ``b`` stacks the five b_τ as rows;
+    the mask M keeps node j's type block of columns and F stacks five
+    d x d identities, which sums the blocks back to width d:
 
     - sender mode (A_τ keeps columns of type τ):
       ``A·((H·W_cat ⊙ M)·F) + Σ_τ b_τ``;
@@ -175,10 +176,8 @@ def hgnn_forward(graph: HeteroGraph, h0: Tensor, params: ModelParams,
         ones = Tensor(np.ones((1, n_types)))
         sender = graph.mask_orientation == "sender"
         for layer in range(cfg.gnn_layers):
-            w_cat = concat_cols(*(params[f"enc.gnn.l{layer}.{kind.value}.w"]
-                                  for kind in NODE_TYPES))
-            b_sum = matmul(ones, concat_rows(*(params[f"enc.gnn.l{layer}.{kind.value}.b"]
-                                               for kind in NODE_TYPES)))
+            w_cat = params[f"enc.gnn.l{layer}.w"]
+            b_sum = matmul(ones, params[f"enc.gnn.l{layer}.b"])
             if sender:
                 messages = matmul(elem_mul(matmul(h, w_cat), mask), fold)
                 h = act(affine(a, messages, b_sum))

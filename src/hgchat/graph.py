@@ -162,10 +162,6 @@ def build_hetero_graph(record: DialogueRecord, self_loops: bool = True,
     return HeteroGraph(adjacency, node_type, n, speaker_ids, mask_orientation)
 
 
-def type_adjacency(graph: HeteroGraph, kind: NodeType) -> np.ndarray:
-    return graph.type_adjacency[kind]
-
-
 def format_graph(graph: HeteroGraph) -> str:
     """Human-readable dump: nodes, edges with rule numbers, 0/1 grids."""
     edge_rules = graph.edge_rules

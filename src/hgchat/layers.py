@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from .diffcore import (Tensor, add, affine, concat_cols, concat_rows, dropout,
-                       elem_mul, matmul, relu, scale, softmax_rows, transpose)
+from .diffcore import (Tensor, add, affine, concat_rows, dropout, elem_mul,
+                       matmul, relu, scale, softmax_rows, transpose)
 
 # additive mask value for disallowed attention positions; large enough to
 # underflow to exactly zero after the row-max shift in softmax
@@ -33,13 +33,6 @@ def causal_mask(n: int) -> Tensor:
     return Tensor(np.triu(np.full((n, n), MASK_OFF), k=1))
 
 
-def head_weights(params, prefix: str, heads: int) -> tuple[Tensor, Tensor, Tensor]:
-    """The per-head projections of one attention block, joined column-wise
-    into ``Wq``, ``Wk``, ``Wv``: head h owns columns h*d/H .. (h+1)*d/H."""
-    return tuple(concat_cols(*(params[f"{prefix}.h{k}.{proj}"] for k in range(heads)))
-                 for proj in ("wq", "wk", "wv"))
-
-
 @functools.lru_cache(maxsize=256)
 def _head_layout(heads: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The constants of ``attend``: the (H*n x d) head-column mask B and
@@ -54,7 +47,8 @@ def attend(q: Tensor, k: Tensor, v: Tensor, heads: int,
            mask: Tensor | None = None) -> Tensor:
     """Every head's scaled dot-product attention in one pass.
 
-    ``q`` (n x d), ``k`` and ``v`` (m x d) hold all heads side by side.
+    ``q`` (n x d), ``k`` and ``v`` (m x d) hold all heads side by side,
+    head h in columns h*d/H .. (h+1)*d/H, as the stored projections make them.
     The n query rows are stacked H times, ``S q`` with S = [I_n; ...; I_n],
     and masked by B, which keeps only head h's d/H columns in row block h.
     Row block h of ``(S q ⊙ B) kᵀ`` is then head h's score matrix, a row
@@ -78,14 +72,13 @@ def multihead(params, prefix: str, q_in: Tensor, k_in: Tensor, v_in: Tensor,
               drop: Dropouter | None = None, residual: bool = False) -> Tensor:
     """Multi-head scaled dot-product attention, all heads in one pass.
 
-    Head parameters live at ``{prefix}.h{k}.wq/wk/wv`` (d_in x d/H each)
-    and the shared output projection at ``{prefix}.wo``. They are joined
-    per call into d_in x d matrices (``head_weights``) and the heads are
-    laid out as row blocks (``attend``); an additive ``mask`` (n x m) is
-    tiled once per head.
+    The projections ``{prefix}.wq/wk/wv`` (d_in x d) hold every head,
+    head h in columns h*d/H .. (h+1)*d/H, and ``{prefix}.wo`` is the shared
+    output projection. The heads are laid out as row blocks (``attend``);
+    an additive ``mask`` (n x m) is tiled once per head.
     """
-    wq, wk, wv = head_weights(params, prefix, heads)
-    context = attend(matmul(q_in, wq), matmul(k_in, wk), matmul(v_in, wv), heads, mask)
+    context = attend(matmul(q_in, params[f"{prefix}.wq"]), matmul(k_in, params[f"{prefix}.wk"]),
+                     matmul(v_in, params[f"{prefix}.wv"]), heads, mask)
     out = maybe_drop(matmul(context, params[f"{prefix}.wo"]), drop)
     if residual:
         out = add(out, q_in)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ import numpy as np
 from .config import TrainConfig
 from .corpus import EMOTIONS, SpeakerRoster, Vocab
 from .diffcore import Tensor
+from .graph import NODE_TYPES
 
-CHECKPOINT_MAGIC = "HGNN-CKPT-1"
+CHECKPOINT_MAGIC = "HGNN-CKPT-2"
 
 
 def xavier_init(shape, seed) -> Tensor:
@@ -70,7 +72,13 @@ class ModelParams:
 
 def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int,
                       seed: int | None = None) -> ModelParams:
-    """Create every trainable tensor: Xavier for matrices, zeros for biases."""
+    """Create every trainable tensor: Xavier for matrices, zeros for biases.
+
+    Attention ``wq``/``wk``/``wv`` are d_in x d, head h in columns
+    h*d/H .. (h+1)*d/H; a hetero HGNN layer's ``w`` is d x 5d, type τ of
+    ``NODE_TYPES`` in column block τ, and its ``b`` has a row per type.
+    Each block is its own Xavier draw, per head wq, wk, wv, then per type.
+    """
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     params = ModelParams()
 
@@ -83,17 +91,19 @@ def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int,
     d = cfg.d_model
     head_dim = d // cfg.heads
 
+    def attention(prefix, d_in):
+        draws = [xavier_init((d_in, head_dim), rng).values for _ in range(3 * cfg.heads)]
+        for p, proj in enumerate(("wq", "wk", "wv")):
+            params.add(f"{prefix}.{proj}", np.concatenate(draws[p::3], axis=1))
+        mat(f"{prefix}.wo", d, d)
+
     mat("enc.word_emb", vocab_size, cfg.d_word)
     mat("enc.pe", cfg.max_turns, cfg.d_pe)
     for gate in ("i", "f", "o", "c"):
         mat(f"enc.lstm.w{gate}", cfg.d_word, cfg.d_hidden)
         mat(f"enc.lstm.u{gate}", cfg.d_hidden, cfg.d_hidden)
         bias(f"enc.lstm.b{gate}", cfg.d_hidden)
-    ctx_in = cfg.d_hidden + cfg.d_pe
-    for k in range(cfg.heads):
-        for proj in ("wq", "wk", "wv"):
-            mat(f"enc.ctx_attn.h{k}.{proj}", ctx_in, head_dim)
-    mat("enc.ctx_attn.wo", d, d)
+    attention("enc.ctx_attn", cfg.d_hidden + cfg.d_pe)
     for which, raw in (("face", cfg.face_dim), ("audio", cfg.audio_dim)):
         mat(f"enc.{which}_ffn.w1", raw, d)
         bias(f"enc.{which}_ffn.b1", d)
@@ -103,9 +113,11 @@ def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int,
     mat("enc.speaker_emb", roster_size, d)
     for layer in range(cfg.gnn_layers):
         if cfg.gnn_mode == "hetero":
-            for tcode in ("u", "f", "a", "e", "s"):
-                mat(f"enc.gnn.l{layer}.{tcode}.w", d, d)
-                bias(f"enc.gnn.l{layer}.{tcode}.b", d)
+            params.add(f"enc.gnn.l{layer}.w", np.concatenate(
+                [xavier_init((d, d), rng).values for _ in NODE_TYPES], axis=1))
+            # five bias rows, summed in the forward pass: one row would get
+            # their summed gradient, which Adam rescales, so its steps differ
+            params.add(f"enc.gnn.l{layer}.b", np.zeros((len(NODE_TYPES), d)))
         else:
             mat(f"enc.gnn.l{layer}.w", d, d)
             bias(f"enc.gnn.l{layer}.b", d)
@@ -116,11 +128,8 @@ def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int,
     mat("enc.emotion_head.w", len(EMOTIONS), d)
 
     mat("dec.tok_emb", vocab_size, d)
-    for block in ("self_attn", "cross_attn"):
-        for k in range(cfg.heads):
-            for proj in ("wq", "wk", "wv"):
-                mat(f"dec.{block}.h{k}.{proj}", d, head_dim)
-        mat(f"dec.{block}.wo", d, d)
+    attention("dec.self_attn", d)
+    attention("dec.cross_attn", d)
     mat("dec.ffn.w1", d, d)
     bias("dec.ffn.b1", d)
     mat("dec.ffn.w2", d, d)
@@ -133,6 +142,7 @@ def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int,
 
 def save_checkpoint(path: str | Path, params: ModelParams, cfg: TrainConfig,
                     vocab: Vocab, roster: SpeakerRoster) -> None:
+    """Write beside ``path``, then rename: a failed save leaves the old file."""
     payload = {
         "magic": CHECKPOINT_MAGIC,
         "config": cfg.to_dict(),
@@ -143,8 +153,15 @@ def save_checkpoint(path: str | Path, params: ModelParams, cfg: TrainConfig,
             for name, t in params.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, TrainConfig, Vocab, SpeakerRoster]:

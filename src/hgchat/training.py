@@ -7,22 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
-from .corpus import DialogueRecord, RecordError, SpeakerRoster, Vocab, build_roster, build_vocab
-from .diffcore import NumericalError, Tensor, backward, recording
-from .model import LossOut, Model
-from .params import (CHECKPOINT_MAGIC, ModelParams, init_model_params,
-                     load_checkpoint, save_checkpoint, xavier_init)
+from .corpus import DialogueRecord, RecordError, build_roster, build_vocab
+from .diffcore import NumericalError, backward, recording
+from .model import Model
+from .params import ModelParams, init_model_params
 
-__all__ = ["EpochStats", "TrainResult", "adam_step", "joint_loss", "train",
-           "xavier_init", "CHECKPOINT_MAGIC", "save_checkpoint", "load_checkpoint"]
+__all__ = ["EpochStats", "TrainResult", "adam_step", "train"]
 
 log = logging.getLogger(__name__)
-
-
-def joint_loss(model: Model, record: DialogueRecord, training: bool = False,
-               rng: np.random.Generator | None = None) -> LossOut:
-    """Weighted sum of sequence NLL and classification NLL for one dialogue."""
-    return model.losses(record, training=training, rng=rng)
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
@@ -114,7 +106,7 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
                     continue
                 rec = records[idx]
                 with recording():
-                    out = joint_loss(model, rec, training=True, rng=rng)
+                    out = model.losses(rec, training=True, rng=rng)
                     value = out.joint.item()
                     if not np.isfinite(value):
                         raise NumericalError(f"non-finite loss on record {idx}")

@@ -1,4 +1,6 @@
+import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +47,39 @@ def test_synth_exits_zero(tmp_path):
     out = tmp_path / "corpus.jsonl"
     assert run_command(["synth", "--out", str(out), "--dialogues", "2", "--seed", "3"]) == 0
     assert len(cp.load_corpus(out)) == 2
+
+
+@pytest.mark.parametrize("flag_seed, env_seed, want", [
+    (["--seed", "3"], "9", 3),  # the flag beats HGNN_SEED
+    ([], "9", 9),               # HGNN_SEED without the flag
+    ([], None, 0),              # the default
+])
+def test_synth_seed_precedence(tmp_path, monkeypatch, capsys, flag_seed, env_seed, want):
+    if env_seed:
+        monkeypatch.setenv("HGNN_SEED", env_seed)
+    else:
+        monkeypatch.delenv("HGNN_SEED", raising=False)
+    out = tmp_path / "corpus.jsonl"
+    assert run_command(["synth", "--out", str(out), "--dialogues", "2", *flag_seed]) == 0
+    assert f"(seed {want})" in capsys.readouterr().out
+    expected = cp.synthesize_corpus(2, n_speakers=3, seed=want)
+    assert [r.utterances for r in cp.load_corpus(out)] == [r.utterances for r in expected]
+
+
+def test_gradcheck_command_passes_on_a_tiny_model(tmp_path, capsys):
+    config = tmp_path / "tiny.cfg"
+    config.write_text("d_model = 4\nheads = 2\ngnn_layers = 1\n")
+    assert run_command(["gradcheck", "--config", str(config)]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_generate_on_a_format_one_checkpoint_is_a_data_error(ckpt_and_corpus, capsys):
+    ckpt, corpus = ckpt_and_corpus
+    payload = json.loads(Path(ckpt).read_text())
+    payload["magic"] = "HGNN-CKPT-1"
+    Path(ckpt).write_text(json.dumps(payload))
+    assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
+    assert "HGNN-CKPT-2" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_a_usage_error(ckpt_and_corpus):

@@ -330,7 +330,7 @@ def test_decoder_parameter_gradients_match_fd():
     def build():
         return dec.sequence_nll(target, h_enc, e_p, s_p, params, cfg)
 
-    for name in ("dec.gate.w", "dec.out_proj.w", "dec.tok_emb", "dec.self_attn.h1.wq",
-                 "dec.cross_attn.h0.wk", "dec.self_attn.wo"):
+    for name in ("dec.gate.w", "dec.out_proj.w", "dec.tok_emb", "dec.self_attn.wq",
+                 "dec.cross_attn.wk", "dec.self_attn.wo"):
         err = dc.grad_check(build, {name: params[name]}, eps=1e-5)
         assert err <= 1e-4, (name, err)

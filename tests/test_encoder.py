@@ -58,7 +58,7 @@ def test_single_utterance_attention_is_projected_value():
     h = enc.lstm_last_hidden(params, enc.utterance_token_ids(rec, vocab, cfg.max_len)).values
     pe = params["enc.pe"].values[[0]]
     hu = np.concatenate([h, pe], axis=1)
-    heads = [hu @ params[f"enc.ctx_attn.h{k}.wv"].values for k in range(cfg.heads)]
+    heads = [hu @ wv for wv in np.split(params["enc.ctx_attn.wv"].values, cfg.heads, axis=1)]
     want = np.concatenate(heads, axis=1) @ params["enc.ctx_attn.wo"].values
     assert np.allclose(x_u, want, atol=1e-12)
 
@@ -77,7 +77,8 @@ def test_permuting_history_changes_features():
 
 
 def test_two_turn_attention_matches_hand_oracle():
-    # one head, hand-set projections, independent numpy attention oracle
+    # one head, which owns every column of the projections; independent
+    # numpy attention oracle
     cfg = tiny_cfg(heads=1, d_model=4, d_hidden=3, d_pe=3)
     rec, cfg, vocab, roster, params = build_everything(n=2, cfg=cfg)
     token_rows = enc.utterance_token_ids(rec, vocab, cfg.max_len)
@@ -86,9 +87,9 @@ def test_two_turn_attention_matches_hand_oracle():
     hu = np.concatenate([h, pe], axis=1)
     want = single_head_attention(
         hu, hu, hu,
-        params["enc.ctx_attn.h0.wq"].values,
-        params["enc.ctx_attn.h0.wk"].values,
-        params["enc.ctx_attn.h0.wv"].values,
+        params["enc.ctx_attn.wq"].values,
+        params["enc.ctx_attn.wk"].values,
+        params["enc.ctx_attn.wv"].values,
         params["enc.ctx_attn.wo"].values,
     )
     got = enc.encode_utterances(rec, params, vocab, cfg).values
@@ -201,13 +202,21 @@ def encoded_features(rec, cfg, vocab, roster, params):
     return graph, h0
 
 
+def type_blocks(params, layer):
+    """Each node type's (w, b) in a hetero layer, as views into the stored
+    tensors: column block τ of ``w`` and row τ of ``b``, types in u, f, a,
+    e, s order."""
+    w = np.split(params[f"enc.gnn.l{layer}.w"].values, 5, axis=1)
+    b = np.split(params[f"enc.gnn.l{layer}.b"].values, 5)
+    return dict(zip("ufaes", zip(w, b)))
+
+
 def test_zero_weights_give_ffn_of_zero():
     rec, cfg, vocab, roster, params = build_everything()
     graph, h0 = encoded_features(rec, cfg, vocab, roster, params)
     for layer in range(cfg.gnn_layers):
-        for code in "ufaes":
-            params[f"enc.gnn.l{layer}.{code}.w"].values[:] = 0.0
-            params[f"enc.gnn.l{layer}.{code}.b"].values[:] = 0.0
+        params[f"enc.gnn.l{layer}.w"].values[:] = 0.0
+        params[f"enc.gnn.l{layer}.b"].values[:] = 0.0
     got = enc.hgnn_forward(graph, h0, params, cfg).values
     zero = np.zeros((graph.n_nodes, cfg.d_model))
     want = ffn_two_layer(zero, params["enc.out_ffn.w1"].values,
@@ -223,9 +232,9 @@ def tie_hetero_to_homo(cfg, hetero_params, homo_params):
     for layer in range(cfg.gnn_layers):
         w = homo_params[f"enc.gnn.l{layer}.w"].values
         b = homo_params[f"enc.gnn.l{layer}.b"].values
-        for code in "ufaes":
-            hetero_params[f"enc.gnn.l{layer}.{code}.w"].values[:] = w
-            hetero_params[f"enc.gnn.l{layer}.{code}.b"].values[:] = b / 5.0
+        for w_t, b_t in type_blocks(hetero_params, layer).values():
+            w_t[:] = w
+            b_t[:] = b / 5.0
 
 
 @settings(max_examples=15, deadline=None)
@@ -240,7 +249,7 @@ def test_tied_hetero_equals_homo(n, seed):
     het = init_model_params(cfg_het, vocab.size, roster.size)
     hom = init_model_params(cfg_hom, vocab.size, roster.size)
     for name, t in hom.items():
-        if name in het:
+        if not name.startswith("enc.gnn."):  # the layers share names, not shapes
             het[name].values[:] = t.values
     tie_hetero_to_homo(cfg_het, het, hom)
     graph, h0 = encoded_features(rec, cfg_het, vocab, roster, het)
@@ -262,9 +271,7 @@ def test_two_node_graph_hand_convolution():
              for code in ("u", "e")}
     h = h0.values
     pre = np.zeros_like(h)
-    for code in "ufaes":
-        w = params[f"enc.gnn.l0.{code}.w"].values
-        b = params[f"enc.gnn.l0.{code}.b"].values
+    for code, (w, b) in type_blocks(params, 0).items():
         a_t = adj * masks.get(code, np.zeros(2))[np.newaxis, :]
         pre += a_t @ h @ w + b
     want = ffn_two_layer(np.maximum(pre, 0.0),
@@ -296,9 +303,7 @@ def test_hgnn_matches_five_matrix_oracle(orientation, normalize, ablate):
     params = init_model_params(cfg, vocab.size, roster.size)
     randomize_gnn(params, seed=3)
     graph, h0 = encoded_features(rec, cfg, vocab, roster, params)
-    layers = [{code: (params[f"enc.gnn.l{layer}.{code}.w"].values,
-                      params[f"enc.gnn.l{layer}.{code}.b"].values) for code in "ufaes"}
-              for layer in range(cfg.gnn_layers)]
+    layers = [type_blocks(params, layer) for layer in range(cfg.gnn_layers)]
     h = typed_graph_conv(graph.adjacency, [n.kind.value for n in graph.nodes], h0.values,
                          layers, orientation, normalize)
     want = ffn_two_layer(h, params["enc.out_ffn.w1"].values, params["enc.out_ffn.b1"].values,

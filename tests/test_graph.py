@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgchat import corpus as cp
-from hgchat.graph import NODE_TYPES, NodeType, build_hetero_graph, format_graph, type_adjacency
+from hgchat.graph import NODE_TYPES, NodeType, build_hetero_graph, format_graph
 
 
 def record_for(speakers, emotions=None, with_modalities=True):
@@ -95,7 +95,7 @@ def assert_matches_oracle(speakers, emotions, with_modalities=True):
                 dense[i, j] = dense[j, i] = 1
             expect = dense * (mask[np.newaxis, :] if orientation == "sender"
                               else mask[:, np.newaxis])
-            assert np.array_equal(type_adjacency(graph, kind), expect), (kind, orientation)
+            assert np.array_equal(graph.type_adjacency[kind], expect), (kind, orientation)
 
 
 # --- pinned examples -----------------------------------------------------
@@ -134,7 +134,7 @@ def test_three_turn_same_speaker_links():
 def test_speaker_column_carries_rules_5_8_9():
     rec = record_for(["s1"])
     graph = build_hetero_graph(rec, self_loops=False)
-    a_s = type_adjacency(graph, NodeType.SPEAKER)
+    a_s = graph.type_adjacency[NodeType.SPEAKER]
     s_idx = graph.nodes_of(NodeType.SPEAKER)[0].idx
     assert a_s[:, s_idx].sum() == 3
     assert a_s.sum() == 3  # only that column is populated
@@ -143,7 +143,7 @@ def test_speaker_column_carries_rules_5_8_9():
 def test_empty_type_gives_zero_matrix():
     rec = record_for(["s1"], with_modalities=False)
     graph = build_hetero_graph(rec, self_loops=False)
-    assert np.array_equal(type_adjacency(graph, NodeType.FACE),
+    assert np.array_equal(graph.type_adjacency[NodeType.FACE],
                           np.zeros((graph.n_nodes, graph.n_nodes), dtype=np.int64))
 
 

@@ -8,11 +8,10 @@ from hgchat.params import ModelParams
 from oracles import multi_head_attention
 
 
-def attention_params(rng, heads, d_in, d):
+def attention_params(rng, d_in, d):
     params = ModelParams()
-    for k in range(heads):
-        for proj in ("wq", "wk", "wv"):
-            params.add(f"att.h{k}.{proj}", rng.standard_normal((d_in, d // heads)))
+    for proj in ("wq", "wk", "wv"):
+        params.add(f"att.{proj}", rng.standard_normal((d_in, d)))
     params.add("att.wo", rng.standard_normal((d, d)))
     return params
 
@@ -23,15 +22,14 @@ def test_multihead_matches_per_head_oracle(heads, causal):
     rng = np.random.default_rng(heads)
     d_in, d, n = 6, 8, 5
     m = n if causal else 7
-    params = attention_params(rng, heads, d_in, d)
+    params = attention_params(rng, d_in, d)
     q = rng.standard_normal((n, d_in))
     kv = q if causal else rng.standard_normal((m, d_in))
     got = multihead(params, "att", dc.Tensor(q), dc.Tensor(kv), dc.Tensor(kv), heads,
                     mask=causal_mask(n) if causal else None).values
+    # head h owns columns h*d/H .. (h+1)*d/H of each stored projection
     want = multi_head_attention(
         q, kv, kv,
-        [params[f"att.h{k}.wq"].values for k in range(heads)],
-        [params[f"att.h{k}.wk"].values for k in range(heads)],
-        [params[f"att.h{k}.wv"].values for k in range(heads)],
+        *(np.split(params[f"att.{proj}"].values, heads, axis=1) for proj in ("wq", "wk", "wv")),
         params["att.wo"].values, causal=causal)
     assert np.max(np.abs(got - want)) <= 1e-12

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from hgchat import diffcore as dc
 from hgchat import training as tr
 from hgchat.config import TrainConfig
 from hgchat.model import Model
-from hgchat.params import init_model_params
+from hgchat.params import CHECKPOINT_MAGIC, init_model_params, xavier_init
 
 
 def tiny_cfg(**kw):
@@ -32,26 +34,95 @@ def fresh_model(records, cfg):
 # --- xavier ----------------------------------------------------------------
 
 def test_xavier_bound_four_by_four():
-    t = tr.xavier_init((4, 4), seed=0)
+    t = xavier_init((4, 4), seed=0)
     bound = np.sqrt(6 / 8)
     assert bound == pytest.approx(0.866, abs=1e-3)
     assert np.all(np.abs(t.values) <= bound)
 
 
 def test_xavier_deterministic():
-    a = tr.xavier_init((5, 7), seed=123)
-    b = tr.xavier_init((5, 7), seed=123)
+    a = xavier_init((5, 7), seed=123)
+    b = xavier_init((5, 7), seed=123)
     assert np.array_equal(a.values, b.values)
 
 
 def test_xavier_empirical_mean_near_zero():
-    t = tr.xavier_init((100, 100), seed=5)
+    t = xavier_init((100, 100), seed=5)
     assert abs(t.values.mean()) < 0.02
 
 
 def test_xavier_rejects_non_2d():
     with pytest.raises(ValueError):
-        tr.xavier_init((3,), seed=0)
+        xavier_init((3,), seed=0)
+
+
+def per_head_init(cfg, vocab_size, roster_size, seed):
+    """Initial matrices of the per-head, per-type layout: one Xavier draw per
+    matrix from a single generator, in declaration order; biases are zero
+    and take no draws."""
+    rng = np.random.default_rng(seed)
+    out = {}
+
+    def mat(name, rows, cols):
+        bound = np.sqrt(6.0 / (rows + cols))
+        out[name] = rng.uniform(-bound, bound, size=(rows, cols))
+
+    d, head_dim = cfg.d_model, cfg.d_model // cfg.heads
+
+    def attention(prefix, d_in):
+        for k in range(cfg.heads):
+            for proj in ("wq", "wk", "wv"):
+                mat(f"{prefix}.h{k}.{proj}", d_in, head_dim)
+        mat(f"{prefix}.wo", d, d)
+
+    mat("enc.word_emb", vocab_size, cfg.d_word)
+    mat("enc.pe", cfg.max_turns, cfg.d_pe)
+    for gate in "ifoc":
+        mat(f"enc.lstm.w{gate}", cfg.d_word, cfg.d_hidden)
+        mat(f"enc.lstm.u{gate}", cfg.d_hidden, cfg.d_hidden)
+    attention("enc.ctx_attn", cfg.d_hidden + cfg.d_pe)
+    for which, raw in (("face", cfg.face_dim), ("audio", cfg.audio_dim)):
+        mat(f"enc.{which}_ffn.w1", raw, d)
+        mat(f"enc.{which}_ffn.w2", d, d)
+    mat("enc.emotion_emb", 7, d)
+    mat("enc.speaker_emb", roster_size, d)
+    for layer in range(cfg.gnn_layers):
+        for code in "ufaes":
+            mat(f"enc.gnn.l{layer}.{code}.w", d, d)
+    for name in ("enc.out_ffn.w1", "enc.out_ffn.w2"):
+        mat(name, d, d)
+    mat("enc.emotion_head.w", 7, d)
+    mat("dec.tok_emb", vocab_size, d)
+    attention("dec.self_attn", d)
+    attention("dec.cross_attn", d)
+    for name in ("dec.ffn.w1", "dec.ffn.w2"):
+        mat(name, d, d)
+    mat("dec.gate.w", 3 * d, d)
+    mat("dec.out_proj.w", vocab_size, d)
+    return out
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_joined_init_equals_per_head_and_per_type_draws(heads):
+    cfg = tiny_cfg(heads=heads, gnn_layers=2)
+    params = init_model_params(cfg, 11, 3, seed=5)
+    oracle = per_head_init(cfg, 11, 3, seed=5)
+    want = {}
+    for prefix in ("enc.ctx_attn", "dec.self_attn", "dec.cross_attn"):
+        for proj in ("wq", "wk", "wv"):
+            # head h in columns h*d/H .. (h+1)*d/H
+            want[f"{prefix}.{proj}"] = np.hstack(
+                [oracle.pop(f"{prefix}.h{k}.{proj}") for k in range(heads)])
+    for layer in range(cfg.gnn_layers):
+        # node type τ in column block τ, and in row τ of the bias
+        want[f"enc.gnn.l{layer}.w"] = np.hstack(
+            [oracle.pop(f"enc.gnn.l{layer}.{code}.w") for code in "ufaes"])
+        want[f"enc.gnn.l{layer}.b"] = np.zeros((5, cfg.d_model))
+    want.update(oracle)
+    for name, values in want.items():
+        assert np.array_equal(params[name].values, values), name
+    biases = set(params.names()) - set(want)
+    assert all(not params[name].values.any() for name in biases), biases
 
 
 # --- adam -------------------------------------------------------------------
@@ -209,7 +280,7 @@ def test_checkpoint_round_trip_exact(tmp_path):
     res.model.save(path)
 
     header = path.read_text()[:40]
-    assert tr.CHECKPOINT_MAGIC in header
+    assert CHECKPOINT_MAGIC in header
 
     loaded = Model.load(path)
     assert loaded.cfg == res.model.cfg
@@ -222,8 +293,43 @@ def test_checkpoint_round_trip_exact(tmp_path):
 def test_checkpoint_magic_checked(tmp_path):
     path = tmp_path / "bogus.ckpt"
     path.write_text('{"magic": "other"}')
-    with pytest.raises(ValueError, match=tr.CHECKPOINT_MAGIC):
+    with pytest.raises(ValueError, match=CHECKPOINT_MAGIC):
         Model.load(path)
+
+
+def test_format_one_checkpoint_rejected_by_name(tmp_path):
+    cfg = tiny_cfg()
+    path = tmp_path / "old.ckpt"
+    fresh_model(tiny_corpus(2, cfg=cfg), cfg).save(path)
+    payload = json.loads(path.read_text())
+    payload["magic"] = "HGNN-CKPT-1"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="HGNN-CKPT-2"):
+        Model.load(path)
+
+
+def test_failed_save_leaves_the_old_checkpoint(tmp_path, monkeypatch):
+    cfg = tiny_cfg()
+    model = fresh_model(tiny_corpus(2, cfg=cfg), cfg)
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    saved = {name: t.values.copy() for name, t in model.params.items()}
+    for t in model.params.values():
+        t.values += 1.0
+
+    def crash_mid_write(payload, fh):
+        fh.write('{"magic": "')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", crash_mid_write)
+    with pytest.raises(OSError, match="disk full"):
+        model.save(path)
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left
+    loaded = Model.load(path)
+    assert list(loaded.params.names()) == list(saved)
+    for name, values in saved.items():
+        assert np.array_equal(loaded.params[name].values, values), name
 
 
 # --- full-model gradient coverage --------------------------------------------------
