@@ -247,6 +247,8 @@ def build_roster(records: list[DialogueRecord], max_speakers: int = 13) -> Speak
 # The planted label function is fixed across corpora so that train and
 # test splits generated with different seeds agree on it.
 _SIGNAL_SEED = 7_000_003
+_HISTORY_SIGNAL_SCALE = 0.35  # of earlier turns' modality vectors
+_MIN_MARGIN = 0.4             # between a last turn's top two label scores
 
 _WORD_POOL = (
     "well so anyway look listen right okay maybe today tonight really "
@@ -282,27 +284,22 @@ def planted_label(face: np.ndarray, audio: np.ndarray) -> str:
 
 
 def _draw_label_bearing_pair(rng: np.random.Generator, face_dim: int,
-                             audio_dim: int, min_margin: float
-                             ) -> tuple[np.ndarray, np.ndarray]:
+                             audio_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample a face/audio pair whose top-two projection scores are at
-    least ``min_margin`` apart, so labels are not dominated by boundary
+    least ``_MIN_MARGIN`` apart, so labels are not dominated by boundary
     noise. The filter is class-symmetric and keeps labels uniform."""
     proj = _signal_projections(face_dim, audio_dim)
     while True:
         face = rng.standard_normal(face_dim)
         audio = rng.standard_normal(audio_dim)
         top2 = np.sort(proj @ np.concatenate([face, audio]))[-2:]
-        if top2[1] - top2[0] >= min_margin:
+        if top2[1] - top2[0] >= _MIN_MARGIN:
             return face, audio
 
 
-def synthesize_corpus(n_dialogues: int, n_speakers: int = 3,
-                      vocab_pool: list[str] | None = None, seed: int = 0,
+def synthesize_corpus(n_dialogues: int, n_speakers: int = 3, seed: int = 0,
                       min_turns: int = 1, max_turns: int = 3,
-                      face_dim: int = 8, audio_dim: int = 8,
-                      history_signal_scale: float = 0.35,
-                      modality_scale: float = 1.0,
-                      min_margin: float = 0.4) -> list[DialogueRecord]:
+                      face_dim: int = 8, audio_dim: int = 8) -> list[DialogueRecord]:
     """Generate dialogues whose next emotion is planted in the last turn's
     face and audio vectors only.
 
@@ -312,25 +309,20 @@ def synthesize_corpus(n_dialogues: int, n_speakers: int = 3,
     scaled down so the label-bearing last turn dominates the graph signal.
     """
     rng = np.random.default_rng(seed)
-    pool = list(vocab_pool) if vocab_pool else list(_WORD_POOL)
     speakers = [f"s{k + 1}" for k in range(n_speakers)]
     records = []
     for _ in range(n_dialogues):
         n = int(rng.integers(min_turns, max_turns + 1))
-        faces = rng.standard_normal((n, face_dim)) * modality_scale
-        audios = rng.standard_normal((n, audio_dim)) * modality_scale
-        if n > 1 and history_signal_scale != 1.0:
-            faces[:-1] *= history_signal_scale
-            audios[:-1] *= history_signal_scale
-        faces[-1], audios[-1] = _draw_label_bearing_pair(rng, face_dim, audio_dim,
-                                                         min_margin)
-        faces[-1] *= modality_scale
-        audios[-1] *= modality_scale
+        faces = rng.standard_normal((n, face_dim))
+        audios = rng.standard_normal((n, audio_dim))
+        faces[:-1] *= _HISTORY_SIGNAL_SCALE
+        audios[:-1] *= _HISTORY_SIGNAL_SCALE
+        faces[-1], audios[-1] = _draw_label_bearing_pair(rng, face_dim, audio_dim)
         label = planted_label(faces[-1], audios[-1])
         who = [speakers[int(rng.integers(n_speakers))] for _ in range(n)]
         next_speaker = speakers[int(rng.integers(n_speakers))]
         records.append(DialogueRecord(
-            utterances=[" ".join(rng.choice(pool, size=rng.integers(3, 7)))
+            utterances=[" ".join(rng.choice(_WORD_POOL, size=rng.integers(3, 7)))
                         for _ in range(n)],
             emotions=[EMOTIONS[int(rng.integers(len(EMOTIONS)))] for _ in range(n)],
             speakers=who,

@@ -1,6 +1,7 @@
-"""Response generation: future-masked self-attention over the prefix,
-cross-attention into the encoded graph, and a learned gate that blends the
-emotion mixture with the responding speaker's personality."""
+"""Response generation: one decoder block (``DecodeState.run``) of
+future-masked self-attention over the prefix, cross-attention into the
+encoded graph, and a learned gate that blends the emotion mixture with the
+responding speaker's personality, shared by teacher forcing and search."""
 from __future__ import annotations
 
 import functools
@@ -13,8 +14,8 @@ from .corpus import BOS, EOS
 from .diffcore import (ContractError, Tensor, add, affine, concat_cols,
                        concat_rows, elem_mul, matmul, neg_pick, row_lookup,
                        scale, sigmoid, softmax_rows, transpose)
-from .layers import (MASK_OFF, Dropouter, attend, broadcast_row, causal_mask,
-                     ffn, multihead, one_minus)
+from .layers import (MASK_OFF, Dropouter, broadcast_row, causal_mask, ffn,
+                     multihead, project_kv)
 from .params import ModelParams
 
 log = logging.getLogger(__name__)
@@ -25,19 +26,33 @@ def emotion_mix(p: Tensor, emotion_emb: Tensor) -> Tensor:
     return matmul(p, emotion_emb)
 
 
-def gate_fuse(o: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams
-              ) -> tuple[Tensor, Tensor]:
+def fold_gate(e_p: Tensor, s_p: Tensor, params: ModelParams) -> tuple[Tensor, ...]:
+    """The gate's per-dialogue terms ``(W_o, c, diag(e_p − s_p), s_p)``.
+
+    The gate sees ``[o; e_p; s_p]``, whose emotion and personality columns
+    are the same on every row, so ``[o; e_p; s_p]·W_g + b = o·W_o + c``
+    with ``W_o`` the first d rows of ``W_g`` and ``c = [0; e_p; s_p]·W_g + b``.
+    """
+    d = e_p.shape[1]
+    gate_w = params["dec.gate.w"]
+    w_o = row_lookup(gate_w, np.arange(d))
+    c = affine(concat_cols(Tensor(np.zeros((1, d))), e_p, s_p), gate_w, params["dec.gate.b"])
+    spread = broadcast_row(add(e_p, scale(s_p, -1.0)), d)
+    return w_o, c, elem_mul(Tensor(np.eye(d)), spread), s_p
+
+
+def gate_fuse(o: Tensor, fold: tuple[Tensor, ...]) -> Tensor:
     """Blend the decoder states with the emotion and personality rows.
 
-    The gate sees [states; emotion; personality] and decides, per
-    coordinate, how much of each additive term to let through.
+    The gate ``g = σ([o; e_p; s_p]·W_g + b)`` decides, per coordinate, how
+    much of each additive term to let through: the fused state
+    ``o + g ⊙ e_p + (1 − g) ⊙ s_p`` is ``o + s_p + g ⊙ (e_p − s_p)``,
+    computed from ``fold_gate``'s terms as ``o + (g·diag(e_p − s_p) + s_p)``
+    with ``g = σ(o·W_o + c)``, the bias row ``s_p`` broadcast over the rows.
     """
-    rows = o.shape[0]
-    e_g = broadcast_row(e_p, rows)
-    s_g = broadcast_row(s_p, rows)
-    g = sigmoid(affine(concat_cols(o, e_g, s_g), params["dec.gate.w"], params["dec.gate.b"]))
-    fused = add(add(o, elem_mul(g, e_g)), elem_mul(one_minus(g), s_g))
-    return fused, g
+    w_o, c, spread, s_p = fold
+    g = sigmoid(affine(o, w_o, c))
+    return add(o, affine(g, spread, s_p))
 
 
 def step_distributions(prefix_ids: list[int], h_enc: Tensor, e_p: Tensor,
@@ -45,20 +60,15 @@ def step_distributions(prefix_ids: list[int], h_enc: Tensor, e_p: Tensor,
                        drop: Dropouter | None = None) -> Tensor:
     """Next-token distributions for every prefix position (teacher-forced).
 
-    Row t is the distribution over token t+1 given tokens up to t; the
+    Row t is the distribution over token t+1 given tokens up to t: the
+    decoder block runs on the whole prefix from an empty cache, and the
     causal mask keeps each row independent of everything after it.
     """
     if not prefix_ids:
         raise ContractError("decoder prefix must not be empty (start with BOS)")
-    r = row_lookup(params["dec.tok_emb"], prefix_ids)
-    res = cfg.attention_residual
-    h_r = multihead(params, "dec.self_attn", r, r, r, cfg.heads,
-                    mask=causal_mask(len(prefix_ids)), drop=drop, residual=res)
-    attended = multihead(params, "dec.cross_attn", h_r, h_enc, h_enc, cfg.heads,
-                         drop=drop, residual=res)
-    o = ffn(params, "dec.ffn", attended, drop)
-    fused, _ = gate_fuse(o, e_p, s_p, params)
-    return softmax_rows(matmul(fused, transpose(params["dec.out_proj.w"])))
+    state = DecodeState(h_enc, e_p, s_p, params, cfg)
+    probs, _ = state.run(None, prefix_ids, causal_mask(len(prefix_ids)), drop)
+    return probs
 
 
 def sequence_nll(target_ids: list[int], h_enc: Tensor, e_p: Tensor, s_p: Tensor,
@@ -73,54 +83,47 @@ def sequence_nll(target_ids: list[int], h_enc: Tensor, e_p: Tensor, s_p: Tensor,
 
 
 class DecodeState:
-    """One dialogue's constants for incremental decoding (Shazeer 2019,
-    arXiv:1911.02150), shared by W live hypotheses of equal length.
+    """The decoder block with one dialogue's constants: the cross-attention
+    keys and values of ``h_enc``, the transposed output projection and the
+    gate's folded terms.
 
-    The cross-attention keys and values of ``h_enc``, the transposed output
-    projection and the gate's per-dialogue terms are computed once; the
-    stored attention projections hold all heads each and are read as they
-    are. ``step`` then runs the decoder on the newest token of each
-    hypothesis, W rows in one pass. Its
-    self-attention cache ``(K, V)`` is step-major: row ``s*W + i`` holds
+    ``run`` decodes new token rows against the self-attention cache
+    ``(K, V)`` of the tokens before them, as in incremental decoding
+    (Shazeer 2019, arXiv:1911.02150). Teacher forcing is one ``run`` over
+    the whole prefix from an empty cache under a causal mask. ``step``
+    decodes the newest token of each of W live hypotheses of equal length
+    in one ``run``. Its cache is step-major: row ``s*W + i`` holds
     hypothesis i's token s, so a step appends its W rows with one
-    ``concat_rows``. With W > 1 the self-attention scores get a block mask
-    that lets query i see only the rows ``≡ i (mod W)``; greedy decoding
-    is W = 1 and needs none, and without later rows no causal mask is
-    needed either. ``reorder`` picks the cache rows of the hypotheses that
-    survive a beam step. Caches are extended into new tensors, never
-    written in place.
-
-    The gate's input ``[o; e_p; s_p]`` has constant emotion and personality
-    columns, so ``[o; e_p; s_p]·W_g + b = o·W_o + c`` with ``W_o`` the first
-    d rows of ``W_g`` and ``c = [0; e_p; s_p]·W_g + b``, and the fused state
-    ``o + g ⊙ e_p + (1 − g) ⊙ s_p`` is ``o + s_p + g ⊙ (e_p − s_p)``. The
-    product with ``e_p − s_p`` is taken as ``g·diag(e_p − s_p)``, an affine
-    whose bias row ``s_p`` broadcasts over the W rows. ``step_distributions``
-    and ``gate_fuse`` stay the teacher-forced reference that this path must
-    reproduce.
+    ``concat_rows``. With W > 1 the scores get a block mask that lets
+    query i see only the rows ``≡ i (mod W)``; greedy decoding is W = 1 and
+    needs none, and without later rows no causal mask is needed either.
+    ``reorder`` picks the cache rows of the hypotheses that survive a beam
+    step. Caches are extended into new tensors, never written in place.
     """
 
     def __init__(self, h_enc: Tensor, e_p: Tensor, s_p: Tensor,
                  params: ModelParams, cfg: TrainConfig):
         self.params, self.heads, self.residual = params, cfg.heads, cfg.attention_residual
-        self.cross_k = matmul(h_enc, params["dec.cross_attn.wk"])
-        self.cross_v = matmul(h_enc, params["dec.cross_attn.wv"])
+        self.cross_kv = project_kv(params, "dec.cross_attn", h_enc)
         self.out_t = transpose(params["dec.out_proj.w"])
-        d = cfg.d_model
-        gate_w = params["dec.gate.w"]
-        self.gate_wo = matmul(Tensor(np.eye(d, 3 * d)), gate_w)
-        self.gate_c = affine(concat_cols(Tensor(np.zeros((1, d))), e_p, s_p),
-                             gate_w, params["dec.gate.b"])
-        spread = broadcast_row(add(e_p, scale(s_p, -1.0)), d)
-        self.gate_diag = elem_mul(Tensor(np.eye(d)), spread)
-        self.s_p = s_p
+        self.fold = fold_gate(e_p, s_p, params)
 
-    def _attend(self, prefix: str, x: Tensor, k: Tensor, v: Tensor,
-                mask: Tensor | None = None) -> Tensor:
-        """Attention of the query rows ``x`` over ``k``, ``v``."""
-        q = matmul(x, self.params[f"{prefix}.wq"])
-        out = matmul(attend(q, k, v, self.heads, mask), self.params[f"{prefix}.wo"])
-        return add(out, x) if self.residual else out
+    def run(self, cache: tuple[Tensor, Tensor] | None, tokens: list[int],
+            mask: Tensor | None, drop: Dropouter | None = None
+            ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+        """Next-token distributions (n x V) for the n rows ``tokens``, given
+        the ``cache`` before them and an additive self-attention ``mask``
+        (n x cached + n rows, or None), and the extended cache."""
+        params = self.params
+        x = row_lookup(params["dec.tok_emb"], tokens)
+        k, v = project_kv(params, "dec.self_attn", x)
+        if cache is not None:
+            k, v = concat_rows(cache[0], k), concat_rows(cache[1], v)
+        h_r = multihead(params, "dec.self_attn", x, (k, v), self.heads, mask, drop, self.residual)
+        attended = multihead(params, "dec.cross_attn", h_r, self.cross_kv, self.heads,
+                             drop=drop, residual=self.residual)
+        o = ffn(params, "dec.ffn", attended, drop)
+        return softmax_rows(matmul(gate_fuse(o, self.fold), self.out_t)), (k, v)
 
     def step(self, cache: tuple[Tensor, Tensor] | None, tokens: list[int]
              ) -> tuple[np.ndarray, tuple[Tensor, Tensor]]:
@@ -129,18 +132,10 @@ class DecodeState:
         step-major self-attention ``cache`` of the tokens before them (None
         at BOS), and the cache extended by ``tokens``."""
         width = len(tokens)
-        x = row_lookup(self.params["dec.tok_emb"], tokens)
-        k = matmul(x, self.params["dec.self_attn.wk"])
-        v = matmul(x, self.params["dec.self_attn.wv"])
-        if cache is not None:
-            k, v = concat_rows(cache[0], k), concat_rows(cache[1], v)
-        mask = Tensor(_hypothesis_mask(width, k.shape[0] // width)) if width > 1 else None
-        h_r = self._attend("dec.self_attn", x, k, v, mask)
-        attended = self._attend("dec.cross_attn", h_r, self.cross_k, self.cross_v)
-        o = ffn(self.params, "dec.ffn", attended)
-        g = sigmoid(affine(o, self.gate_wo, self.gate_c))
-        fused = add(o, affine(g, self.gate_diag, self.s_p))
-        return softmax_rows(matmul(fused, self.out_t)).values, (k, v)
+        steps = 1 + (0 if cache is None else cache[0].shape[0] // width)
+        mask = Tensor(_hypothesis_mask(width, steps)) if width > 1 else None
+        probs, cache = self.run(cache, tokens, mask)
+        return probs.values, cache
 
     @staticmethod
     def reorder(cache: tuple[Tensor, Tensor], width: int, parents: list[int]

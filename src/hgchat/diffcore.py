@@ -71,15 +71,6 @@ class Tensor:
         """Copy of the values with no gradient path back to this tensor."""
         return Tensor(self.values.copy())
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return elem_mul(self, other)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag})"
@@ -130,15 +121,6 @@ class Tape:
         self.entries.clear()
         self._ids.clear()
         self._tensors.clear()
-
-    def replay(self) -> bool:
-        """Re-run every recorded forward; True iff all outputs match bit-exactly."""
-        for entry in self.entries:
-            arrays = [t.values for t in entry.inputs]
-            again = _PRIMS[entry.kind].forward(arrays, entry.meta)
-            if not np.array_equal(again, entry.output.values):
-                return False
-        return True
 
 
 _STATE = threading.local()

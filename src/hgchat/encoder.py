@@ -20,7 +20,7 @@ from .diffcore import (Tensor, add, affine, concat_cols, concat_rows, elem_mul,
                        matmul, mean_rows, relu, row_lookup, sigmoid,
                        softmax_rows, tanh, transpose)
 from .graph import HeteroGraph, NODE_TYPES, NodeType
-from .layers import Dropouter, ffn, multihead
+from .layers import Dropouter, ffn, multihead, project_kv
 from .params import ModelParams
 
 log = logging.getLogger(__name__)
@@ -92,8 +92,8 @@ def encode_utterances(record: DialogueRecord, params: ModelParams, vocab: Vocab,
     if residual and cfg.d_hidden + cfg.d_pe != cfg.d_model:
         raise ConfigError("attention_residual in the encoder requires "
                           "d_hidden + d_pe == d_model")
-    return multihead(params, "enc.ctx_attn", h_u, h_u, h_u, cfg.heads,
-                     drop=drop, residual=residual)
+    return multihead(params, "enc.ctx_attn", h_u, project_kv(params, "enc.ctx_attn", h_u),
+                     cfg.heads, drop=drop, residual=residual)
 
 
 def project_modality(vectors: np.ndarray, which: str, params: ModelParams,

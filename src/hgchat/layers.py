@@ -67,22 +67,25 @@ def attend(q: Tensor, k: Tensor, v: Tensor, heads: int,
     return matmul(Tensor(fold), per_head)
 
 
-def multihead(params, prefix: str, q_in: Tensor, k_in: Tensor, v_in: Tensor,
-              heads: int, mask: Tensor | None = None,
-              drop: Dropouter | None = None, residual: bool = False) -> Tensor:
-    """Multi-head scaled dot-product attention, all heads in one pass.
+def project_kv(params, prefix: str, src: Tensor) -> tuple[Tensor, Tensor]:
+    """``src``'s keys and values under ``{prefix}.wk/wv``, for ``multihead``."""
+    return matmul(src, params[f"{prefix}.wk"]), matmul(src, params[f"{prefix}.wv"])
+
+
+def multihead(params, prefix: str, x: Tensor, kv: tuple[Tensor, Tensor], heads: int,
+              mask: Tensor | None = None, drop: Dropouter | None = None,
+              residual: bool = False) -> Tensor:
+    """Multi-head scaled dot-product attention of the rows ``x`` over the
+    keys and values ``kv`` that ``project_kv`` made, all heads in one pass.
 
     The projections ``{prefix}.wq/wk/wv`` (d_in x d) hold every head,
     head h in columns h*d/H .. (h+1)*d/H, and ``{prefix}.wo`` is the shared
     output projection. The heads are laid out as row blocks (``attend``);
     an additive ``mask`` (n x m) is tiled once per head.
     """
-    context = attend(matmul(q_in, params[f"{prefix}.wq"]), matmul(k_in, params[f"{prefix}.wk"]),
-                     matmul(v_in, params[f"{prefix}.wv"]), heads, mask)
+    context = attend(matmul(x, params[f"{prefix}.wq"]), *kv, heads, mask)
     out = maybe_drop(matmul(context, params[f"{prefix}.wo"]), drop)
-    if residual:
-        out = add(out, q_in)
-    return out
+    return add(out, x) if residual else out
 
 
 def ffn(params, prefix: str, x: Tensor, drop: Dropouter | None = None) -> Tensor:
@@ -96,6 +99,3 @@ def broadcast_row(row: Tensor, n_rows: int) -> Tensor:
     """Repeat a 1xd row n times; gradients flow back as the column sum."""
     return matmul(Tensor(np.ones((n_rows, 1))), row)
 
-
-def one_minus(t: Tensor) -> Tensor:
-    return add(scale(t, -1.0), Tensor(np.ones(t.shape)))

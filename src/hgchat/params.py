@@ -169,6 +169,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, TrainConfig, Vocab, 
         payload = json.load(fh)
     if payload.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
+    missing = [key for key in ("config", "vocab", "roster", "params") if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: checkpoint is missing {', '.join(map(repr, missing))}")
     cfg = TrainConfig.from_dict(payload["config"])
     vocab = Vocab(payload["vocab"])
     roster = SpeakerRoster(payload["roster"])

@@ -63,7 +63,7 @@ class TrainResult:
 
 def train(records: list[DialogueRecord], cfg: TrainConfig,
           model: Model | None = None, log_fn=None,
-          checkpoint_path=None, checkpoint_every: int = 0) -> TrainResult:
+          checkpoint_path=None) -> TrainResult:
     """Minibatch training loop; dialogues are processed one graph at a
     time and the batch gradient is the per-dialogue average.
 
@@ -126,8 +126,6 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
         history.append(stats)
         if log_fn is not None:
             log_fn(stats)
-        if checkpoint_path and checkpoint_every and epoch % checkpoint_every == 0:
-            model.save(checkpoint_path)
     if checkpoint_path:
         model.save(checkpoint_path)
     return TrainResult(model, history)

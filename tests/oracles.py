@@ -94,3 +94,29 @@ def lstm_final_states(emb, token_rows, wi, ui, bi, wf, uf, bf, wo, uo, bo, wc, u
             h = o * np.tanh(c)
         out.append(h[0])
     return np.array(out)
+
+
+def decoder_distributions(tokens, h_enc, e_p, s_p, weights, heads, residual=False):
+    """Teacher-forced next-token distributions of the unfused decoder.
+
+    Row t is the distribution after ``tokens[:t + 1]``. ``weights`` maps the
+    ``dec.*`` parameter names to arrays. Causal self-attention over the
+    token rows, cross-attention into ``h_enc``, the two-layer FFN, then the
+    gate ``g = σ([o; e_p; s_p]·W_g + b)`` on the full concatenated input and
+    ``o + g ⊙ e_p + (1 − g) ⊙ s_p``, projected onto the vocabulary.
+    """
+    def attention(prefix, q, kv, causal):
+        split = lambda proj: np.split(weights[f"{prefix}.{proj}"], heads, axis=1)
+        out = multi_head_attention(q, kv, kv, split("wq"), split("wk"), split("wv"),
+                                   weights[f"{prefix}.wo"], causal=causal)
+        return out + q if residual else out
+
+    x = weights["dec.tok_emb"][list(tokens)]
+    h_r = attention("dec.self_attn", x, x, True)
+    attended = attention("dec.cross_attn", h_r, h_enc, False)
+    o = ffn_two_layer(attended, *(weights[f"dec.ffn.{name}"] for name in ("w1", "b1", "w2", "b2")))
+    e = np.repeat(e_p, len(o), axis=0)
+    s = np.repeat(s_p, len(o), axis=0)
+    z = np.concatenate([o, e, s], axis=1) @ weights["dec.gate.w"] + weights["dec.gate.b"]
+    g = 1.0 / (1.0 + np.exp(-z))
+    return softmax((o + g * e + (1.0 - g) * s) @ weights["dec.out_proj.w"].T)

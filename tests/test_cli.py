@@ -82,6 +82,16 @@ def test_generate_on_a_format_one_checkpoint_is_a_data_error(ckpt_and_corpus, ca
     assert "HGNN-CKPT-2" in capsys.readouterr().err
 
 
+def test_generate_on_a_checkpoint_without_a_vocab_is_a_data_error(ckpt_and_corpus, capsys):
+    ckpt, corpus = ckpt_and_corpus
+    payload = json.loads(Path(ckpt).read_text())
+    del payload["vocab"]
+    Path(ckpt).write_text(json.dumps(payload))
+    assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "missing 'vocab'" in err
+
+
 def test_unknown_flag_is_a_usage_error(ckpt_and_corpus):
     _, corpus = ckpt_and_corpus
     assert run_command(["eval", "--corpus", corpus, "--no-such-flag"]) == 1

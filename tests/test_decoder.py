@@ -12,7 +12,7 @@ from hgchat.config import TrainConfig
 from hgchat.model import Model
 from hgchat.params import init_model_params
 
-from oracles import central_diff, softmax
+from oracles import decoder_distributions
 
 
 def tiny_cfg(**kw):
@@ -31,6 +31,13 @@ def setup(vocab_size=9, seed=0, cfg=None):
     e_p = dc.Tensor(rng.standard_normal((1, cfg.d_model)))
     s_p = dc.Tensor(rng.standard_normal((1, cfg.d_model)))
     return cfg, params, h_enc, e_p, s_p
+
+
+def oracle(tokens, h_enc, e_p, s_p, params, cfg):
+    """The unfused numpy decoder's distributions after each prefix of ``tokens``."""
+    weights = {name: t.values for name, t in params.items()}
+    return decoder_distributions(tokens, h_enc.values, e_p.values, s_p.values, weights,
+                                 cfg.heads, cfg.attention_residual)
 
 
 # --- emotion mixing ---------------------------------------------------------
@@ -62,7 +69,7 @@ def test_half_half_mixture():
 def test_gate_equal_vectors_add_exactly():
     cfg, params, h_enc, e_p, s_p = setup()
     o = dc.Tensor(np.random.default_rng(3).standard_normal((3, cfg.d_model)))
-    fused, _ = dec.gate_fuse(o, e_p, e_p, params)
+    fused = dec.gate_fuse(o, dec.fold_gate(e_p, e_p, params))
     want = o.values + e_p.values
     assert np.allclose(fused.values, want, atol=1e-12)
 
@@ -72,8 +79,8 @@ def test_gate_zero_weights_half_half():
     params["dec.gate.w"].values[:] = 0.0
     params["dec.gate.b"].values[:] = 0.0
     o = dc.Tensor(np.zeros((2, cfg.d_model)))
-    fused, g = dec.gate_fuse(o, e_p, s_p, params)
-    assert np.allclose(g.values, 0.5, atol=1e-15)
+    fused = dec.gate_fuse(o, dec.fold_gate(e_p, s_p, params))
+    # e_p and s_p differ in every coordinate, so this pins the gate at 1/2
     assert np.allclose(fused.values, (e_p.values + s_p.values) / 2, atol=1e-14)
 
 
@@ -86,12 +93,12 @@ def test_gate_hand_evaluation_d2():
     o = np.array([[0.5, -1.0]])
     e = np.array([[1.0, 2.0]])
     s = np.array([[-0.5, 0.25]])
-    fused, g = dec.gate_fuse(dc.Tensor(o), dc.Tensor(e), dc.Tensor(s), params)
+    fused = dec.gate_fuse(dc.Tensor(o), dec.fold_gate(dc.Tensor(e), dc.Tensor(s), params))
     z = np.concatenate([o, e, s], axis=1) @ w + np.array([[0.1, -0.2]])
     gval = 1 / (1 + np.exp(-z))
     want = o + gval * e + (1 - gval) * s
+    # e - s is nonzero in both coordinates, so fused pins the gate values
     assert np.allclose(fused.values, want, atol=1e-14)
-    assert np.allclose(g.values, gval, atol=1e-14)
 
 
 @settings(max_examples=20, deadline=None)
@@ -100,8 +107,8 @@ def test_gate_range_and_convexity(seed, rows):
     cfg, params, h_enc, e_p, s_p = setup(seed=seed)
     rng = np.random.default_rng(seed)
     o = dc.Tensor(rng.standard_normal((rows, cfg.d_model)))
-    fused, g = dec.gate_fuse(o, e_p, s_p, params)
-    assert np.all(g.values > 0) and np.all(g.values < 1)
+    fused = dec.gate_fuse(o, dec.fold_gate(e_p, s_p, params))
+    # the shift lies between e_p and s_p exactly when the gate lies in [0, 1]
     shift = fused.values - o.values
     lo = np.minimum(e_p.values, s_p.values)
     hi = np.maximum(e_p.values, s_p.values)
@@ -109,6 +116,18 @@ def test_gate_range_and_convexity(seed, rows):
 
 
 # --- step distributions -------------------------------------------------------
+
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step_distributions_match_unfused_oracle(seed, heads, residual):
+    cfg, params, h_enc, e_p, s_p = setup(
+        seed=seed, cfg=tiny_cfg(heads=heads, attention_residual=residual))
+    rng = np.random.default_rng(seed)
+    tokens = [cp.BOS] + [int(rng.integers(4, 9)) for _ in range(7)]
+    got = dec.step_distributions(tokens, h_enc, e_p, s_p, params, cfg).values
+    assert np.max(np.abs(got - oracle(tokens, h_enc, e_p, s_p, params, cfg))) <= 1e-12
+
 
 def test_distribution_rows_sum_to_one():
     cfg, params, h_enc, e_p, s_p = setup()
@@ -142,13 +161,13 @@ def test_cached_step_matches_step_distributions(seed, residual):
     rng = np.random.default_rng(seed)
     tokens = [cp.BOS] + [int(rng.integers(4, 9)) for _ in range(9)]
     state = dec.DecodeState(h_enc, e_p, s_p, params, cfg)
-    full = dec.step_distributions(tokens, h_enc, e_p, s_p, params, cfg).values
+    full = oracle(tokens, h_enc, e_p, s_p, params, cfg)
     cache = None
     for t, tok in enumerate(tokens):
         dist, cache = state.step(cache, [tok])
         assert dist.shape == (1, params["dec.out_proj.w"].shape[0])
-        prefix = dec.step_distributions(tokens[:t + 1], h_enc, e_p, s_p, params, cfg)
-        assert np.max(np.abs(dist[0] - prefix.values[-1])) <= 1e-12
+        prefix = oracle(tokens[:t + 1], h_enc, e_p, s_p, params, cfg)
+        assert np.max(np.abs(dist[0] - prefix[-1])) <= 1e-12
         assert np.max(np.abs(dist[0] - full[t])) <= 1e-12
         assert cache[0].shape == (t + 1, cfg.d_model)
 
@@ -158,7 +177,7 @@ def test_cached_step_matches_step_distributions(seed, residual):
 def test_batched_step_matches_step_distributions_per_hypothesis(seed, residual):
     """Four hypotheses stepped together, reordered with a repeated parent,
     then narrowed to two: every row is the last row of its own prefix's
-    teacher-forced distributions."""
+    teacher-forced distributions under the unfused oracle."""
     cfg, params, h_enc, e_p, s_p = setup(seed=seed, cfg=tiny_cfg(attention_residual=residual))
     rng = np.random.default_rng(seed)
     state = dec.DecodeState(h_enc, e_p, s_p, params, cfg)
@@ -169,7 +188,7 @@ def test_batched_step_matches_step_distributions_per_hypothesis(seed, residual):
     def check(dists, prefixes):
         assert dists.shape[0] == len(prefixes)
         for prefix, row in zip(prefixes, dists):
-            want = dec.step_distributions(prefix, h_enc, e_p, s_p, params, cfg).values[-1]
+            want = oracle(prefix, h_enc, e_p, s_p, params, cfg)[-1]
             assert np.max(np.abs(row - want)) <= 1e-12
 
     prefixes = [[cp.BOS, a, b] for a, b in zip(distinct_tokens(4), distinct_tokens(4))]
@@ -251,13 +270,13 @@ def test_cap_reached_flags_truncation(caplog):
 
 
 def reference_beam(h_enc, e_p, s_p, params, cfg, max_tokens, width):
-    """Beam search over uncached step_distributions, hypothesis by hypothesis."""
+    """Beam search over the uncached unfused oracle, hypothesis by hypothesis."""
     live = [([cp.BOS], 0.0)]
     done = []
     for _ in range(max_tokens):
         pool = []
         for ids, score in live:
-            logp = np.log(dec.step_distributions(ids, h_enc, e_p, s_p, params, cfg).values[-1])
+            logp = np.log(oracle(ids, h_enc, e_p, s_p, params, cfg)[-1])
             for tok in np.argsort(-logp, kind="stable")[:width]:
                 pool.append((ids + [int(tok)], score + float(logp[tok])))
         pool.sort(key=lambda item: (-item[1], item[0]))
@@ -326,11 +345,17 @@ def test_golden_substitution_changes_only_emotion_mix():
 def test_decoder_parameter_gradients_match_fd():
     cfg, params, h_enc, e_p, s_p = setup(vocab_size=7)
     target = [4, 5, cp.EOS]
+    # fold_gate carries gradients to the emotion and personality rows through c and the diagonal
+    leaves = {"e_p": dc.Tensor(e_p.values, requires_grad=True),
+              "s_p": dc.Tensor(s_p.values, requires_grad=True)}
 
     def build():
-        return dec.sequence_nll(target, h_enc, e_p, s_p, params, cfg)
+        return dec.sequence_nll(target, h_enc, leaves["e_p"], leaves["s_p"], params, cfg)
 
-    for name in ("dec.gate.w", "dec.out_proj.w", "dec.tok_emb", "dec.self_attn.wq",
-                 "dec.cross_attn.wk", "dec.self_attn.wo"):
+    for name in ("dec.gate.w", "dec.gate.b", "dec.out_proj.w", "dec.tok_emb",
+                 "dec.self_attn.wq", "dec.cross_attn.wk", "dec.self_attn.wo"):
         err = dc.grad_check(build, {name: params[name]}, eps=1e-5)
+        assert err <= 1e-4, (name, err)
+    for name, leaf in leaves.items():
+        err = dc.grad_check(build, {name: leaf}, eps=1e-5)
         assert err <= 1e-4, (name, err)

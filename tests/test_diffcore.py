@@ -270,7 +270,7 @@ def test_forward_determinism_bit_identical():
     assert np.array_equal(run(), run())
 
 
-def test_tape_topological_ids_and_replay():
+def test_tape_topological_ids():
     with dc.recording() as tape:
         x = dc.Tensor([[1.0, -2.0]], requires_grad=True, name="x")
         y = dc.relu(x)
@@ -278,7 +278,6 @@ def test_tape_topological_ids_and_replay():
         loss = dc.matmul(z, dc.Tensor(np.ones((4, 1))))
         for entry in tape.entries:
             assert all(i < entry.out_id for i in entry.in_ids)
-        assert tape.replay()
         dc.backward(loss)
     assert len(tape.entries) == 0  # consumed
 

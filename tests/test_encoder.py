@@ -7,11 +7,11 @@ from hgchat import corpus as cp
 from hgchat import diffcore as dc
 from hgchat import encoder as enc
 from hgchat.config import TrainConfig
-from hgchat.graph import NodeType, build_hetero_graph
+from hgchat.graph import build_hetero_graph
 from hgchat.model import Model
-from hgchat.params import ModelParams, init_model_params
+from hgchat.params import init_model_params
 
-from oracles import (ffn_two_layer, lstm_final_states, single_head_attention, softmax,
+from oracles import (ffn_two_layer, lstm_final_states, single_head_attention,
                      typed_graph_conv)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hgchat import diffcore as dc
-from hgchat.layers import causal_mask, multihead
+from hgchat.layers import causal_mask, multihead, project_kv
 from hgchat.params import ModelParams
 
 from oracles import multi_head_attention
@@ -25,7 +25,7 @@ def test_multihead_matches_per_head_oracle(heads, causal):
     params = attention_params(rng, d_in, d)
     q = rng.standard_normal((n, d_in))
     kv = q if causal else rng.standard_normal((m, d_in))
-    got = multihead(params, "att", dc.Tensor(q), dc.Tensor(kv), dc.Tensor(kv), heads,
+    got = multihead(params, "att", dc.Tensor(q), project_kv(params, "att", dc.Tensor(kv)), heads,
                     mask=causal_mask(n) if causal else None).values
     # head h owns columns h*d/H .. (h+1)*d/H of each stored projection
     want = multi_head_attention(
