@@ -17,8 +17,7 @@ import time
 import numpy as np
 
 from . import corpus as cp
-from .config import (ConfigError, TrainConfig, format_config, parse_config_file,
-                     resolve_config)
+from .config import ConfigError, TrainConfig, format_config, parse_config_file
 from .diffcore import NumericalError, grad_check
 from .graph import build_hetero_graph, format_graph
 from .metrics import evaluate
@@ -100,12 +99,15 @@ def _seed_fallback(explicit: int | None, file_values: dict) -> int | None:
     return int(env) if env else None
 
 
-def _resolved(args, extra_overrides: dict | None = None) -> TrainConfig:
+def _resolved(args, overrides: dict | None = None, base: dict | None = None) -> TrainConfig:
+    """``base`` (else the defaults), then the --config file, then the
+    overrides and the seed that are not None."""
     file_path = getattr(args, "config", None)
     file_values = parse_config_file(file_path) if file_path else {}
-    overrides = dict(extra_overrides or {})
-    overrides["seed"] = _seed_fallback(getattr(args, "seed", None), file_values)
-    cfg = resolve_config(file_path, overrides)
+    overrides = {**(overrides or {}),
+                 "seed": _seed_fallback(getattr(args, "seed", None), file_values)}
+    cfg = TrainConfig.from_dict({**(base or {}), **file_values,
+                                 **{k: v for k, v in overrides.items() if v is not None}})
     print("resolved configuration:")
     print(format_config(cfg))
     return cfg
@@ -196,16 +198,7 @@ def cmd_inspect_graph(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    file_values = parse_config_file(args.config) if args.config else {}
-    overrides = dict(GRADCHECK_DEFAULTS)
-    overrides.update(file_values)
-    seed = _seed_fallback(args.seed, file_values)
-    if seed is not None:
-        overrides["seed"] = seed
-    cfg = TrainConfig.from_dict(overrides)
-    print("resolved configuration:")
-    print(format_config(cfg))
-
+    cfg = _resolved(args, base=GRADCHECK_DEFAULTS)
     records = cp.synthesize_corpus(1, seed=cfg.seed, min_turns=3, max_turns=3,
                                    face_dim=cfg.face_dim, audio_dim=cfg.audio_dim)
     vocab = cp.build_vocab(records)

@@ -147,18 +147,6 @@ def parse_config_file(path: str | Path) -> dict:
     return values
 
 
-def resolve_config(file_path: str | Path | None = None, overrides: dict | None = None
-                   ) -> TrainConfig:
-    """Defaults, then config file values, then explicit overrides."""
-    values: dict = {}
-    if file_path is not None:
-        values.update(parse_config_file(file_path))
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            values[key] = val
-    return TrainConfig.from_dict(values)
-
-
 def format_config(cfg: TrainConfig) -> str:
     """One line per resolved setting, for the run preamble."""
     data = cfg.to_dict()

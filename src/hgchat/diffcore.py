@@ -8,14 +8,15 @@ kinds registered here. Design points:
   may run concurrently with one tape each;
 - with no tape active, primitives just compute values (the fast path used
   by generation and by the numeric side of gradient checks);
-- during the reverse sweep gradients are accumulated per tape id and
-  deposited into the ``grad`` buffers of parameter leaves at the end.
+- a tape is a list of primitive applications; the reverse sweep keys
+  gradients by tensor identity and adds them into the ``grad`` buffers
+  of the leaves that require one at the end.
 """
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -76,65 +77,22 @@ class Tensor:
         return f"Tensor(shape={self.shape}{tag})"
 
 
-class TapeEntry:
-    __slots__ = ("kind", "inputs", "output", "in_ids", "out_id", "meta")
-
-    def __init__(self, kind, inputs, output, in_ids, out_id, meta):
-        self.kind = kind
-        self.inputs = inputs
-        self.output = output
-        self.in_ids = in_ids
-        self.out_id = out_id
-        self.meta = meta
-
-
-class Tape:
-    """Ordered record of primitive applications.
-
-    Ids are assigned in first-seen order, so every entry's input ids are
-    strictly smaller than its output id (topological by construction).
-    """
-
-    def __init__(self):
-        self.entries: list[TapeEntry] = []
-        self._ids: dict[int, int] = {}
-        self._tensors: list[Tensor] = []
-
-    def _assign(self, t: Tensor) -> int:
-        key = id(t)
-        tid = self._ids.get(key)
-        if tid is None:
-            tid = len(self._tensors)
-            self._ids[key] = tid
-            self._tensors.append(t)
-        return tid
-
-    def record(self, kind: str, inputs: Sequence[Tensor], output: Tensor, meta: dict) -> None:
-        in_ids = tuple(self._assign(t) for t in inputs)
-        out_id = self._assign(output)
-        self.entries.append(TapeEntry(kind, tuple(inputs), output, in_ids, out_id, meta))
-
-    def id_of(self, t: Tensor) -> int | None:
-        return self._ids.get(id(t))
-
-    def reset(self) -> None:
-        self.entries.clear()
-        self._ids.clear()
-        self._tensors.clear()
-
-
+# A tape is a plain list of (kind, inputs, output, meta) entries in
+# application order, so it is topological by construction. The entries
+# hold every tensor they touch, which keeps ``id(tensor)`` unique for as
+# long as the tape lives; the reverse sweep keys its gradients by it.
 _STATE = threading.local()
 
 
-def _active_tape() -> Tape | None:
+def _active_tape() -> list | None:
     stack = getattr(_STATE, "tapes", None)
     return stack[-1] if stack else None
 
 
 @contextmanager
-def recording(tape: Tape | None = None) -> Iterator[Tape]:
-    """Make ``tape`` (or a fresh one) the active tape on this thread."""
-    tape = tape if tape is not None else Tape()
+def recording() -> Iterator[list]:
+    """Make a fresh tape the active one on this thread; recordings nest."""
+    tape: list[tuple] = []
     stack = getattr(_STATE, "tapes", None)
     if stack is None:
         stack = _STATE.tapes = []
@@ -379,7 +337,7 @@ _register("neg_pick", _fwd_neg_pick, _bwd_neg_pick)
 _register("dropout", _fwd_dropout, _bwd_dropout)
 
 
-def apply_primitive(kind: str, inputs: Sequence[Tensor], **meta) -> Tensor:
+def apply_primitive(kind: str, inputs: tuple[Tensor, ...], **meta) -> Tensor:
     """Apply one primitive; record it if a tape is active."""
     prim = _PRIMS.get(kind)
     if prim is None:
@@ -388,7 +346,7 @@ def apply_primitive(kind: str, inputs: Sequence[Tensor], **meta) -> Tensor:
     out = Tensor(prim.forward(arrays, meta))
     tape = _active_tape()
     if tape is not None:
-        tape.record(kind, inputs, out, meta)
+        tape.append((kind, inputs, out, meta))
     return out
 
 
@@ -487,38 +445,36 @@ def backward(loss: Tensor) -> None:
         raise ContractError("backward requires an active tape")
     if loss.values.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-    loss_id = tape.id_of(loss)
-    if loss_id is None:
+    if not any(entry[2] is loss for entry in reversed(tape)):
         raise ContractError("loss was not produced on the active tape")
 
-    grads: dict[int, np.ndarray] = {loss_id: np.ones((1, 1))}
-    owned: set[int] = {loss_id}
-    for entry in reversed(tape.entries):
-        g = grads.get(entry.out_id)
+    grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
+    owned: set[int] = {id(loss)}
+    leaves: list[Tensor] = []
+    for kind, inputs, output, meta in reversed(tape):
+        g = grads.get(id(output))
         if g is None:
             continue
-        deltas = _PRIMS[entry.kind].backward(
-            [t.values for t in entry.inputs], entry.meta, entry.output.values, g
-        )
-        for tid, tensor, delta in zip(entry.in_ids, entry.inputs, deltas):
+        deltas = _PRIMS[kind].backward([t.values for t in inputs], meta, output.values, g)
+        for tensor, delta in zip(inputs, deltas):
             if delta is None:
                 continue
-            cur = grads.get(tid)
+            key = id(tensor)
+            cur = grads.get(key)
             if cur is None:
-                grads[tid] = delta  # maybe a shared/view array: copy before mutating
+                grads[key] = delta  # maybe a shared/view array: copy before mutating
+                if tensor.requires_grad:
+                    leaves.append(tensor)
             else:
-                if tid not in owned:
+                if key not in owned:
                     cur = cur.copy()
-                    grads[tid] = cur
-                    owned.add(tid)
+                    grads[key] = cur
+                    owned.add(key)
                 cur += delta
 
-    for tid, tensor in enumerate(tape._tensors):
-        if tensor.requires_grad:
-            delta = grads.get(tid)
-            if delta is not None:
-                tensor.grad += delta
-    tape.reset()
+    for tensor in leaves:
+        tensor.grad += grads[id(tensor)]
+    tape.clear()
 
 
 def grad_check(loss_builder: Callable[[], Tensor], params: Mapping[str, Tensor],

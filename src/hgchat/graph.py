@@ -61,15 +61,13 @@ _RULE_OF_PAIR = _rule_of_pair()
 class Node:
     idx: int
     kind: NodeType
-    source: int  # utterance index, or position in speaker_ids for speakers
+    source: int  # utterance index, or first-appearance rank for speakers
 
 
 @dataclass
 class HeteroGraph:
     adjacency: np.ndarray   # |V| x |V|, entries 0/1
     node_type: np.ndarray   # |V| indices into NODE_TYPES, in contiguous blocks
-    n_utterances: int
-    speaker_ids: list[str]
     mask_orientation: str
 
     @property
@@ -159,7 +157,7 @@ def build_hetero_graph(record: DialogueRecord, self_loops: bool = True,
         np.fill_diagonal(adjacency, 1)
 
     node_type = np.repeat([_TYPE_INDEX[kind] for kind in kinds], sizes)
-    return HeteroGraph(adjacency, node_type, n, speaker_ids, mask_orientation)
+    return HeteroGraph(adjacency, node_type, mask_orientation)
 
 
 def format_graph(graph: HeteroGraph) -> str:

@@ -12,7 +12,7 @@ from .corpus import (EMOTION_INDEX, EMOTIONS, EOS, DialogueRecord,
 from .decoder import emotion_mix, generate_ids, sequence_nll
 from .diffcore import Tensor, add, neg_pick, row_lookup, scale
 from .encoder import assemble_node_features, hgnn_forward, predict_emotion
-from .graph import HeteroGraph, build_hetero_graph
+from .graph import build_hetero_graph
 from .layers import Dropouter
 from .params import ModelParams, load_checkpoint, save_checkpoint
 
@@ -21,7 +21,6 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class Encoded:
-    graph: HeteroGraph
     h_enc: Tensor
     p: Tensor  # 1x7 emotion distribution
 
@@ -42,7 +41,7 @@ class Model:
     roster: SpeakerRoster
 
     def encode(self, record: DialogueRecord, drop: Dropouter | None = None) -> Encoded:
-        """Graph, node features and emotion distribution of one dialogue;
+        """Encoder node states and emotion distribution of one dialogue;
         raises ``RecordError`` for a record this model cannot take."""
         record.validate(self.cfg.max_turns)
         graph = build_hetero_graph(record, self_loops=self.cfg.self_loops,
@@ -51,7 +50,7 @@ class Model:
         h0 = assemble_node_features(record, graph, self.params, self.vocab,
                                     self.roster, self.cfg, drop)
         h_enc = hgnn_forward(graph, h0, self.params, self.cfg, drop)
-        return Encoded(graph, h_enc, predict_emotion(h_enc, self.params))
+        return Encoded(h_enc, predict_emotion(h_enc, self.params))
 
     def decoder_emotion(self, encoded: Encoded, record: DialogueRecord) -> Tensor:
         """The distribution the decoder mixes with: predicted, detached

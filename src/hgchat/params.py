@@ -165,9 +165,11 @@ def save_checkpoint(path: str | Path, params: ModelParams, cfg: TrainConfig,
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, TrainConfig, Vocab, SpeakerRoster]:
+    """Read a checkpoint; ``ValueError`` names any tensor whose name or
+    shape differs from what ``init_model_params`` makes for its config."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("magic") != CHECKPOINT_MAGIC:
+    if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
     missing = [key for key in ("config", "vocab", "roster", "params") if key not in payload]
     if missing:
@@ -175,7 +177,23 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, TrainConfig, Vocab, 
     cfg = TrainConfig.from_dict(payload["config"])
     vocab = Vocab(payload["vocab"])
     roster = SpeakerRoster(payload["roster"])
+    stored = payload["params"]
+    if not isinstance(stored, dict):
+        raise ValueError(f"{path}: checkpoint 'params' must map names to tensors")
+    layout = init_model_params(cfg, vocab.size, roster.size)
+    for name in stored:
+        if name not in layout:
+            raise ValueError(f"{path}: tensor {name!r} is not a parameter of its config")
     params = ModelParams()
-    for name, entry in payload["params"].items():
-        params.add(name, np.array(entry["values"], dtype=np.float64).reshape(entry["shape"]))
+    for name, want in layout.items():
+        entry = stored.get(name)
+        if entry is None:
+            raise ValueError(f"{path}: checkpoint is missing tensor {name!r}")
+        if not isinstance(entry, dict) or not {"shape", "values"} <= entry.keys():
+            raise ValueError(f"{path}: tensor {name!r} needs 'shape' and 'values'")
+        values = np.array(entry["values"], dtype=np.float64)
+        if entry["shape"] != list(want.shape) or values.shape != (want.values.size,):
+            raise ValueError(f"{path}: tensor {name!r} has shape {entry['shape']} and "
+                             f"{values.size} values; its config needs {list(want.shape)}")
+        params.add(name, values.reshape(want.shape))
     return params, cfg, vocab, roster

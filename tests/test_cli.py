@@ -82,14 +82,24 @@ def test_generate_on_a_format_one_checkpoint_is_a_data_error(ckpt_and_corpus, ca
     assert "HGNN-CKPT-2" in capsys.readouterr().err
 
 
-def test_generate_on_a_checkpoint_without_a_vocab_is_a_data_error(ckpt_and_corpus, capsys):
+@pytest.mark.parametrize("edit, named", [
+    (lambda payload: payload.pop("vocab"), "missing 'vocab'"),
+    (lambda payload: payload.update(params=[]), "'params'"),
+    (lambda payload: payload["params"].pop("dec.gate.b"), "'dec.gate.b'"),
+    (lambda payload: payload["params"].update(stray={"shape": [1, 1], "values": [0.0]}),
+     "'stray'"),
+    (lambda payload: payload["params"]["dec.gate.w"]["shape"].reverse(), "'dec.gate.w'"),
+    (lambda payload: payload["params"]["dec.gate.w"].pop("values"), "'dec.gate.w'"),
+], ids=["vocab", "params-not-a-map", "missing-tensor", "extra-tensor", "wrong-shape", "missing-values"])
+def test_generate_on_a_checkpoint_without_a_vocab_is_a_data_error(ckpt_and_corpus, capsys,
+                                                                  edit, named):
     ckpt, corpus = ckpt_and_corpus
     payload = json.loads(Path(ckpt).read_text())
-    del payload["vocab"]
+    edit(payload)
     Path(ckpt).write_text(json.dumps(payload))
     assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
     err = capsys.readouterr().err
-    assert "data error" in err and "missing 'vocab'" in err
+    assert "data error" in err and named in err
 
 
 def test_unknown_flag_is_a_usage_error(ckpt_and_corpus):

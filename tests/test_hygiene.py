@@ -1,4 +1,5 @@
-"""Source hygiene that no installed linter checks: every imported name is read."""
+"""Source hygiene that no installed linter checks: every imported name and
+every dataclass field is read."""
 import ast
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "hgchat").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+READERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -37,3 +39,35 @@ def test_the_scan_sees_an_unused_import():
     tree = ast.parse("from __future__ import annotations\nimport os\nimport sys as system\n"
                      "from math import pi, tau\n__all__ = ['tau']\nprint(system.argv)\n")
     assert unused_imports(tree) == ["os (line 2)", "pi (line 4)"]
+
+
+def unread_fields(fields_in: ast.Module, readers: list[ast.Module]) -> list[str]:
+    """Fields of the ``@dataclass`` classes in ``fields_in`` that no module
+    in ``readers`` loads as an attribute."""
+    read = {node.attr for tree in readers for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for cls in ast.walk(fields_in):
+        if not isinstance(cls, ast.ClassDef) or not any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in cls.decorator_list):
+            continue
+        unread.extend(f"{cls.name}.{stmt.target.id} (line {stmt.lineno})" for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                      and stmt.target.id not in read)
+    return unread
+
+
+def test_every_dataclass_field_is_read():
+    readers = [ast.parse(path.read_text(encoding="utf-8")) for path in READERS]
+    unread = [f"{path.stem}.{field}" for path, tree in zip(READERS, readers)
+              if path.parent.name == "hgchat" for field in unread_fields(tree, readers)]
+    assert unread == []
+
+
+def test_the_scan_sees_an_unread_field():
+    tree = ast.parse("from dataclasses import dataclass\n@dataclass(frozen=True)\nclass P:\n"
+                     "    x: int\n    y: int\n    z = 0\nclass Q:\n    w: int\n"
+                     "@dataclass\nclass R:\n    v: int\nprint(P(1, 2).x, R(3).v)\n")
+    other = ast.parse("def f(p):\n    p.y = 2\n")  # a store is not a read
+    assert unread_fields(tree, [tree, other]) == ["P.y (line 5)"]
