@@ -161,11 +161,13 @@ def cmd_generate(args) -> int:
     print("resolved configuration:")
     print(format_config(model.cfg))
     records = _load_records(args.corpus, model.cfg.max_turns)
-    strategy = "beam" if args.beam and args.beam > 1 else "greedy"
-    for rec in records:
-        # the decoder itself logs a response that hits the length cap
-        tokens, _ = model.generate(rec, strategy=strategy, beam_width=args.beam or 1,
-                                   next_speaker=args.speaker)
+    # the decoder itself logs a response that hits the length cap
+    if args.beam and args.beam > 1:
+        outputs = (model.generate(rec, strategy="beam", beam_width=args.beam,
+                                  next_speaker=args.speaker) for rec in records)
+    else:
+        outputs = model.generate_many(records, next_speaker=args.speaker)
+    for tokens, _ in outputs:
         print(" ".join(tokens))
     return 0
 

@@ -4,7 +4,6 @@ encoded graph, and a learned gate that blends the emotion mixture with the
 responding speaker's personality, shared by teacher forcing and search."""
 from __future__ import annotations
 
-import functools
 import logging
 
 import numpy as np
@@ -14,11 +13,17 @@ from .corpus import BOS, EOS
 from .diffcore import (ContractError, Tensor, add, affine, concat_cols,
                        concat_rows, elem_mul, matmul, neg_pick, row_lookup,
                        scale, sigmoid, softmax_rows, transpose)
-from .layers import (MASK_OFF, Dropouter, broadcast_row, causal_mask, ffn,
-                     multihead, project_kv)
+from .layers import MASK_OFF, Dropouter, causal_mask, ffn, key_weight, multihead, project_kv
 from .params import ModelParams
 
 log = logging.getLogger(__name__)
+
+# Most dialogues one greedy search decodes in lockstep. Every row's
+# cross-attention scores span the whole group's encoder rows, so that part
+# of a step grows with the group size times its summed node count: at desk
+# scale, 12 dialogues of 24-35 turns took twice as long in one group as in
+# groups of 4-8, while 12 short ones took about as long in groups of 6-12.
+GREEDY_GROUP = 8
 
 
 def emotion_mix(p: Tensor, emotion_emb: Tensor) -> Tensor:
@@ -27,18 +32,18 @@ def emotion_mix(p: Tensor, emotion_emb: Tensor) -> Tensor:
 
 
 def fold_gate(e_p: Tensor, s_p: Tensor, params: ModelParams) -> tuple[Tensor, ...]:
-    """The gate's per-dialogue terms ``(W_o, c, diag(e_p − s_p), s_p)``.
+    """The gate's per-dialogue terms ``(W_o, c, e_p − s_p, s_p)``: ``W_o``
+    and one row of each other term per row of ``e_p`` and ``s_p``.
 
     The gate sees ``[o; e_p; s_p]``, whose emotion and personality columns
-    are the same on every row, so ``[o; e_p; s_p]·W_g + b = o·W_o + c``
+    are fixed for a dialogue, so ``[o; e_p; s_p]·W_g + b = o·W_o + c``
     with ``W_o`` the first d rows of ``W_g`` and ``c = [0; e_p; s_p]·W_g + b``.
     """
-    d = e_p.shape[1]
+    n, d = e_p.shape
     gate_w = params["dec.gate.w"]
     w_o = row_lookup(gate_w, np.arange(d))
-    c = affine(concat_cols(Tensor(np.zeros((1, d))), e_p, s_p), gate_w, params["dec.gate.b"])
-    spread = broadcast_row(add(e_p, scale(s_p, -1.0)), d)
-    return w_o, c, elem_mul(Tensor(np.eye(d)), spread), s_p
+    c = affine(concat_cols(Tensor(np.zeros((n, d))), e_p, s_p), gate_w, params["dec.gate.b"])
+    return w_o, c, add(e_p, scale(s_p, -1.0)), s_p
 
 
 def gate_fuse(o: Tensor, fold: tuple[Tensor, ...]) -> Tensor:
@@ -46,13 +51,13 @@ def gate_fuse(o: Tensor, fold: tuple[Tensor, ...]) -> Tensor:
 
     The gate ``g = σ([o; e_p; s_p]·W_g + b)`` decides, per coordinate, how
     much of each additive term to let through: the fused state
-    ``o + g ⊙ e_p + (1 − g) ⊙ s_p`` is ``o + s_p + g ⊙ (e_p − s_p)``,
-    computed from ``fold_gate``'s terms as ``o + (g·diag(e_p − s_p) + s_p)``
-    with ``g = σ(o·W_o + c)``, the bias row ``s_p`` broadcast over the rows.
+    ``o + g ⊙ e_p + (1 − g) ⊙ s_p`` is ``o + (g ⊙ (e_p − s_p) + s_p)``,
+    computed from ``fold_gate``'s terms, which hold a row per row of ``o``,
+    with ``g = σ(o·W_o + c)``.
     """
     w_o, c, spread, s_p = fold
     g = sigmoid(affine(o, w_o, c))
-    return add(o, affine(g, spread, s_p))
+    return add(o, add(elem_mul(g, spread), s_p))
 
 
 def step_distributions(prefix_ids: list[int], h_enc: Tensor, e_p: Tensor,
@@ -67,7 +72,7 @@ def step_distributions(prefix_ids: list[int], h_enc: Tensor, e_p: Tensor,
     if not prefix_ids:
         raise ContractError("decoder prefix must not be empty (start with BOS)")
     state = DecodeState(h_enc, e_p, s_p, params, cfg)
-    probs, _ = state.run(None, prefix_ids, causal_mask(len(prefix_ids)), drop)
+    probs, _ = state.run(None, prefix_ids, causal_mask(len(prefix_ids), cfg.heads), drop)
     return probs
 
 
@@ -83,69 +88,100 @@ def sequence_nll(target_ids: list[int], h_enc: Tensor, e_p: Tensor, s_p: Tensor,
 
 
 class DecodeState:
-    """The decoder block with one dialogue's constants: the cross-attention
-    keys and values of ``h_enc``, the transposed output projection and the
-    gate's folded terms.
+    """The decoder block with the constants of D dialogues: the
+    cross-attention keys and values of their encoder rows, the transposed
+    output projection and the gate's folded terms.
 
     ``run`` decodes new token rows against the self-attention cache
     ``(K, V)`` of the tokens before them, as in incremental decoding
-    (Shazeer 2019, arXiv:1911.02150). Teacher forcing is one ``run`` over
-    the whole prefix from an empty cache under a causal mask. ``step``
-    decodes the newest token of each of W live hypotheses of equal length
-    in one ``run``. Its cache is step-major: row ``s*W + i`` holds
-    hypothesis i's token s, so a step appends its W rows with one
-    ``concat_rows``. With W > 1 the scores get a block mask that lets
-    query i see only the rows ``≡ i (mod W)``; greedy decoding is W = 1 and
-    needs none, and without later rows no causal mask is needed either.
-    ``reorder`` picks the cache rows of the hypotheses that survive a beam
-    step. Caches are extended into new tensors, never written in place.
+    (Shazeer 2019, arXiv:1911.02150); each row decodes the dialogue that
+    ``dialogues`` names. Teacher forcing is one ``run`` over the whole
+    prefix of one dialogue from an empty cache under a causal mask.
+    ``step`` decodes the newest token of each of W rows of equal length in
+    one ``run``: the live hypotheses of one dialogue's beam, or a row per
+    unfinished dialogue of a greedy search (iteration-level batching, as in
+    Orca, Yu et al., OSDI 2022). Its cache is step-major: row ``s*W + i``
+    holds row i's token s, so a step appends its W rows with one
+    ``concat_rows``. With W > 1 the self-attention scores get a block mask
+    that lets query i see only the cache rows ``≡ i (mod W)``; with D > 1
+    the cross-attention scores get one that lets it see only its own
+    dialogue's encoder rows. Greedy decoding of one dialogue needs neither,
+    and without later rows no causal mask is needed either. ``reorder``
+    picks the cache rows of the rows that go on. Caches are extended into
+    new tensors, never written in place.
     """
 
-    def __init__(self, h_enc: Tensor, e_p: Tensor, s_p: Tensor,
-                 params: ModelParams, cfg: TrainConfig):
+    def __init__(self, h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
+                 cfg: TrainConfig, nodes: list[int] | None = None):
+        """``h_enc`` stacks the dialogues' encoder rows, ``nodes[j]`` of them
+        for dialogue j (None: all of one dialogue's), and row j of ``e_p``
+        and ``s_p`` belongs to dialogue j."""
         self.params, self.heads, self.residual = params, cfg.heads, cfg.attention_residual
-        self.cross_kv = project_kv(params, "dec.cross_attn", h_enc)
+        self.self_wk = key_weight(params, "dec.self_attn", cfg.heads)
+        self.cross_kv = project_kv(params, "dec.cross_attn", h_enc, cfg.heads)
+        self.node_dialogue = (None if nodes is None or len(nodes) == 1
+                              else np.repeat(np.arange(len(nodes)), nodes))
         self.out_t = transpose(params["dec.out_proj.w"])
         self.fold = fold_gate(e_p, s_p, params)
+        self._layout: tuple = (None, None, None)
+
+    def _rows(self, dialogues: tuple[int, ...]) -> tuple:
+        """The gate terms and the head-tiled cross-attention mask of rows
+        that decode ``dialogues``, rebuilt only when the layout changes."""
+        if dialogues != self._layout[0]:
+            rows = np.asarray(dialogues)
+            fold = self.fold
+            if dialogues != tuple(range(fold[1].shape[0])):
+                fold = (fold[0], *(row_lookup(t, rows) for t in fold[1:]))
+            mask = None
+            if self.node_dialogue is not None:
+                mask = Tensor(np.tile(np.where(rows[:, None] == self.node_dialogue, 0.0, MASK_OFF),
+                                      (self.heads, 1)))
+            self._layout = (dialogues, fold, mask)
+        return self._layout[1:]
 
     def run(self, cache: tuple[Tensor, Tensor] | None, tokens: list[int],
-            mask: Tensor | None, drop: Dropouter | None = None
+            mask: Tensor | None, drop: Dropouter | None = None,
+            dialogues: tuple[int, ...] | None = None
             ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         """Next-token distributions (n x V) for the n rows ``tokens``, given
-        the ``cache`` before them and an additive self-attention ``mask``
-        (n x cached + n rows, or None), and the extended cache."""
+        the ``cache`` before them, an additive self-attention ``mask``
+        (head-tiled, H*n x cached + n rows, or None) and the dialogue each
+        row decodes (None: dialogue 0 for every row), and the extended cache."""
         params = self.params
+        fold, cross_mask = self._rows(dialogues or (0,) * len(tokens))
         x = row_lookup(params["dec.tok_emb"], tokens)
-        k, v = project_kv(params, "dec.self_attn", x)
+        k, v = matmul(x, self.self_wk), matmul(x, params["dec.self_attn.wv"])
         if cache is not None:
             k, v = concat_rows(cache[0], k), concat_rows(cache[1], v)
-        h_r = multihead(params, "dec.self_attn", x, (k, v), self.heads, mask, drop, self.residual)
+        h_r = multihead(params, "dec.self_attn", x, (transpose(k), v), self.heads, mask, drop,
+                        self.residual)
         attended = multihead(params, "dec.cross_attn", h_r, self.cross_kv, self.heads,
-                             drop=drop, residual=self.residual)
+                             cross_mask, drop, self.residual)
         o = ffn(params, "dec.ffn", attended, drop)
-        return softmax_rows(matmul(gate_fuse(o, self.fold), self.out_t)), (k, v)
+        return softmax_rows(matmul(gate_fuse(o, fold), self.out_t)), (k, v)
 
-    def step(self, cache: tuple[Tensor, Tensor] | None, tokens: list[int]
+    def step(self, cache: tuple[Tensor, Tensor] | None, tokens: list[int],
+             dialogues: tuple[int, ...] | None = None
              ) -> tuple[np.ndarray, tuple[Tensor, Tensor]]:
         """Next-token distributions (W x V) after the last token of each of
-        W hypotheses, ``tokens[i]`` being hypothesis i's, given the
-        step-major self-attention ``cache`` of the tokens before them (None
-        at BOS), and the cache extended by ``tokens``."""
+        W rows, ``tokens[i]`` being row i's, given the step-major
+        self-attention ``cache`` of the tokens before them (None at BOS),
+        and the cache extended by ``tokens``; ``dialogues`` as for ``run``."""
         width = len(tokens)
         steps = 1 + (0 if cache is None else cache[0].shape[0] // width)
-        mask = Tensor(_hypothesis_mask(width, steps)) if width > 1 else None
-        probs, cache = self.run(cache, tokens, mask)
+        mask = _hypothesis_mask(width, steps, self.heads) if width > 1 else None
+        probs, cache = self.run(cache, tokens, mask, dialogues=dialogues)
         return probs.values, cache
 
     @staticmethod
     def reorder(cache: tuple[Tensor, Tensor], width: int, parents: list[int]
                 ) -> tuple[Tensor, Tensor]:
-        """The step-major cache of new hypotheses, given the cache of
-        ``width`` old ones: hypothesis j continues old hypothesis
-        ``parents[j]``, so row ``s*W_new + j`` is old row
-        ``s*width + parents[j]``. Parents may repeat, and there may be
-        fewer new hypotheses than old. Keeping every hypothesis in place
-        returns ``cache`` itself."""
+        """The step-major cache of new rows, given the cache of ``width``
+        old ones: row j continues old row ``parents[j]``, so cache row
+        ``s*W_new + j`` is old row ``s*width + parents[j]``. Parents may
+        repeat, and there may be fewer new rows than old. Keeping every
+        row in place returns ``cache`` itself."""
         if parents == list(range(width)):
             return cache
         steps = cache[0].shape[0] // width
@@ -153,27 +189,41 @@ class DecodeState:
         return row_lookup(cache[0], rows), row_lookup(cache[1], rows)
 
 
-@functools.lru_cache(maxsize=256)
-def _hypothesis_mask(width: int, steps: int) -> np.ndarray:
-    """Additive (W x steps*W) mask: query i sees only the cache rows
-    ``≡ i (mod W)``, its own hypothesis's tokens; read-only, as calls share it."""
-    mask = np.tile(np.where(np.eye(width, dtype=bool), 0.0, MASK_OFF), (1, steps))
-    mask.flags.writeable = False
-    return mask
+def _hypothesis_mask(width: int, steps: int, heads: int) -> Tensor:
+    """Additive (H*W x steps*W) mask, one row block per head: query i sees
+    only the cache rows ``≡ i (mod W)``, its own row's tokens."""
+    return Tensor(np.tile(np.where(np.eye(width, dtype=bool), 0.0, MASK_OFF), (heads, steps)))
 
 
-def greedy_decode(h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
-                  cfg: TrainConfig, max_tokens: int) -> tuple[list[int], bool]:
-    state = DecodeState(h_enc, e_p, s_p, params, cfg)
-    ids, cache = [BOS], None
-    for _ in range(max_tokens):
-        dist, cache = state.step(cache, [ids[-1]])
-        nxt = int(np.argmax(dist[0]))
-        if nxt == EOS:
-            return ids[1:], False
-        ids.append(nxt)
-    log.warning("generation hit the %d-token cap without EOS; truncated", max_tokens)
-    return ids[1:], True
+def greedy_many(dialogues: list[tuple[Tensor, Tensor, Tensor]], params: ModelParams,
+                cfg: TrainConfig) -> list[tuple[list[int], bool]]:
+    """Greedy responses of the dialogues ``(h_enc, e_p, s_p)``, in order,
+    each with a flag for reaching ``cfg.max_len`` tokens without EOS.
+
+    All of them decode in lockstep in one ``DecodeState``: each step takes
+    the argmax of every unfinished dialogue's row, and a dialogue that
+    emits EOS leaves the batch, ``reorder`` dropping its cache rows.
+    """
+    h_enc, e_p, s_p = (concat_rows(*parts) for parts in zip(*dialogues))
+    state = DecodeState(h_enc, e_p, s_p, params, cfg, [h.shape[0] for h, _, _ in dialogues])
+    responses: list[list[int]] = [[] for _ in dialogues]
+    live, tokens, cache = tuple(range(len(dialogues))), [BOS] * len(dialogues), None
+    for _ in range(cfg.max_len):
+        dists, cache = state.step(cache, tokens, live)
+        picks = np.argmax(dists, axis=1)
+        going = [row for row, tok in enumerate(picks) if tok != EOS]
+        if not going:
+            live = ()
+            break
+        if len(going) < len(live):
+            cache = state.reorder(cache, len(live), going)
+            live = tuple(live[row] for row in going)
+        tokens = [int(picks[row]) for row in going]
+        for dialogue, tok in zip(live, tokens):
+            responses[dialogue].append(tok)
+    for _ in live:
+        log.warning("generation hit the %d-token cap without EOS; truncated", cfg.max_len)
+    return [(ids, dialogue in live) for dialogue, ids in enumerate(responses)]
 
 
 def beam_decode(h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
@@ -197,10 +247,9 @@ def beam_decode(h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
     for _ in range(max_tokens):
         dists, cache = state.step(cache, [ids[-1] for ids, _ in live])
         logp = np.log(dists)
-        pool = []
-        for parent, (ids, score) in enumerate(live):
-            for tok in np.argsort(-logp[parent], kind="stable")[:width]:
-                pool.append((ids + [int(tok)], score + float(logp[parent, tok]), parent))
+        best = np.argsort(-logp, axis=1, kind="stable")[:, :width]
+        pool = [(ids + [int(tok)], score + float(logp[parent, tok]), parent)
+                for parent, (ids, score) in enumerate(live) for tok in best[parent]]
         pool.sort(key=lambda item: (-item[1], item[0]))
         live, parents = [], []
         for ids, score, parent in pool[:width]:
@@ -224,7 +273,7 @@ def generate_ids(h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
                  cfg: TrainConfig, strategy: str = "greedy", beam_width: int = 1
                  ) -> tuple[list[int], bool]:
     if strategy == "greedy":
-        return greedy_decode(h_enc, e_p, s_p, params, cfg, cfg.max_len)
+        return greedy_many([(h_enc, e_p, s_p)], params, cfg)[0]
     if strategy == "beam":
         return beam_decode(h_enc, e_p, s_p, params, cfg, cfg.max_len, beam_width)
     raise ValueError(f"unknown decoding strategy {strategy!r}")

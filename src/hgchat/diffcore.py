@@ -270,15 +270,16 @@ def _bwd_row_lookup(arrays, meta, out, g):
 
 
 def _fwd_affine(arrays, meta):
+    # the bias is one row shared by every row of x, or one row per row of x
     x, w, b = arrays
-    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+    if x.shape[1] != w.shape[0] or b.shape not in ((1, w.shape[1]), (x.shape[0], w.shape[1])):
         raise _shape_err("affine", arrays)
     return x @ w + b
 
 
 def _bwd_affine(arrays, meta, out, g):
     x, w, b = arrays
-    return (g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True))
+    return (g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True) if b.shape[0] == 1 else g)
 
 
 def _fwd_log(arrays, meta):

@@ -92,8 +92,8 @@ def encode_utterances(record: DialogueRecord, params: ModelParams, vocab: Vocab,
     if residual and cfg.d_hidden + cfg.d_pe != cfg.d_model:
         raise ConfigError("attention_residual in the encoder requires "
                           "d_hidden + d_pe == d_model")
-    return multihead(params, "enc.ctx_attn", h_u, project_kv(params, "enc.ctx_attn", h_u),
-                     cfg.heads, drop=drop, residual=residual)
+    kv = project_kv(params, "enc.ctx_attn", h_u, cfg.heads)
+    return multihead(params, "enc.ctx_attn", h_u, kv, cfg.heads, drop=drop, residual=residual)
 
 
 def project_modality(vectors: np.ndarray, which: str, params: ModelParams,

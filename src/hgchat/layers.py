@@ -29,59 +29,73 @@ def maybe_drop(t: Tensor, drop: Dropouter | None) -> Tensor:
     return drop(t) if drop is not None else t
 
 
-def causal_mask(n: int) -> Tensor:
-    return Tensor(np.triu(np.full((n, n), MASK_OFF), k=1))
+@functools.lru_cache(maxsize=64)
+def causal_mask(n: int, heads: int) -> Tensor:
+    """Additive (H*n x n) mask that hides from query i the keys after i,
+    tiled once per head as ``attend`` lays heads out; read-only, as calls
+    share it."""
+    mask = np.tile(np.triu(np.full((n, n), MASK_OFF), k=1), (heads, 1))
+    mask.flags.writeable = False
+    return Tensor(mask)
 
 
 @functools.lru_cache(maxsize=256)
-def _head_layout(heads: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _head_layout(heads: int, n: int, d: int) -> tuple[Tensor, Tensor]:
     """The constants of ``attend``: the (H*n x d) head-column mask B and
     the (n x H*n) fold Sᵀ; read-only, since calls share them."""
     blocks = np.kron(np.eye(heads), np.ones((n, d // heads)))
     fold = np.tile(np.eye(n), (1, heads))
     blocks.flags.writeable = fold.flags.writeable = False
-    return blocks, fold
+    return Tensor(blocks), Tensor(fold)
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, heads: int,
+def attend(q: Tensor, kt: Tensor, v: Tensor, heads: int,
            mask: Tensor | None = None) -> Tensor:
     """Every head's scaled dot-product attention in one pass.
 
-    ``q`` (n x d), ``k`` and ``v`` (m x d) hold all heads side by side,
-    head h in columns h*d/H .. (h+1)*d/H, as the stored projections make them.
+    ``q`` (n x d) and ``v`` (m x d) hold all heads side by side, head h in
+    columns h*d/H .. (h+1)*d/H, as the stored projections make them; ``kt``
+    (d x m) holds the keys transposed and already scaled by 1/√(d/H).
     The n query rows are stacked H times, ``S q`` with S = [I_n; ...; I_n],
     and masked by B, which keeps only head h's d/H columns in row block h.
     Row block h of ``(S q ⊙ B) kᵀ`` is then head h's score matrix, a row
     softmax over all H*n rows is exactly the per-head softmax, and
     ``Sᵀ ((P v) ⊙ B)`` puts each head's context back in its own columns,
-    which is the column-wise concatenation of the heads' contexts.
+    which is the column-wise concatenation of the heads' contexts. An
+    additive ``mask`` is (H*n x m), one row block per head.
     """
     n, d = q.shape
     blocks, fold = _head_layout(heads, n, d)
-    blocks = Tensor(blocks)
-    stacked = elem_mul(concat_rows(*([q] * heads)), blocks)
-    scores = scale(matmul(stacked, transpose(k)), 1.0 / math.sqrt(d // heads))
+    scores = matmul(elem_mul(concat_rows(*([q] * heads)), blocks), kt)
     if mask is not None:
-        scores = add(scores, Tensor(np.tile(mask.values, (heads, 1))))
-    per_head = elem_mul(matmul(softmax_rows(scores), v), blocks)
-    return matmul(Tensor(fold), per_head)
+        scores = add(scores, mask)
+    return matmul(fold, elem_mul(matmul(softmax_rows(scores), v), blocks))
 
 
-def project_kv(params, prefix: str, src: Tensor) -> tuple[Tensor, Tensor]:
-    """``src``'s keys and values under ``{prefix}.wk/wv``, for ``multihead``."""
-    return matmul(src, params[f"{prefix}.wk"]), matmul(src, params[f"{prefix}.wv"])
+def key_weight(params, prefix: str, heads: int) -> Tensor:
+    """``{prefix}.wk`` times 1/√(d/H): keys it projects carry the score scale."""
+    wk = params[f"{prefix}.wk"]
+    return scale(wk, 1.0 / math.sqrt(wk.shape[1] // heads))
+
+
+def project_kv(params, prefix: str, src: Tensor, heads: int) -> tuple[Tensor, Tensor]:
+    """``src``'s keys under ``key_weight``, transposed, and its values under
+    ``{prefix}.wv``: the ``kv`` that ``multihead`` takes."""
+    return (transpose(matmul(src, key_weight(params, prefix, heads))),
+            matmul(src, params[f"{prefix}.wv"]))
 
 
 def multihead(params, prefix: str, x: Tensor, kv: tuple[Tensor, Tensor], heads: int,
               mask: Tensor | None = None, drop: Dropouter | None = None,
               residual: bool = False) -> Tensor:
     """Multi-head scaled dot-product attention of the rows ``x`` over the
-    keys and values ``kv`` that ``project_kv`` made, all heads in one pass.
+    transposed, scaled keys and the values ``kv`` that ``project_kv``
+    made, all heads in one pass.
 
     The projections ``{prefix}.wq/wk/wv`` (d_in x d) hold every head,
     head h in columns h*d/H .. (h+1)*d/H, and ``{prefix}.wo`` is the shared
-    output projection. The heads are laid out as row blocks (``attend``);
-    an additive ``mask`` (n x m) is tiled once per head.
+    output projection. The heads are laid out as row blocks (``attend``),
+    and an additive ``mask`` is already tiled over them.
     """
     context = attend(matmul(x, params[f"{prefix}.wq"]), *kv, heads, mask)
     out = maybe_drop(matmul(context, params[f"{prefix}.wo"]), drop)
@@ -93,9 +107,3 @@ def ffn(params, prefix: str, x: Tensor, drop: Dropouter | None = None) -> Tensor
     inner = relu(affine(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
     inner = maybe_drop(inner, drop)
     return affine(inner, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
-
-
-def broadcast_row(row: Tensor, n_rows: int) -> Tensor:
-    """Repeat a 1xd row n times; gradients flow back as the column sum."""
-    return matmul(Tensor(np.ones((n_rows, 1))), row)
-

@@ -152,7 +152,8 @@ def evaluate(model: Model, records: list[DialogueRecord],
     """Full report: PPL, diversity and BLEU of decoded responses, and the
     emotion predictor's weighted F1 against the gold next emotions."""
     ppl = perplexity(model, records)
-    outputs = [model.generate(rec, strategy, beam_width) for rec in records]
+    outputs = (model.generate_many(records) if strategy == "greedy"
+               else [model.generate(rec, strategy, beam_width) for rec in records])
     generated = [tokens for tokens, _ in outputs]
     refs = [tokenize(rec.response) for rec in records]
     preds = [model.predict_label(rec) for rec in records]

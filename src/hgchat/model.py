@@ -9,7 +9,7 @@ import numpy as np
 from .config import TrainConfig
 from .corpus import (EMOTION_INDEX, EMOTIONS, EOS, DialogueRecord,
                      SpeakerRoster, Vocab, tokenize)
-from .decoder import emotion_mix, generate_ids, sequence_nll
+from .decoder import GREEDY_GROUP, emotion_mix, generate_ids, greedy_many, sequence_nll
 from .diffcore import Tensor, add, neg_pick, row_lookup, scale
 from .encoder import assemble_node_features, hgnn_forward, predict_emotion
 from .graph import build_hetero_graph
@@ -113,6 +113,20 @@ class Model:
         ids, truncated = generate_ids(encoded.h_enc, e_p, s_p, self.params,
                                       self.cfg, strategy, beam_width)
         return self.vocab.decode(ids), truncated
+
+    def generate_many(self, records: list[DialogueRecord], next_speaker: str | None = None
+                      ) -> list[tuple[list[str], bool]]:
+        """Greedy responses of ``records``, in order, as ``generate`` makes
+        them; up to ``GREEDY_GROUP`` dialogues decode in one lockstep search."""
+        out = []
+        for start in range(0, len(records), GREEDY_GROUP):
+            group = []
+            for record in records[start:start + GREEDY_GROUP]:
+                encoded = self.encode(record)
+                group.append((encoded.h_enc, *self.mix_inputs(encoded, record, next_speaker)))
+            out += [(self.vocab.decode(ids), truncated)
+                    for ids, truncated in greedy_many(group, self.params, self.cfg)]
+        return out
 
     def save(self, path) -> None:
         save_checkpoint(path, self.params, self.cfg, self.vocab, self.roster)

@@ -174,6 +174,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, TrainConfig, Vocab, 
     missing = [key for key in ("config", "vocab", "roster", "params") if key not in payload]
     if missing:
         raise ValueError(f"{path}: checkpoint is missing {', '.join(map(repr, missing))}")
+    for key in ("vocab", "roster"):
+        if not (isinstance(payload[key], list) and all(isinstance(s, str) for s in payload[key])):
+            raise ValueError(f"{path}: checkpoint {key!r} must be a list of strings")
     cfg = TrainConfig.from_dict(payload["config"])
     vocab = Vocab(payload["vocab"])
     roster = SpeakerRoster(payload["roster"])

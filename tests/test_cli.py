@@ -90,7 +90,10 @@ def test_generate_on_a_format_one_checkpoint_is_a_data_error(ckpt_and_corpus, ca
      "'stray'"),
     (lambda payload: payload["params"]["dec.gate.w"]["shape"].reverse(), "'dec.gate.w'"),
     (lambda payload: payload["params"]["dec.gate.w"].pop("values"), "'dec.gate.w'"),
-], ids=["vocab", "params-not-a-map", "missing-tensor", "extra-tensor", "wrong-shape", "missing-values"])
+    (lambda payload: payload.update(vocab=5), "'vocab'"),
+    (lambda payload: payload.update(roster=5), "'roster'"),
+], ids=["vocab", "params-not-a-map", "missing-tensor", "extra-tensor", "wrong-shape", "missing-values",
+        "vocab-not-a-list", "roster-not-a-list"])
 def test_generate_on_a_checkpoint_without_a_vocab_is_a_data_error(ckpt_and_corpus, capsys,
                                                                   edit, named):
     ckpt, corpus = ckpt_and_corpus

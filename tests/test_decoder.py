@@ -33,6 +33,11 @@ def setup(vocab_size=9, seed=0, cfg=None):
     return cfg, params, h_enc, e_p, s_p
 
 
+def stack(row, n):
+    """``n`` copies of a 1 x d row: ``fold_gate`` takes one row per decoder row."""
+    return dc.Tensor(np.repeat(row.values, n, axis=0))
+
+
 def oracle(tokens, h_enc, e_p, s_p, params, cfg):
     """The unfused numpy decoder's distributions after each prefix of ``tokens``."""
     weights = {name: t.values for name, t in params.items()}
@@ -69,7 +74,7 @@ def test_half_half_mixture():
 def test_gate_equal_vectors_add_exactly():
     cfg, params, h_enc, e_p, s_p = setup()
     o = dc.Tensor(np.random.default_rng(3).standard_normal((3, cfg.d_model)))
-    fused = dec.gate_fuse(o, dec.fold_gate(e_p, e_p, params))
+    fused = dec.gate_fuse(o, dec.fold_gate(stack(e_p, 3), stack(e_p, 3), params))
     want = o.values + e_p.values
     assert np.allclose(fused.values, want, atol=1e-12)
 
@@ -79,7 +84,7 @@ def test_gate_zero_weights_half_half():
     params["dec.gate.w"].values[:] = 0.0
     params["dec.gate.b"].values[:] = 0.0
     o = dc.Tensor(np.zeros((2, cfg.d_model)))
-    fused = dec.gate_fuse(o, dec.fold_gate(e_p, s_p, params))
+    fused = dec.gate_fuse(o, dec.fold_gate(stack(e_p, 2), stack(s_p, 2), params))
     # e_p and s_p differ in every coordinate, so this pins the gate at 1/2
     assert np.allclose(fused.values, (e_p.values + s_p.values) / 2, atol=1e-14)
 
@@ -107,7 +112,7 @@ def test_gate_range_and_convexity(seed, rows):
     cfg, params, h_enc, e_p, s_p = setup(seed=seed)
     rng = np.random.default_rng(seed)
     o = dc.Tensor(rng.standard_normal((rows, cfg.d_model)))
-    fused = dec.gate_fuse(o, dec.fold_gate(e_p, s_p, params))
+    fused = dec.gate_fuse(o, dec.fold_gate(stack(e_p, rows), stack(s_p, rows), params))
     # the shift lies between e_p and s_p exactly when the gate lies in [0, 1]
     shift = fused.values - o.values
     lo = np.minimum(e_p.values, s_p.values)
@@ -246,14 +251,14 @@ def test_immediate_eos_gives_empty_response():
     w = params["dec.out_proj.w"].values
     w[:] = 0.0
     w[cp.EOS] = 5.0  # every step's argmax is EOS
-    ids, truncated = dec.greedy_decode(h_enc, e_p, s_p, params, cfg, cfg.max_len)
+    ids, truncated = dec.greedy_many([(h_enc, e_p, s_p)], params, cfg)[0]
     assert ids == [] and truncated is False
 
 
 def test_beam_width_one_equals_greedy():
     for seed in range(5):
         cfg, params, h_enc, e_p, s_p = setup(seed=seed)
-        greedy = dec.greedy_decode(h_enc, e_p, s_p, params, cfg, cfg.max_len)
+        greedy = dec.greedy_many([(h_enc, e_p, s_p)], params, cfg)[0]
         beam = dec.beam_decode(h_enc, e_p, s_p, params, cfg, cfg.max_len, width=1)
         assert greedy[0] == beam[0]
 
@@ -264,9 +269,74 @@ def test_cap_reached_flags_truncation(caplog):
     w[:] = 0.0
     w[4] = 5.0  # argmax is always token 4, never EOS
     with caplog.at_level("WARNING"):
-        ids, truncated = dec.greedy_decode(h_enc, e_p, s_p, params, cfg, cfg.max_len)
+        ids, truncated = dec.greedy_many([(h_enc, e_p, s_p)], params, cfg)[0]
     assert truncated is True and len(ids) == cfg.max_len
     assert any("cap" in r.message for r in caplog.records)
+
+
+def lockstep_setup(seed, n_dialogues=5):
+    """Dialogues ``(h_enc, e_p, s_p)`` of 3, 5, 7, ... encoder rows, and
+    parameters for them. Residual attention and scaled-up token embeddings
+    make each token depend on the last, so that rows' histories differ;
+    the EOS row points along the gate inputs, so that some responses end
+    early, at different steps, and others reach the cap."""
+    cfg = tiny_cfg(attention_residual=True)
+    rng = np.random.default_rng(seed)
+    params = init_model_params(cfg, 20, cfg.z_speakers, seed=seed)
+    params["dec.tok_emb"].values[:] *= 3.0
+    dialogues = [(dc.Tensor(rng.standard_normal((3 + 2 * j, cfg.d_model))),
+                  dc.Tensor(0.5 * rng.standard_normal((1, cfg.d_model))),
+                  dc.Tensor(0.5 * rng.standard_normal((1, cfg.d_model))))
+                 for j in range(n_dialogues)]
+    params["dec.out_proj.w"].values[cp.EOS] = sum(e.values[0] + s.values[0]
+                                                  for _, e, s in dialogues)
+    return cfg, params, dialogues
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n_dialogues", [1, 2, 5])
+def test_lockstep_greedy_equals_per_dialogue_greedy(n_dialogues, seed):
+    cfg, params, dialogues = lockstep_setup(seed)
+    got = dec.greedy_many(dialogues[:n_dialogues], params, cfg)
+    assert got == [dec.greedy_many([d], params, cfg)[0] for d in dialogues[:n_dialogues]]
+    if n_dialogues == 5:
+        assert {truncated for _, truncated in got} == {False, True}
+
+
+def test_lockstep_rows_match_their_own_dialogue():
+    """Three dialogues step together, then one leaves: every row is the last
+    row of its own dialogue's teacher-forced distributions under the
+    unfused oracle, and perturbing one dialogue's encoder rows leaves the
+    other dialogues' rows bit-identical."""
+    cfg, params, dialogues = lockstep_setup(0, 3)
+    rng = np.random.default_rng(7)
+    prefixes = [[cp.BOS] + [int(t) for t in rng.integers(4, 9, 5)] for _ in dialogues]
+
+    def run(dialogues):
+        h_enc, e_p, s_p = (dc.concat_rows(*parts) for parts in zip(*dialogues))
+        state = dec.DecodeState(h_enc, e_p, s_p, params, cfg, [h.shape[0] for h, _, _ in dialogues])
+        live, cache, out = (0, 1, 2), None, []
+        for t in range(len(prefixes[0])):
+            if t == 3:  # dialogue 1 leaves the batch
+                cache = state.reorder(cache, 3, [0, 2])
+                live = (0, 2)
+            dists, cache = state.step(cache, [prefixes[j][t] for j in live], live)
+            out.append(dict(zip(live, dists)))
+        return out
+
+    base = run(dialogues)
+    for t, rows in enumerate(base):
+        for j, row in rows.items():
+            h_enc, e_p, s_p = dialogues[j]
+            want = oracle(prefixes[j][:t + 1], h_enc, e_p, s_p, params, cfg)[-1]
+            assert np.max(np.abs(row - want)) <= 1e-12
+    for j in range(3):
+        h_enc, e_p, s_p = dialogues[j]
+        perturbed = list(dialogues)
+        perturbed[j] = (dc.Tensor(h_enc.values + 0.5), e_p, s_p)
+        for rows, moved in zip(base, run(perturbed)):
+            for other, row in rows.items():
+                assert np.array_equal(row, moved[other]) == (other != j)
 
 
 def reference_beam(h_enc, e_p, s_p, params, cfg, max_tokens, width):
@@ -345,7 +415,7 @@ def test_golden_substitution_changes_only_emotion_mix():
 def test_decoder_parameter_gradients_match_fd():
     cfg, params, h_enc, e_p, s_p = setup(vocab_size=7)
     target = [4, 5, cp.EOS]
-    # fold_gate carries gradients to the emotion and personality rows through c and the diagonal
+    # fold_gate carries gradients to the emotion and personality rows through c, e_p − s_p and s_p
     leaves = {"e_p": dc.Tensor(e_p.values, requires_grad=True),
               "s_p": dc.Tensor(s_p.values, requires_grad=True)}
 

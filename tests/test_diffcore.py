@@ -195,9 +195,10 @@ def test_binary_primitive_gradients_match_fd(m, k, n, seed):
     bias0 = rng.standard_normal((1, n))
     r_left = rng.standard_normal((1, m))
     r_right = rng.standard_normal((n, 1))
+    row_bias0 = rng.standard_normal((m, n))  # affine also takes one bias row per row
 
-    for kind in ("matmul", "affine"):
-        a, b, bias = a0.copy(), b0.copy(), bias0.copy()
+    for kind, bias_init in (("matmul", bias0), ("affine", bias0), ("affine", row_bias0)):
+        a, b, bias = a0.copy(), b0.copy(), bias_init.copy()
 
         def make(arrs):
             if kind == "matmul":

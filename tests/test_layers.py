@@ -25,8 +25,8 @@ def test_multihead_matches_per_head_oracle(heads, causal):
     params = attention_params(rng, d_in, d)
     q = rng.standard_normal((n, d_in))
     kv = q if causal else rng.standard_normal((m, d_in))
-    got = multihead(params, "att", dc.Tensor(q), project_kv(params, "att", dc.Tensor(kv)), heads,
-                    mask=causal_mask(n) if causal else None).values
+    got = multihead(params, "att", dc.Tensor(q), project_kv(params, "att", dc.Tensor(kv), heads),
+                    heads, mask=causal_mask(n, heads) if causal else None).values
     # head h owns columns h*d/H .. (h+1)*d/H of each stored projection
     want = multi_head_attention(
         q, kv, kv,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgchat import corpus as cp
+from hgchat import decoder as dec
 from hgchat import metrics as mx
 from hgchat.config import TrainConfig
 from hgchat.model import Model
@@ -183,3 +184,34 @@ def test_evaluate_counts_truncated_generations():
     assert report.counts["truncated"] == len(records)
     assert report.counts["generated_tokens"] == len(records) * model.cfg.max_len
     assert f"count_truncated: {len(records)}" in report.to_text()
+
+
+def eos_model(seed, n_records):
+    """A tiny model whose EOS row points along the mean speaker embedding,
+    and ``n_records`` dialogues for it: some responses end, others reach the cap."""
+    cfg = TrainConfig(d_word=4, d_hidden=6, d_model=8, heads=2, gnn_layers=1,
+                      face_dim=3, audio_dim=3, z_speakers=3, max_turns=4,
+                      dropout=0.0, seed=0, max_len=12)
+    records = cp.synthesize_corpus(n_records, seed=seed, max_turns=cfg.max_turns,
+                                   face_dim=cfg.face_dim, audio_dim=cfg.audio_dim)
+    vocab = cp.build_vocab(records)
+    roster = cp.build_roster(records, cfg.z_speakers)
+    params = init_model_params(cfg, vocab.size, roster.size, seed=seed)
+    params["dec.out_proj.w"].values[cp.EOS] = 2.0 * params["enc.speaker_emb"].values[1:].mean(axis=0)
+    return Model(cfg, params, vocab, roster), records
+
+
+def test_generate_many_equals_generate_over_several_groups():
+    model, records = eos_model(2, 2 * dec.GREEDY_GROUP + 3)
+    got = model.generate_many(records)
+    assert got == [model.generate(rec) for rec in records]
+    assert {truncated for _, truncated in got} == {False, True}
+
+
+def test_evaluate_report_equals_one_from_per_record_generate(monkeypatch):
+    model, records = eos_model(2, dec.GREEDY_GROUP + 3)
+    batched = mx.evaluate(model, records)
+    monkeypatch.setattr(Model, "generate_many",
+                        lambda self, recs: [self.generate(rec) for rec in recs])
+    assert mx.evaluate(model, records) == batched
+    assert 0 < batched.counts["truncated"] < len(records)
