@@ -1,14 +1,17 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 numerical failure (non-finite loss or a failed gradient check).
+Exit codes: 0 success, 1 usage or configuration error, 2 data error (an
+input or output file that is missing, unreadable or malformed), 3 numerical
+failure (non-finite loss or a failed gradient check).
 Flag precedence: command line over config file over built-in defaults.
 The environment variable HGNN_SEED acts as a seed fallback when neither
-flag nor config file sets one.
+flag nor config file sets one. ``train --resume`` takes every setting but
+the epoch count from its checkpoint.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -30,6 +33,11 @@ GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_DEFAULTS = dict(d_word=6, d_hidden=8, d_model=8, d_pe=8, heads=2,
                           gnn_layers=2, z_speakers=4, max_turns=6,
                           dropout=0.0, lam=0.5)
+
+
+# (flag, dest) of the train settings that --resume takes from its checkpoint
+RESUME_FIXED = (("--config", "config"), ("--ablate", "ablate"), ("--homo", "homo"),
+                ("--golden-emotion", "golden_emotion"), ("--lambda", "lam"), ("--seed", "seed"))
 
 
 class UsageError(Exception):
@@ -66,6 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--resume", default=None, metavar="CKPT",
+                   help="continue this checkpoint's model, settings, optimizer and "
+                        "generator state for --epochs more epochs (default: its own)")
 
     p = sub.add_parser("generate", help="emit one response per corpus record")
     p.add_argument("--ckpt", required=True)
@@ -136,19 +147,38 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _resumed(args) -> Model:
+    """The model of ``--resume``, with its stored settings but ``--epochs``."""
+    # presence, not truth: --seed 0 and --lambda 0 are settings too
+    fixed = [flag for flag, dest in RESUME_FIXED
+             if getattr(args, dest) is not None and getattr(args, dest) is not False]
+    if fixed:
+        raise UsageError(f"--resume continues its checkpoint's settings; drop {', '.join(fixed)}")
+    model = Model.load(args.resume)
+    if args.epochs is not None:
+        model.cfg = dataclasses.replace(model.cfg, epochs=args.epochs)
+    print("resolved configuration:")
+    print(format_config(model.cfg))
+    return model
+
+
 def cmd_train(args) -> int:
-    overrides: dict = {"lam": args.lam, "epochs": args.epochs}
-    if args.ablate is not None:
-        overrides["ablate"] = tuple(x.strip() for x in args.ablate.split(",") if x.strip())
-    if args.homo:
-        overrides["gnn_mode"] = "homo"
-    if args.golden_emotion:
-        overrides["golden_emotion"] = True
-    cfg = _resolved(args, overrides)
+    if args.resume is not None:
+        model = _resumed(args)
+        cfg = model.cfg
+    else:
+        overrides: dict = {"lam": args.lam, "epochs": args.epochs}
+        if args.ablate is not None:
+            overrides["ablate"] = tuple(x.strip() for x in args.ablate.split(",") if x.strip())
+        if args.homo:
+            overrides["gnn_mode"] = "homo"
+        if args.golden_emotion:
+            overrides["golden_emotion"] = True
+        model, cfg = None, _resolved(args, overrides)
     records = _load_records(args.corpus, cfg.max_turns)
     t0 = time.monotonic()
-    result = train(records, cfg, log_fn=lambda s: print(s.line()),
-                   checkpoint_path=args.out)
+    train(records, cfg, model=model, log_fn=lambda s: print(s.line()),
+          checkpoint_path=args.out)
     print(f"trained {cfg.epochs} epochs on {len(records)} dialogues "
           f"in {time.monotonic() - t0:.1f}s; checkpoint: {args.out}")
     return 0
@@ -246,7 +276,7 @@ def run_command(argv: list[str]) -> int:
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError, cp.RecordError) as exc:
+    except (OSError, ValueError, cp.RecordError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

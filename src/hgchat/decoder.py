@@ -13,7 +13,7 @@ from .corpus import BOS, EOS
 from .diffcore import (ContractError, Tensor, add, affine, concat_cols,
                        concat_rows, elem_mul, matmul, neg_pick, row_lookup,
                        scale, sigmoid, softmax_rows, transpose)
-from .layers import MASK_OFF, Dropouter, causal_mask, ffn, key_weight, multihead, project_kv
+from .layers import Dropouter, causal_mask, ffn, key_weight, multihead, project_kv
 from .params import ModelParams
 
 log = logging.getLogger(__name__)
@@ -135,17 +135,17 @@ class DecodeState:
                 fold = (fold[0], *(row_lookup(t, rows) for t in fold[1:]))
             mask = None
             if self.node_dialogue is not None:
-                mask = Tensor(np.tile(np.where(rows[:, None] == self.node_dialogue, 0.0, MASK_OFF),
-                                      (self.heads, 1)))
+                mask = np.tile(rows[:, None] == self.node_dialogue, (self.heads, 1))
+                mask.flags.writeable = False
             self._layout = (dialogues, fold, mask)
         return self._layout[1:]
 
     def run(self, cache: tuple[Tensor, Tensor] | None, tokens: list[int],
-            mask: Tensor | None, drop: Dropouter | None = None,
+            mask: np.ndarray | None, drop: Dropouter | None = None,
             dialogues: tuple[int, ...] | None = None
             ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         """Next-token distributions (n x V) for the n rows ``tokens``, given
-        the ``cache`` before them, an additive self-attention ``mask``
+        the ``cache`` before them, a boolean self-attention keep ``mask``
         (head-tiled, H*n x cached + n rows, or None) and the dialogue each
         row decodes (None: dialogue 0 for every row), and the extended cache."""
         params = self.params
@@ -189,10 +189,12 @@ class DecodeState:
         return row_lookup(cache[0], rows), row_lookup(cache[1], rows)
 
 
-def _hypothesis_mask(width: int, steps: int, heads: int) -> Tensor:
-    """Additive (H*W x steps*W) mask, one row block per head: query i sees
-    only the cache rows ``≡ i (mod W)``, its own row's tokens."""
-    return Tensor(np.tile(np.where(np.eye(width, dtype=bool), 0.0, MASK_OFF), (heads, steps)))
+def _hypothesis_mask(width: int, steps: int, heads: int) -> np.ndarray:
+    """Boolean (H*W x steps*W) keep mask, one row block per head: query i
+    sees only the cache rows ``≡ i (mod W)``, its own row's tokens."""
+    keep = np.tile(np.eye(width, dtype=bool), (heads, steps))
+    keep.flags.writeable = False
+    return keep
 
 
 def greedy_many(dialogues: list[tuple[Tensor, Tensor, Tensor]], params: ModelParams,

@@ -9,10 +9,6 @@ import numpy as np
 from .diffcore import (Tensor, add, affine, concat_rows, dropout, elem_mul,
                        matmul, relu, scale, softmax_rows, transpose)
 
-# additive mask value for disallowed attention positions; large enough to
-# underflow to exactly zero after the row-max shift in softmax
-MASK_OFF = -1e30
-
 
 class Dropouter:
     """Training-mode dropout with an explicit generator; None means eval."""
@@ -30,13 +26,13 @@ def maybe_drop(t: Tensor, drop: Dropouter | None) -> Tensor:
 
 
 @functools.lru_cache(maxsize=64)
-def causal_mask(n: int, heads: int) -> Tensor:
-    """Additive (H*n x n) mask that hides from query i the keys after i,
+def causal_mask(n: int, heads: int) -> np.ndarray:
+    """Boolean (H*n x n) keep mask that lets query i see the keys up to i,
     tiled once per head as ``attend`` lays heads out; read-only, as calls
     share it."""
-    mask = np.tile(np.triu(np.full((n, n), MASK_OFF), k=1), (heads, 1))
-    mask.flags.writeable = False
-    return Tensor(mask)
+    keep = np.tile(np.tri(n, dtype=bool), (heads, 1))
+    keep.flags.writeable = False
+    return keep
 
 
 @functools.lru_cache(maxsize=256)
@@ -50,7 +46,7 @@ def _head_layout(heads: int, n: int, d: int) -> tuple[Tensor, Tensor]:
 
 
 def attend(q: Tensor, kt: Tensor, v: Tensor, heads: int,
-           mask: Tensor | None = None) -> Tensor:
+           mask: np.ndarray | None = None) -> Tensor:
     """Every head's scaled dot-product attention in one pass.
 
     ``q`` (n x d) and ``v`` (m x d) hold all heads side by side, head h in
@@ -61,15 +57,13 @@ def attend(q: Tensor, kt: Tensor, v: Tensor, heads: int,
     Row block h of ``(S q ⊙ B) kᵀ`` is then head h's score matrix, a row
     softmax over all H*n rows is exactly the per-head softmax, and
     ``Sᵀ ((P v) ⊙ B)`` puts each head's context back in its own columns,
-    which is the column-wise concatenation of the heads' contexts. An
-    additive ``mask`` is (H*n x m), one row block per head.
+    which is the column-wise concatenation of the heads' contexts. A
+    boolean keep ``mask`` is (H*n x m), one row block per head.
     """
     n, d = q.shape
     blocks, fold = _head_layout(heads, n, d)
     scores = matmul(elem_mul(concat_rows(*([q] * heads)), blocks), kt)
-    if mask is not None:
-        scores = add(scores, mask)
-    return matmul(fold, elem_mul(matmul(softmax_rows(scores), v), blocks))
+    return matmul(fold, elem_mul(matmul(softmax_rows(scores, mask), v), blocks))
 
 
 def key_weight(params, prefix: str, heads: int) -> Tensor:
@@ -86,7 +80,7 @@ def project_kv(params, prefix: str, src: Tensor, heads: int) -> tuple[Tensor, Te
 
 
 def multihead(params, prefix: str, x: Tensor, kv: tuple[Tensor, Tensor], heads: int,
-              mask: Tensor | None = None, drop: Dropouter | None = None,
+              mask: np.ndarray | None = None, drop: Dropouter | None = None,
               residual: bool = False) -> Tensor:
     """Multi-head scaled dot-product attention of the rows ``x`` over the
     transposed, scaled keys and the values ``kv`` that ``project_kv``
@@ -95,7 +89,7 @@ def multihead(params, prefix: str, x: Tensor, kv: tuple[Tensor, Tensor], heads: 
     The projections ``{prefix}.wq/wk/wv`` (d_in x d) hold every head,
     head h in columns h*d/H .. (h+1)*d/H, and ``{prefix}.wo`` is the shared
     output projection. The heads are laid out as row blocks (``attend``),
-    and an additive ``mask`` is already tiled over them.
+    and a boolean keep ``mask`` is already tiled over them.
     """
     context = attend(matmul(x, params[f"{prefix}.wq"]), *kv, heads, mask)
     out = maybe_drop(matmul(context, params[f"{prefix}.wo"]), drop)

@@ -1,8 +1,31 @@
-"""Named parameter registry, initialization, and checkpoint files."""
+"""Named parameter registry, initialization, and checkpoint files.
+
+A checkpoint (format ``HGNN-CKPT-3``) is one uncompressed ``.npz`` archive,
+whatever the suffix of its path, with the members
+
+- ``header``: UTF-8 JSON bytes (uint8) with ``magic``, ``config``,
+  ``vocab``, ``roster``, ``adam_t`` and ``rng_state``, the training
+  generator's ``bit_generator.state`` (null until the model has trained);
+- ``param/<name>``: every tensor ``init_model_params`` makes for the
+  config, float64, in its shape;
+- ``adam_m/<name>`` and ``adam_v/<name>``: Adam's moments of every tensor,
+  float64, once the model has taken a step; before that, none;
+- ``order``: the epoch order of the training corpus, once the model has
+  trained.
+
+Together they resume training exactly where it stopped. Every member is
+stored uncompressed, as ``np.savez`` writes it. A checkpoint is untrusted
+input: the reader refuses compressed members and object arrays (pickles).
+"""
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
+import struct
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +35,8 @@ from .corpus import EMOTIONS, SpeakerRoster, Vocab
 from .diffcore import Tensor
 from .graph import NODE_TYPES
 
-CHECKPOINT_MAGIC = "HGNN-CKPT-2"
+CHECKPOINT_MAGIC = "HGNN-CKPT-3"
+_HEADER_KEYS = ("config", "vocab", "roster", "adam_t", "rng_state")
 
 
 def xavier_init(shape, seed) -> Tensor:
@@ -25,13 +49,17 @@ def xavier_init(shape, seed) -> Tensor:
 
 
 class ModelParams:
-    """Flat name -> tensor map, plus per-entry Adam moment buffers."""
+    """Flat name -> tensor map, plus what resuming training needs: the Adam
+    moment buffers and step count, the training generator's state and the
+    epoch order (None until the model has trained)."""
 
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
         self.adam_m: dict[str, np.ndarray] = {}
         self.adam_v: dict[str, np.ndarray] = {}
         self.adam_t: int = 0
+        self.rng_state: dict | None = None
+        self.order: np.ndarray | None = None
 
     def add(self, name: str, values) -> Tensor:
         if name in self._tensors:
@@ -142,61 +170,167 @@ def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int,
 
 def save_checkpoint(path: str | Path, params: ModelParams, cfg: TrainConfig,
                     vocab: Vocab, roster: SpeakerRoster) -> None:
-    """Write beside ``path``, then rename: a failed save leaves the old file."""
-    payload = {
-        "magic": CHECKPOINT_MAGIC,
-        "config": cfg.to_dict(),
-        "vocab": vocab.tokens,
-        "roster": roster.names,
-        "params": {
-            name: {"shape": list(t.values.shape), "values": t.values.reshape(-1).tolist()}
-            for name, t in params.items()
-        },
-    }
+    """Write beside ``path``, flush to disk, then rename: a failed or
+    interrupted save leaves the old file."""
+    header = {"magic": CHECKPOINT_MAGIC, "config": cfg.to_dict(), "vocab": vocab.tokens,
+              "roster": roster.names, "adam_t": params.adam_t, "rng_state": params.rng_state}
+    members = {"header": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)}
+    members.update((f"param/{name}", t.values) for name, t in params.items())
+    members.update((f"adam_m/{name}", m) for name, m in params.adam_m.items())
+    members.update((f"adam_v/{name}", v) for name, v in params.adam_v.items())
+    if params.order is not None:
+        members["order"] = params.order
+    archive = io.BytesIO()  # built in memory, written with one call
+    np.savez(archive, **members)
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        with open(tmp, "wb") as fh:
+            fh.write(archive.getbuffer())
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def load_checkpoint(path: str | Path) -> tuple[ModelParams, TrainConfig, Vocab, SpeakerRoster]:
-    """Read a checkpoint; ``ValueError`` names any tensor whose name or
-    shape differs from what ``init_model_params`` makes for its config."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
+# a zip member's local header: signature, then at byte 26 its name and extra lengths
+_LOCAL_HEADER = struct.Struct("<4s22xHH")
+
+
+def _read_members(path) -> dict[str, np.ndarray]:
+    """Every member of the ``.npz`` archive at ``path``, pickles refused.
+
+    ``np.savez`` stores its members uncompressed, so each is read as a slice
+    of the file, and each distinct ``.npy`` header is parsed once.
+    ``np.load`` opens every member twice and parses every header anew, five
+    times as long for a trained model's 159 tensors. A compressed member is
+    refused, so a small file cannot inflate to a large one in memory."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
+            infos = archive.infolist()
+    except (zipfile.BadZipFile, ValueError, EOFError, NotImplementedError):
+        # NotImplementedError: a zip version or feature zipfile does not read
+        raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint") from None
+    headers: dict[bytes, tuple] = {}
+    members = {}
+    for info in infos:
+        name = info.filename.removesuffix(".npy")
+        if info.compress_type != zipfile.ZIP_STORED:
+            raise ValueError(f"{path}: checkpoint member {name!r} is compressed; "
+                             f"{CHECKPOINT_MAGIC} stores every member as it is")
+        try:
+            value = _stored_array(data, info, headers)
+        except (ValueError, struct.error):
+            value = None
+        if value is None:
+            raise ValueError(f"{path}: checkpoint member {name!r} is not a readable array")
+        members[name] = value
+    return members
+
+
+def _stored_array(data: bytes, info: zipfile.ZipInfo, headers: dict) -> np.ndarray | None:
+    """The ``.npy`` array of the stored member ``info`` of the archive
+    ``data``, copied out; None if the bytes are not one."""
+    signature, name_len, extra_len = _LOCAL_HEADER.unpack_from(data, info.header_offset)
+    start = info.header_offset + _LOCAL_HEADER.size + name_len + extra_len
+    raw = memoryview(data)[start:start + info.file_size]
+    if (signature != b"PK\x03\x04" or len(raw) != info.file_size
+            or zlib.crc32(raw) != info.CRC or bytes(raw[:8]) != b"\x93NUMPY\x01\x00"):
+        return None  # not a member, damaged, or not a version 1.0 .npy as np.savez writes
+    offset = 10 + int.from_bytes(raw[8:10], "little")
+    key = bytes(raw[:offset])
+    if key not in headers:
+        fp = io.BytesIO(key)
+        np.lib.format.read_magic(fp)
+        headers[key] = np.lib.format.read_array_header_1_0(fp)
+    shape, fortran_order, dtype = headers[key]
+    count = math.prod(shape)
+    if dtype.hasobject or len(raw) != offset + count * dtype.itemsize:
+        return None  # a pickle, or the wrong number of bytes
+    values = np.frombuffer(raw, dtype, count, offset)
+    return values.reshape(shape, order="F" if fortran_order else "C").copy()
+
+
+def _read_header(path, header: np.ndarray | None) -> dict:
+    fields = None
+    if header is not None and header.dtype == np.uint8 and header.ndim == 1:
+        try:
+            fields = json.loads(header.tobytes().decode("utf-8"))
+        except ValueError:  # not UTF-8, or not JSON
+            pass
+    if not isinstance(fields, dict) or fields.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
-    missing = [key for key in ("config", "vocab", "roster", "params") if key not in payload]
+    missing = [key for key in _HEADER_KEYS if key not in fields]
     if missing:
         raise ValueError(f"{path}: checkpoint is missing {', '.join(map(repr, missing))}")
+    if not isinstance(fields["config"], dict):
+        raise ValueError(f"{path}: checkpoint 'config' must map settings to values")
     for key in ("vocab", "roster"):
-        if not (isinstance(payload[key], list) and all(isinstance(s, str) for s in payload[key])):
+        if not (isinstance(fields[key], list) and all(isinstance(s, str) for s in fields[key])):
             raise ValueError(f"{path}: checkpoint {key!r} must be a list of strings")
-    cfg = TrainConfig.from_dict(payload["config"])
-    vocab = Vocab(payload["vocab"])
-    roster = SpeakerRoster(payload["roster"])
-    stored = payload["params"]
-    if not isinstance(stored, dict):
-        raise ValueError(f"{path}: checkpoint 'params' must map names to tensors")
+    adam_t = fields["adam_t"]
+    if not (isinstance(adam_t, int) and not isinstance(adam_t, bool) and adam_t >= 0):
+        raise ValueError(f"{path}: checkpoint 'adam_t' must be a non-negative integer")
+    if fields["rng_state"] is not None:
+        try:
+            np.random.default_rng(0).bit_generator.state = fields["rng_state"]
+        except (TypeError, ValueError, KeyError, OverflowError):
+            raise ValueError(f"{path}: checkpoint 'rng_state' is not a generator state "
+                             f"of numpy's default_rng") from None
+    return fields
+
+
+def load_checkpoint(path: str | Path) -> tuple[ModelParams, TrainConfig, Vocab, SpeakerRoster]:
+    """Read a checkpoint; ``ValueError`` names any header field, member or
+    tensor that differs from what ``save_checkpoint`` writes: tensors by
+    name, shape and dtype against what ``init_model_params`` makes for
+    the stored config."""
+    members = _read_members(path)
+    fields = _read_header(path, members.pop("header", None))
+    try:
+        cfg = TrainConfig.from_dict(fields["config"])
+    except (ValueError, TypeError) as exc:  # a ConfigError would read as a usage error
+        raise ValueError(f"{path}: checkpoint 'config' is not a valid configuration: "
+                         f"{exc}") from None
+    vocab = Vocab(fields["vocab"])
+    roster = SpeakerRoster(fields["roster"])
     layout = init_model_params(cfg, vocab.size, roster.size)
-    for name in stored:
+    order = members.pop("order", None)
+    stored: dict[str, dict[str, np.ndarray]] = {"param": {}, "adam_m": {}, "adam_v": {}}
+    for member, values in members.items():
+        group, _, name = member.partition("/")
+        if group not in stored:
+            raise ValueError(f"{path}: member {member!r} is not part of a "
+                             f"{CHECKPOINT_MAGIC} checkpoint")
         if name not in layout:
             raise ValueError(f"{path}: tensor {name!r} is not a parameter of its config")
-    params = ModelParams()
-    for name, want in layout.items():
-        entry = stored.get(name)
-        if entry is None:
-            raise ValueError(f"{path}: checkpoint is missing tensor {name!r}")
-        if not isinstance(entry, dict) or not {"shape", "values"} <= entry.keys():
-            raise ValueError(f"{path}: tensor {name!r} needs 'shape' and 'values'")
-        values = np.array(entry["values"], dtype=np.float64)
-        if entry["shape"] != list(want.shape) or values.shape != (want.values.size,):
-            raise ValueError(f"{path}: tensor {name!r} has shape {entry['shape']} and "
-                             f"{values.size} values; its config needs {list(want.shape)}")
-        params.add(name, values.reshape(want.shape))
+        stored[group][name] = values
+    # Adam's moments come as a pair, for every tensor or for none
+    groups = ("param", "adam_m", "adam_v") if stored["adam_m"] or stored["adam_v"] else ("param",)
+    for group in groups:
+        for name, want in layout.items():
+            values = stored[group].get(name)
+            if values is not None and values.dtype == np.float64 and values.shape == want.shape:
+                continue
+            what = f"tensor {name!r}" if group == "param" else f"{group} of tensor {name!r}"
+            if values is None:
+                raise ValueError(f"{path}: checkpoint is missing {what}")
+            raise ValueError(f"{path}: {what} is {values.dtype} of shape "
+                             f"{list(values.shape)}; its config needs float64 of shape "
+                             f"{list(want.shape)}")
+    if order is not None and not (order.ndim == 1 and order.dtype.kind == "i" and np.array_equal(
+            np.sort(order), np.arange(order.size))):
+        raise ValueError(f"{path}: checkpoint 'order' must be a permutation of 0 .. n-1")
+    if (order is None) != (fields["rng_state"] is None):
+        raise ValueError(f"{path}: checkpoint 'rng_state' and 'order' are stored together "
+                         f"or not at all")
+    params = layout  # its initial values give way to the stored ones
+    for name, t in params.items():
+        t.values = stored["param"][name]
+    params.adam_m, params.adam_v = stored["adam_m"], stored["adam_v"]
+    params.adam_t, params.rng_state, params.order = fields["adam_t"], fields["rng_state"], order
     return params, cfg, vocab, roster

@@ -67,9 +67,13 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
     """Minibatch training loop; dialogues are processed one graph at a
     time and the batch gradient is the per-dialogue average.
 
-    Pass a previous result's model to continue training; the epoch count
-    always comes from ``cfg.epochs``. Records that fail validation are
-    logged once, before epoch 1, and skipped in every epoch.
+    Pass a previous result's model, or one read back from its checkpoint,
+    to continue training on the same records: it goes on from the stored
+    generator state and epoch order, so the run equals one uninterrupted
+    run of all the epochs. A model without that state seeds its generator
+    with ``cfg.seed + adam_t`` and starts from the records in file order.
+    The epoch count always comes from ``cfg.epochs``. Records that fail
+    validation are logged once, before epoch 1, and skipped in every epoch.
     """
     if not records:
         raise ValueError("training corpus is empty")
@@ -81,6 +85,12 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
     params = model.params
     rng = np.random.default_rng(cfg.seed + params.adam_t)
     order = np.arange(len(records))
+    if params.order is not None:
+        if len(params.order) != len(records):
+            raise ValueError(f"the model's stored epoch order covers {len(params.order)} "
+                             f"records, but the corpus has {len(records)}")
+        rng.bit_generator.state = params.rng_state
+        order = params.order.copy()
     history: list[EpochStats] = []
     bad: set[int] = set()
     for idx, rec in enumerate(records):
@@ -122,6 +132,7 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
             adam_step(params, grads, cfg, params.adam_t)
         if seen == 0:
             raise ValueError("no valid records in the training corpus")
+        params.rng_state, params.order = rng.bit_generator.state, order.copy()
         stats = EpochStats(epoch, *(totals / seen), hits / seen, skipped)
         history.append(stats)
         if log_fn is not None:

@@ -5,6 +5,8 @@ functions must not share code with the package paths they check.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 
@@ -120,3 +122,16 @@ def decoder_distributions(tokens, h_enc, e_p, s_p, weights, heads, residual=Fals
     z = np.concatenate([o, e, s], axis=1) @ weights["dec.gate.w"] + weights["dec.gate.b"]
     g = 1.0 / (1.0 + np.exp(-z))
     return softmax((o + g * e + (1.0 - g) * s) @ weights["dec.out_proj.w"].T)
+
+
+def rewrite_checkpoint(path, edit) -> None:
+    """Apply ``edit(header, members)`` to the HGNN-CKPT-3 file at ``path``,
+    in place: ``header`` is its decoded JSON header and ``members`` maps
+    every other member's name to its array."""
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    header = json.loads(members.pop("header").tobytes().decode("utf-8"))
+    edit(header, members)
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.frombuffer(json.dumps(header).encode("utf-8"), np.uint8),
+                 **members)

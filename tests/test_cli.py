@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hgchat import cli
@@ -11,6 +12,7 @@ from hgchat.config import TrainConfig
 from hgchat.diffcore import NumericalError
 from hgchat.model import Model
 from hgchat.params import init_model_params
+from oracles import rewrite_checkpoint
 
 
 @pytest.fixture
@@ -75,31 +77,53 @@ def test_gradcheck_command_passes_on_a_tiny_model(tmp_path, capsys):
 
 def test_generate_on_a_format_one_checkpoint_is_a_data_error(ckpt_and_corpus, capsys):
     ckpt, corpus = ckpt_and_corpus
-    payload = json.loads(Path(ckpt).read_text())
-    payload["magic"] = "HGNN-CKPT-1"
-    Path(ckpt).write_text(json.dumps(payload))
+    rewrite_checkpoint(ckpt, lambda header, members: header.update(magic="HGNN-CKPT-1"))
     assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
-    assert "HGNN-CKPT-2" in capsys.readouterr().err
+    assert "HGNN-CKPT-3" in capsys.readouterr().err
+
+
+FORMAT_TWO = {"magic": "HGNN-CKPT-2", "config": {}, "vocab": ["<pad>"], "roster": ["<unk>"],
+              "params": {"dec.gate.b": {"shape": [1, 1], "values": [0.0]}}}
+
+
+@pytest.mark.parametrize("content", [
+    json.dumps(FORMAT_TWO).encode(),
+    b"\x00\x01 neither an archive nor JSON\n",
+    None,  # the first 100 bytes of the checkpoint: a zip cut short
+], ids=["format-2-json", "not-a-zip", "truncated-zip"])
+def test_generate_on_a_file_that_is_not_format_three_is_a_data_error(ckpt_and_corpus, capsys,
+                                                                     content):
+    ckpt, corpus = ckpt_and_corpus
+    Path(ckpt).write_bytes(Path(ckpt).read_bytes()[:100] if content is None else content)
+    assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "not a HGNN-CKPT-3 checkpoint" in err
+    assert not any(word in err for word in ("Traceback", "BadZipFile", "pickle"))
 
 
 @pytest.mark.parametrize("edit, named", [
-    (lambda payload: payload.pop("vocab"), "missing 'vocab'"),
-    (lambda payload: payload.update(params=[]), "'params'"),
-    (lambda payload: payload["params"].pop("dec.gate.b"), "'dec.gate.b'"),
-    (lambda payload: payload["params"].update(stray={"shape": [1, 1], "values": [0.0]}),
-     "'stray'"),
-    (lambda payload: payload["params"]["dec.gate.w"]["shape"].reverse(), "'dec.gate.w'"),
-    (lambda payload: payload["params"]["dec.gate.w"].pop("values"), "'dec.gate.w'"),
-    (lambda payload: payload.update(vocab=5), "'vocab'"),
-    (lambda payload: payload.update(roster=5), "'roster'"),
+    (lambda header, members: header.pop("vocab"), "missing 'vocab'"),
+    # every tensor in one array, not a member per name
+    (lambda header, members: members.update(params=np.concatenate(
+        [members.pop(name).ravel() for name in list(members) if name.startswith("param/")])),
+     "'params'"),
+    (lambda header, members: members.pop("param/dec.gate.b"), "'dec.gate.b'"),
+    (lambda header, members: members.update({"param/stray": np.zeros((1, 1))}), "'stray'"),
+    (lambda header, members: members.update({"param/dec.gate.w": members["param/dec.gate.w"].T}),
+     "'dec.gate.w'"),
+    (lambda header, members: members.update({"param/dec.gate.w": np.zeros(0)}), "'dec.gate.w'"),
+    (lambda header, members: header.update(vocab=5), "'vocab'"),
+    (lambda header, members: header.update(roster=5), "'roster'"),
+    (lambda header, members: members.update(
+        {"param/dec.gate.w": members["param/dec.gate.w"].astype(np.float32)}),
+     "tensor 'dec.gate.w' is float32"),
+    (lambda header, members: header["config"].update(bogus=1), "'config'"),
 ], ids=["vocab", "params-not-a-map", "missing-tensor", "extra-tensor", "wrong-shape", "missing-values",
-        "vocab-not-a-list", "roster-not-a-list"])
+        "vocab-not-a-list", "roster-not-a-list", "float32-tensor", "unknown-config-key"])
 def test_generate_on_a_checkpoint_without_a_vocab_is_a_data_error(ckpt_and_corpus, capsys,
                                                                   edit, named):
     ckpt, corpus = ckpt_and_corpus
-    payload = json.loads(Path(ckpt).read_text())
-    edit(payload)
-    Path(ckpt).write_text(json.dumps(payload))
+    rewrite_checkpoint(ckpt, edit)
     assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and named in err
@@ -114,6 +138,65 @@ def test_train_on_missing_corpus_is_a_data_error(tmp_path, capsys):
     missing = str(tmp_path / "absent.jsonl")
     assert run_command(["train", "--corpus", missing, "--out", str(tmp_path / "m.json")]) == 2
     assert "corpus file not found" in capsys.readouterr().err
+
+
+@pytest.fixture
+def tiny_config(tmp_path):
+    config = tmp_path / "tiny.cfg"
+    config.write_text("d_model = 8\nheads = 2\ngnn_layers = 1\nmax_len = 4\nbatch_size = 1\n")
+    return str(config)
+
+
+def test_train_resume_equals_one_uninterrupted_run(ckpt_and_corpus, tiny_config, tmp_path):
+    _, corpus = ckpt_and_corpus
+    out = {name: str(tmp_path / f"{name}.ckpt") for name in ("whole", "part", "resumed")}
+    train = ["train", "--corpus", corpus, "--config", tiny_config]
+    assert run_command([*train, "--epochs", "3", "--out", out["whole"]]) == 0
+    assert run_command([*train, "--epochs", "1", "--out", out["part"]]) == 0
+    assert run_command(["train", "--corpus", corpus, "--resume", out["part"], "--epochs", "2",
+                        "--out", out["resumed"]]) == 0
+    whole, resumed = Model.load(out["whole"]).params, Model.load(out["resumed"]).params
+    assert resumed.adam_t == whole.adam_t
+    for name, t in whole.items():
+        assert np.array_equal(t.values, resumed[name].values), name
+        assert np.array_equal(whole.adam_m[name], resumed.adam_m[name]), name
+
+
+@pytest.mark.parametrize("content", [None, b"not a checkpoint\n"], ids=["missing", "unreadable"])
+def test_train_resume_from_a_missing_or_unreadable_checkpoint_is_a_data_error(
+        ckpt_and_corpus, tmp_path, capsys, content):
+    _, corpus = ckpt_and_corpus
+    ckpt = tmp_path / "part.ckpt"
+    if content is not None:
+        ckpt.write_bytes(content)
+    assert run_command(["train", "--corpus", corpus, "--resume", str(ckpt),
+                        "--out", str(tmp_path / "m.ckpt")]) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_resume_on_a_corpus_of_another_size_is_a_data_error(ckpt_and_corpus, tiny_config,
+                                                                  tmp_path, capsys):
+    _, corpus = ckpt_and_corpus
+    part = str(tmp_path / "part.ckpt")
+    assert run_command(["train", "--corpus", corpus, "--config", tiny_config,
+                        "--epochs", "1", "--out", part]) == 0
+    bigger = tmp_path / "bigger.jsonl"
+    cp.save_corpus(cp.synthesize_corpus(3, seed=1, max_turns=2), bigger)
+    assert run_command(["train", "--corpus", str(bigger), "--resume", part,
+                        "--out", str(tmp_path / "m.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "covers 2 records, but the corpus has 3" in err
+
+
+@pytest.mark.parametrize("flag", [["--homo"], ["--lambda", "0.2"], ["--seed", "3"],
+                                  ["--seed", "0"], ["--lambda", "0"], ["--lambda", "0.0"]])
+def test_train_resume_with_a_setting_of_its_own_is_a_usage_error(ckpt_and_corpus, tmp_path,
+                                                                 capsys, flag):
+    ckpt, corpus = ckpt_and_corpus
+    assert run_command(["train", "--corpus", corpus, "--resume", ckpt, *flag,
+                        "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert flag[0] in capsys.readouterr().err
 
 
 def test_numerical_failure_in_training_exits_three(ckpt_and_corpus, tmp_path, monkeypatch):

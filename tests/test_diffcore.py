@@ -318,6 +318,47 @@ def test_sigmoid_equals_masked_formula_bit_for_bit():
     assert got.tobytes() == want.tobytes()
 
 
+def keep_pattern(name: str, large: bool, rng: np.random.Generator) -> np.ndarray:
+    heads, k = 3, 100 if large else 1
+    if name == "causal":
+        return np.tile(np.tri(40 if large else 7, dtype=bool), (heads, 1))
+    if name == "hypothesis":  # three rows, 4k steps of a step-major cache
+        return np.tile(np.eye(3, dtype=bool), (heads, 4 * k))
+    if name == "blocks":  # three dialogues of 2k, 5k and 4k nodes
+        return np.tile(np.arange(3)[:, None] == np.repeat(np.arange(3), [2 * k, 5 * k, 4 * k]),
+                       (heads, 1))
+    keep = rng.random((12, 17 * k)) < 0.3
+    keep[np.arange(12), rng.integers(0, keep.shape[1], 12)] = True  # every row keeps one
+    return keep
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
+@pytest.mark.parametrize("pattern", ["causal", "hypothesis", "blocks", "random"])
+def test_keep_mask_softmax_equals_the_additive_mask_bit_for_bit(pattern, large):
+    # large masks take the gather of kept entries, small ones the -inf fill
+    rng = np.random.default_rng(8)
+    keep = keep_pattern(pattern, large, rng)
+    assert (keep.size >= dc._GATHER_MIN) == large
+    x0 = rng.normal(0.0, 4.0, keep.shape)
+    x0[1] *= 400.0  # kept entries that underflow too
+    probe = rng.standard_normal(keep.shape)
+    r_left = rng.standard_normal((1, keep.shape[0]))
+    r_right = rng.standard_normal((keep.shape[1], 1))
+
+    def run(masked_softmax):
+        with dc.recording():
+            x = dc.Tensor(x0, requires_grad=True, name="x")
+            p = masked_softmax(x)
+            dc.backward(scalar_probe(dc.elem_mul(p, dc.Tensor(probe)), r_left, r_right))
+        return p.values, x.grad
+
+    additive = run(lambda x: dc.softmax_rows(dc.add(x, dc.Tensor(np.where(keep, 0.0, -1e30)))))
+    kept = run(lambda x: dc.softmax_rows(x, keep))
+    assert np.all(kept[0][~keep] == 0.0)
+    for want, got in zip(additive, kept):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_unreachable_leaf_gets_zero_grad():
     with dc.recording():
         used = dc.Tensor([[1.0]], requires_grad=True, name="used")

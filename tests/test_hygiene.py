@@ -1,12 +1,13 @@
 """Source hygiene that no installed linter checks: every imported name and
-every dataclass field is read."""
+every dataclass field is read, and the package never unpickles a file."""
 import ast
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "hgchat").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "hgchat").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 READERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
@@ -71,3 +72,29 @@ def test_the_scan_sees_an_unread_field():
                      "@dataclass\nclass R:\n    v: int\nprint(P(1, 2).x, R(3).v)\n")
     other = ast.parse("def f(p):\n    p.y = 2\n")  # a store is not a read
     assert unread_fields(tree, [tree, other]) == ["P.y (line 5)"]
+
+
+def pickle_loads(tree: ast.Module) -> list[str]:
+    """``np.load`` (or ``numpy.load``) calls that do not pass the literal
+    ``allow_pickle=False``."""
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "load" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and not any(kw.arg == "allow_pickle" and isinstance(kw.value, ast.Constant)
+                        and kw.value.value is False for kw in node.keywords)]
+
+
+def test_every_np_load_in_the_package_refuses_pickles():
+    # a checkpoint is untrusted input, and unpickling it runs its code
+    found = [f"{path.stem} {line}" for path in PACKAGE
+             for line in pickle_loads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_the_scan_sees_a_load_that_allows_pickles():
+    tree = ast.parse("import json\nimport numpy\nimport numpy as np\n"
+                     "a = np.load(p)\nb = numpy.load(p, allow_pickle=True)\n"
+                     "c = np.load(p, allow_pickle=False)\nd = json.load(f)\n"
+                     "e = np.load(p, allow_pickle=flag)\n")
+    assert pickle_loads(tree) == ["line 4", "line 5", "line 8"]

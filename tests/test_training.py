@@ -1,4 +1,8 @@
-import json
+import dataclasses
+import io
+import os
+import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hgchat import training as tr
 from hgchat.config import TrainConfig
 from hgchat.model import Model
 from hgchat.params import CHECKPOINT_MAGIC, init_model_params, xavier_init
+from oracles import rewrite_checkpoint
 
 
 def tiny_cfg(**kw):
@@ -273,21 +278,27 @@ def test_continue_training_resumes():
 # --- checkpoints ------------------------------------------------------------------
 
 def test_checkpoint_round_trip_exact(tmp_path):
-    cfg = tiny_cfg(epochs=1)
+    cfg = tiny_cfg(epochs=1, dropout=0.1)
     records = tiny_corpus(3, cfg=cfg)
     res = tr.train(records, cfg)
     path = tmp_path / "model.ckpt"
     res.model.save(path)
 
-    header = path.read_text()[:40]
-    assert CHECKPOINT_MAGIC in header
+    header = path.read_bytes()[:256]  # the header is the archive's first member
+    assert CHECKPOINT_MAGIC.encode() in header
 
     loaded = Model.load(path)
     assert loaded.cfg == res.model.cfg
     assert loaded.vocab.tokens == res.model.vocab.tokens
     assert loaded.roster.names == res.model.roster.names
-    for name, t in res.model.params.items():
-        assert np.array_equal(t.values, loaded.params[name].values), name
+    saved, back = res.model.params, loaded.params
+    for name, t in saved.items():
+        assert np.array_equal(t.values, back[name].values), name
+        assert np.array_equal(saved.adam_m[name], back.adam_m[name]), name
+        assert np.array_equal(saved.adam_v[name], back.adam_v[name]), name
+    assert back.adam_t == saved.adam_t > 0
+    assert back.rng_state == saved.rng_state is not None
+    assert np.array_equal(back.order, saved.order)
 
 
 def test_checkpoint_magic_checked(tmp_path):
@@ -301,11 +312,87 @@ def test_format_one_checkpoint_rejected_by_name(tmp_path):
     cfg = tiny_cfg()
     path = tmp_path / "old.ckpt"
     fresh_model(tiny_corpus(2, cfg=cfg), cfg).save(path)
-    payload = json.loads(path.read_text())
-    payload["magic"] = "HGNN-CKPT-1"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="HGNN-CKPT-2"):
+    rewrite_checkpoint(path, lambda header, members: header.update(magic="HGNN-CKPT-1"))
+    with pytest.raises(ValueError, match="HGNN-CKPT-3"):
         Model.load(path)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda header, members: members.pop("adam_v/dec.gate.b"), "adam_v of tensor 'dec.gate.b'"),
+    (lambda header, members: members.update({"adam_m/enc.pe": members["adam_m/enc.pe"][:1]}),
+     "adam_m of tensor 'enc.pe'"),
+    (lambda header, members: header.update(adam_t=-1), "'adam_t'"),
+    (lambda header, members: header.update(rng_state={"bit_generator": "MT19937"}), "'rng_state'"),
+    (lambda header, members: members.update(order=members["order"] * 2), "'order'"),
+    (lambda header, members: members.pop("order"), "'order'"),
+], ids=["missing-moment", "moment-shape", "adam-t", "rng-state", "order-not-a-permutation",
+        "rng-state-without-order"])
+def test_bad_training_state_rejected_by_name(tmp_path, edit, named):
+    cfg = tiny_cfg(epochs=1)
+    records = tiny_corpus(3, cfg=cfg)
+    path = tmp_path / "model.ckpt"
+    tr.train(records, cfg, checkpoint_path=path)
+    rewrite_checkpoint(path, edit)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        Model.load(path)
+
+
+def npy_bytes(values, **kwargs) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, values, **kwargs)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("content", [
+    b"not an array", b"\x93NUMPY\x01\x00cut short", npy_bytes(np.zeros((2, 2)))[:-8],
+    npy_bytes(np.zeros((2, 2))) + bytes(8),
+    npy_bytes(np.array([{"code": "run"}], dtype=object), allow_pickle=True),
+], ids=["raw-bytes", "truncated-header", "truncated-values", "trailing-bytes", "pickle"])
+def test_member_that_is_not_an_array_rejected_by_name(tmp_path, content):
+    cfg = tiny_cfg()
+    path = tmp_path / "model.ckpt"
+    fresh_model(tiny_corpus(2, cfg=cfg), cfg).save(path)
+    with zipfile.ZipFile(path, "a") as archive:
+        archive.writestr("param/stray.npy", content)
+    with pytest.raises(ValueError, match="member 'param/stray' is not a readable array"):
+        Model.load(path)
+
+
+def test_compressed_member_rejected_by_name(tmp_path):
+    # a deflated member could inflate far beyond the file's size in memory
+    cfg = tiny_cfg()
+    path = tmp_path / "model.ckpt"
+    fresh_model(tiny_corpus(2, cfg=cfg), cfg).save(path)
+    with zipfile.ZipFile(path, "a") as archive:
+        archive.writestr("param/stray.npy", npy_bytes(np.zeros((64, 64))),
+                         compress_type=zipfile.ZIP_DEFLATED)
+    with pytest.raises(ValueError, match="member 'param/stray' is compressed"):
+        Model.load(path)
+
+
+def test_damaged_member_rejected_by_name(tmp_path):
+    cfg = tiny_cfg()
+    model = fresh_model(tiny_corpus(2, cfg=cfg), cfg)
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    data = bytearray(path.read_bytes())
+    at = data.index(model.params["dec.gate.w"].values.tobytes())
+    data[at + 3] ^= 0x10  # one bit of the stored values, caught by the zip CRC
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="member 'param/dec.gate.w' is not a readable array"):
+        Model.load(path)
+
+
+def test_fortran_ordered_member_reads_as_its_values(tmp_path):
+    cfg = tiny_cfg()
+    model = fresh_model(tiny_corpus(2, cfg=cfg), cfg)
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    rewrite_checkpoint(path, lambda header, members: members.update(
+        {"param/dec.gate.w": np.asfortranarray(members["param/dec.gate.w"])}))
+    loaded = Model.load(path).params["dec.gate.w"].values
+    assert np.array_equal(loaded, model.params["dec.gate.w"].values)
+    assert loaded.flags.c_contiguous
 
 
 def test_failed_save_leaves_the_old_checkpoint(tmp_path, monkeypatch):
@@ -317,19 +404,53 @@ def test_failed_save_leaves_the_old_checkpoint(tmp_path, monkeypatch):
     for t in model.params.values():
         t.values += 1.0
 
-    def crash_mid_write(payload, fh):
-        fh.write('{"magic": "')
+    def crash_mid_write(fh, **members):
+        fh.write(b"PK\x03\x04")
         raise OSError("disk full")
 
-    monkeypatch.setattr(json, "dump", crash_mid_write)
-    with pytest.raises(OSError, match="disk full"):
-        model.save(path)
-    monkeypatch.undo()
-    assert list(tmp_path.iterdir()) == [path]  # no temporary file left
-    loaded = Model.load(path)
-    assert list(loaded.params.names()) == list(saved)
-    for name, values in saved.items():
-        assert np.array_equal(loaded.params[name].values, values), name
+    def crash_at_flush(fd):
+        raise OSError("disk full")
+
+    # inside np.savez, and after the temporary file is written
+    for owner, attr, crash in ((np, "savez", crash_mid_write), (os, "fsync", crash_at_flush)):
+        monkeypatch.setattr(owner, attr, crash)
+        with pytest.raises(OSError, match="disk full"):
+            model.save(path)
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file left
+        loaded = Model.load(path)
+        assert list(loaded.params.names()) == list(saved)
+        for name, values in saved.items():
+            assert np.array_equal(loaded.params[name].values, values), name
+
+
+def epoch_losses(log):
+    return [(s.joint, s.mll, s.cls, s.emotion_acc, s.skipped) for s in log]
+
+
+@pytest.mark.parametrize("via_checkpoint", [True, False], ids=["saved", "in-memory"])
+@pytest.mark.parametrize("first", [1, 2])
+@pytest.mark.parametrize("gnn_mode", ["hetero", "homo"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_resumed_training_equals_uninterrupted_training(tmp_path, seed, gnn_mode, first,
+                                                        via_checkpoint):
+    # train(E) == train(E1) -> save -> load -> train(E - E1), bit for bit
+    cfg = tiny_cfg(epochs=3, dropout=0.1, batch_size=2, gnn_mode=gnn_mode, seed=seed)
+    records = tiny_corpus(5, seed=seed, cfg=cfg)
+    whole = tr.train(records, cfg)
+    part = tr.train(records, dataclasses.replace(cfg, epochs=first))
+    model = part.model
+    if via_checkpoint:
+        model.save(tmp_path / "part.ckpt")
+        model = Model.load(tmp_path / "part.ckpt")
+    rest = tr.train(records, dataclasses.replace(cfg, epochs=cfg.epochs - first), model=model)
+    assert epoch_losses(part.log) + epoch_losses(rest.log) == epoch_losses(whole.log)
+    want, got = whole.model.params, rest.model.params
+    assert got.adam_t == want.adam_t
+    for name, t in want.items():
+        assert np.array_equal(t.values, got[name].values), name
+        assert np.array_equal(want.adam_m[name], got.adam_m[name]), name
+        assert np.array_equal(want.adam_v[name], got.adam_v[name]), name
 
 
 # --- full-model gradient coverage --------------------------------------------------
