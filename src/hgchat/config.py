@@ -52,7 +52,6 @@ class TrainConfig:
     golden_emotion: bool = False
     detach_predicted_emotion: bool = False
     attention_residual: bool = False
-    gnn_activation: str = "relu"
 
     # data limits
     max_turns: int = 35
@@ -74,8 +73,6 @@ class TrainConfig:
                               f"got {self.mask_orientation!r}")
         if self.gnn_mode not in ("hetero", "homo"):
             raise ConfigError(f"gnn_mode must be hetero or homo, got {self.gnn_mode!r}")
-        if self.gnn_activation not in ("relu", "tanh"):
-            raise ConfigError(f"gnn_activation must be relu or tanh, got {self.gnn_activation!r}")
         bad = [a for a in self.ablate if a not in ("face", "audio", "emotion", "speaker")]
         if bad:
             raise ConfigError(f"unknown ablation(s): {bad}")

@@ -6,6 +6,7 @@ those keys out and the graph builder skips the corresponding node types.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from collections import Counter
@@ -250,11 +251,12 @@ _SIGNAL_SEED = 7_000_003
 _HISTORY_SIGNAL_SCALE = 0.35  # of earlier turns' modality vectors
 _MIN_MARGIN = 0.4             # between a last turn's top two label scores
 
-_WORD_POOL = (
+# an array, so that ``rng.choice`` does not convert a list on every draw
+_WORD_POOL = np.array((
     "well so anyway look listen right okay maybe today tonight really "
     "still just about there here again never always once keep talk walk "
     "come stay go think know feel time thing place story plan idea"
-).split()
+).split())
 
 _RESPONSE_TEMPLATES = {
     "anger": "calm down {s} it is fine",
@@ -267,13 +269,17 @@ _RESPONSE_TEMPLATES = {
 }
 
 
+@functools.lru_cache(maxsize=16)
 def _signal_projections(face_dim: int, audio_dim: int) -> np.ndarray:
     # Orthonormal rows make the seven scores independent for gaussian
-    # inputs, so the argmax label is uniform by symmetry.
+    # inputs, so the argmax label is uniform by symmetry. Read-only, as
+    # calls share it.
     rng = np.random.default_rng(_SIGNAL_SEED)
     raw = rng.standard_normal((face_dim + audio_dim, len(EMOTIONS)))
     q, _ = np.linalg.qr(raw)
-    return q.T
+    proj = q.T
+    proj.flags.writeable = False
+    return proj
 
 
 def planted_label(face: np.ndarray, audio: np.ndarray) -> str:

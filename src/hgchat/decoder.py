@@ -36,21 +36,19 @@ def fold_gate(e_p: Tensor, s_p: Tensor, params: ModelParams) -> tuple[Tensor, ..
     and one row of each other term per row of ``e_p`` and ``s_p``.
 
     The gate sees ``[o; e_p; s_p]``, whose emotion and personality columns
-    are fixed for a dialogue, so ``[o; e_p; s_p]·W_g + b = o·W_o + c``
-    with ``W_o`` the first d rows of ``W_g`` and ``c = [0; e_p; s_p]·W_g + b``.
+    are fixed for a dialogue, so with the gate weight stored as ``W_o``
+    (``dec.gate.wo``) over ``W_es`` (``dec.gate.wes``) its pre-activation
+    is ``o·W_o + c``, ``c = [e_p; s_p]·W_es + b``.
     """
-    n, d = e_p.shape
-    gate_w = params["dec.gate.w"]
-    w_o = row_lookup(gate_w, np.arange(d))
-    c = affine(concat_cols(Tensor(np.zeros((n, d))), e_p, s_p), gate_w, params["dec.gate.b"])
-    return w_o, c, add(e_p, scale(s_p, -1.0)), s_p
+    c = affine(concat_cols(e_p, s_p), params["dec.gate.wes"], params["dec.gate.b"])
+    return params["dec.gate.wo"], c, add(e_p, scale(s_p, -1.0)), s_p
 
 
 def gate_fuse(o: Tensor, fold: tuple[Tensor, ...]) -> Tensor:
     """Blend the decoder states with the emotion and personality rows.
 
-    The gate ``g = σ([o; e_p; s_p]·W_g + b)`` decides, per coordinate, how
-    much of each additive term to let through: the fused state
+    The gate ``g = σ([o; e_p; s_p]·[W_o; W_es] + b)`` decides, per
+    coordinate, how much of each additive term to let through: the fused state
     ``o + g ⊙ e_p + (1 − g) ⊙ s_p`` is ``o + (g ⊙ (e_p − s_p) + s_p)``,
     computed from ``fold_gate``'s terms, which hold a row per row of ``o``,
     with ``g = σ(o·W_o + c)``.
@@ -89,8 +87,8 @@ def sequence_nll(target_ids: list[int], h_enc: Tensor, e_p: Tensor, s_p: Tensor,
 
 class DecodeState:
     """The decoder block with the constants of D dialogues: the
-    cross-attention keys and values of their encoder rows, the transposed
-    output projection and the gate's folded terms.
+    cross-attention keys and values of their encoder rows and the gate's
+    folded terms.
 
     ``run`` decodes new token rows against the self-attention cache
     ``(K, V)`` of the tokens before them, as in incremental decoding
@@ -121,7 +119,6 @@ class DecodeState:
         self.cross_kv = project_kv(params, "dec.cross_attn", h_enc, cfg.heads)
         self.node_dialogue = (None if nodes is None or len(nodes) == 1
                               else np.repeat(np.arange(len(nodes)), nodes))
-        self.out_t = transpose(params["dec.out_proj.w"])
         self.fold = fold_gate(e_p, s_p, params)
         self._layout: tuple = (None, None, None)
 
@@ -159,7 +156,7 @@ class DecodeState:
         attended = multihead(params, "dec.cross_attn", h_r, self.cross_kv, self.heads,
                              cross_mask, drop, self.residual)
         o = ffn(params, "dec.ffn", attended, drop)
-        return softmax_rows(matmul(gate_fuse(o, fold), self.out_t)), (k, v)
+        return softmax_rows(matmul(gate_fuse(o, fold), params["dec.out_proj.w"])), (k, v)
 
     def step(self, cache: tuple[Tensor, Tensor] | None, tokens: list[int],
              dialogues: tuple[int, ...] | None = None
@@ -229,9 +226,9 @@ def greedy_many(dialogues: list[tuple[Tensor, Tensor, Tensor]], params: ModelPar
 
 
 def beam_decode(h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
-                cfg: TrainConfig, max_tokens: int, width: int
-                ) -> tuple[list[int], bool]:
-    """Length-normalized beam search; width 1 reproduces greedy decoding.
+                cfg: TrainConfig, width: int) -> tuple[list[int], bool]:
+    """Length-normalized beam search of up to ``cfg.max_len`` tokens;
+    width 1 reproduces greedy decoding.
 
     A hypothesis is (ids, log-probability). All live hypotheses step in one
     ``DecodeState.step`` call, their caches held step-major. Each of the
@@ -246,7 +243,7 @@ def beam_decode(h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
     state = DecodeState(h_enc, e_p, s_p, params, cfg)
     live, cache = [([BOS], 0.0)], None
     done: list[tuple[list[int], float]] = []
-    for _ in range(max_tokens):
+    for _ in range(cfg.max_len):
         dists, cache = state.step(cache, [ids[-1] for ids, _ in live])
         logp = np.log(dists)
         best = np.argsort(-logp, axis=1, kind="stable")[:, :width]
@@ -266,7 +263,7 @@ def beam_decode(h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
     if done:
         done.sort(key=lambda item: (-item[1], item[0]))
         return done[0][0], False
-    log.warning("beam search hit the %d-token cap without EOS; truncated", max_tokens)
+    log.warning("beam search hit the %d-token cap without EOS; truncated", cfg.max_len)
     best = max(live, key=lambda item: item[1] / max(1, len(item[0]) - 1))
     return best[0][1:], True
 
@@ -277,5 +274,5 @@ def generate_ids(h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
     if strategy == "greedy":
         return greedy_many([(h_enc, e_p, s_p)], params, cfg)[0]
     if strategy == "beam":
-        return beam_decode(h_enc, e_p, s_p, params, cfg, cfg.max_len, beam_width)
+        return beam_decode(h_enc, e_p, s_p, params, cfg, beam_width)
     raise ValueError(f"unknown decoding strategy {strategy!r}")

@@ -477,8 +477,6 @@ def backward(loss: Tensor) -> None:
             continue
         deltas = _PRIMS[kind].backward([t.values for t in inputs], meta, output.values, g)
         for tensor, delta in zip(inputs, deltas):
-            if delta is None:
-                continue
             key = id(tensor)
             cur = grads.get(key)
             if cur is None:

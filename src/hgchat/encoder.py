@@ -18,7 +18,7 @@ from .corpus import (EMOTION_INDEX, PAD, DialogueRecord, RecordError, SpeakerRos
                      Vocab, distinct_speakers, tokenize)
 from .diffcore import (Tensor, add, affine, concat_cols, concat_rows, elem_mul,
                        matmul, mean_rows, relu, row_lookup, sigmoid,
-                       softmax_rows, tanh, transpose)
+                       softmax_rows, tanh)
 from .graph import HeteroGraph, NODE_TYPES, NodeType
 from .layers import Dropouter, ffn, multihead, project_kv
 from .params import ModelParams
@@ -138,20 +138,22 @@ def _conv_matrix(graph: HeteroGraph, normalize: bool, typed: bool) -> np.ndarray
 
 def hgnn_forward(graph: HeteroGraph, h0: Tensor, params: ModelParams,
                  cfg: TrainConfig, drop: Dropouter | None = None) -> Tensor:
-    """Stacked graph convolution over the typed adjacency.
+    """Stacked graph convolution over the typed adjacency, ReLU after
+    each layer.
 
     hetero mode is relational message passing (R-GCN, Schlichtkrull et
     al., 2018): one weight matrix per node type and the five typed
     contributions summed, ``Σ_τ A_τ H W_τ + b_τ``. It runs as one product
-    with the adjacency A. The layer's stored ``w`` is ``W_cat``, the five
-    type weights side by side, and its ``b`` stacks the five b_τ as rows;
-    the mask M keeps node j's type block of columns and F stacks five
-    d x d identities, which sums the blocks back to width d:
+    with the adjacency A. The layer's stored ``w`` stacks the five type
+    weights W_τ as row blocks and its ``b`` stacks the five b_τ as rows.
+    The mask M keeps node j's type block of the columns of ``[H; …; H]``,
+    five copies of H side by side, so ``([H; …; H] ⊙ M)·w`` is row j of H
+    times W_τ(j):
 
     - sender mode (A_τ keeps columns of type τ):
-      ``A·((H·W_cat ⊙ M)·F) + Σ_τ b_τ``;
+      ``A·(([H; …; H] ⊙ M)·w) + Σ_τ b_τ``;
     - receiver mode (A_τ keeps rows of type τ):
-      ``((A·H)·W_cat ⊙ M)·F + Σ_τ b_τ``.
+      ``([A·H; …; A·H] ⊙ M)·w + Σ_τ b_τ``.
 
     ``normalize_adjacency`` row-normalises each A_τ; that folds into A
     (see ``_conv_matrix``). homo mode applies a single matrix over the
@@ -160,36 +162,35 @@ def hgnn_forward(graph: HeteroGraph, h0: Tensor, params: ModelParams,
     if h0.shape[0] != graph.n_nodes:
         raise ValueError(f"feature matrix has {h0.shape[0]} rows for "
                          f"{graph.n_nodes} graph nodes")
-    act = relu if cfg.gnn_activation == "relu" else tanh
     h = h0
     hetero = cfg.gnn_mode == "hetero"
     a = Tensor(_conv_matrix(graph, cfg.normalize_adjacency, hetero))
     if not hetero:
         for layer in range(cfg.gnn_layers):
-            h = act(affine(matmul(a, h), params[f"enc.gnn.l{layer}.w"],
-                           params[f"enc.gnn.l{layer}.b"]))
+            h = relu(affine(matmul(a, h), params[f"enc.gnn.l{layer}.w"],
+                            params[f"enc.gnn.l{layer}.b"]))
     else:
-        width, n_types = cfg.d_model, len(NODE_TYPES)
+        n_types = len(NODE_TYPES)
         one_hot = graph.node_type[:, np.newaxis] == np.arange(n_types)
-        mask = Tensor(np.repeat(one_hot.astype(np.float64), width, axis=1))
-        fold = Tensor(np.tile(np.eye(width), (n_types, 1)))
+        mask = Tensor(np.repeat(one_hot.astype(np.float64), cfg.d_model, axis=1))
         ones = Tensor(np.ones((1, n_types)))
         sender = graph.mask_orientation == "sender"
         for layer in range(cfg.gnn_layers):
-            w_cat = params[f"enc.gnn.l{layer}.w"]
+            w = params[f"enc.gnn.l{layer}.w"]
             b_sum = matmul(ones, params[f"enc.gnn.l{layer}.b"])
             if sender:
-                messages = matmul(elem_mul(matmul(h, w_cat), mask), fold)
-                h = act(affine(a, messages, b_sum))
+                messages = matmul(elem_mul(concat_cols(*[h] * n_types), mask), w)
+                h = relu(affine(a, messages, b_sum))
             else:
-                h = act(affine(elem_mul(matmul(matmul(a, h), w_cat), mask), fold, b_sum))
+                h = relu(affine(elem_mul(concat_cols(*[matmul(a, h)] * n_types), mask), w,
+                                b_sum))
     return ffn(params, "enc.out_ffn", h, drop)
 
 
 def predict_emotion(h_enc: Tensor, params: ModelParams) -> Tensor:
     """Mean-pool the node features and map to the 7-way distribution."""
     pooled = mean_rows(h_enc)
-    logits = matmul(pooled, transpose(params["enc.emotion_head.w"]))
+    logits = matmul(pooled, params["enc.emotion_head.w"])
     return softmax_rows(logits)
 
 

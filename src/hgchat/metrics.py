@@ -147,13 +147,11 @@ def emotion_weighted_f1(predictions: list[str], golds: list[str]
     return weighted, per_class
 
 
-def evaluate(model: Model, records: list[DialogueRecord],
-             strategy: str = "greedy", beam_width: int = 1) -> EvalReport:
-    """Full report: PPL, diversity and BLEU of decoded responses, and the
+def evaluate(model: Model, records: list[DialogueRecord]) -> EvalReport:
+    """Full report: PPL, diversity and BLEU of greedy responses, and the
     emotion predictor's weighted F1 against the gold next emotions."""
     ppl = perplexity(model, records)
-    outputs = (model.generate_many(records) if strategy == "greedy"
-               else [model.generate(rec, strategy, beam_width) for rec in records])
+    outputs = model.generate_many(records)
     generated = [tokens for tokens, _ in outputs]
     refs = [tokenize(rec.response) for rec in records]
     preds = [model.predict_label(rec) for rec in records]

@@ -1,13 +1,13 @@
 """Named parameter registry, initialization, and checkpoint files.
 
-A checkpoint (format ``HGNN-CKPT-3``) is one uncompressed ``.npz`` archive,
+A checkpoint (format ``HGNN-CKPT-4``) is one uncompressed ``.npz`` archive,
 whatever the suffix of its path, with the members
 
 - ``header``: UTF-8 JSON bytes (uint8) with ``magic``, ``config``,
   ``vocab``, ``roster``, ``adam_t`` and ``rng_state``, the training
   generator's ``bit_generator.state`` (null until the model has trained);
 - ``param/<name>``: every tensor ``init_model_params`` makes for the
-  config, float64, in its shape;
+  config, float64, in its shape, laid out as the forward pass reads it;
 - ``adam_m/<name>`` and ``adam_v/<name>``: Adam's moments of every tensor,
   float64, once the model has taken a step; before that, none;
 - ``order``: the epoch order of the training corpus, once the model has
@@ -16,6 +16,13 @@ whatever the suffix of its path, with the members
 Together they resume training exactly where it stopped. Every member is
 stored uncompressed, as ``np.savez`` writes it. A checkpoint is untrusted
 input: the reader refuses compressed members and object arrays (pickles).
+
+Format 4 differs from format 3 only in the layout of four tensors, each
+now stored as its reader takes it: the gate weight is ``dec.gate.wo``
+(d x d) and ``dec.gate.wes`` (2d x d) where format 3 stacked them in one
+3d x d ``dec.gate.w``; a hetero ``enc.gnn.l{L}.w`` is 5d x d, type τ in
+row block τ, where it was d x 5d; ``enc.emotion_head.w`` is d x 7 and
+``dec.out_proj.w`` d x V, where both were stored transposed.
 """
 from __future__ import annotations
 
@@ -35,7 +42,7 @@ from .corpus import EMOTIONS, SpeakerRoster, Vocab
 from .diffcore import Tensor
 from .graph import NODE_TYPES
 
-CHECKPOINT_MAGIC = "HGNN-CKPT-3"
+CHECKPOINT_MAGIC = "HGNN-CKPT-4"
 _HEADER_KEYS = ("config", "vocab", "roster", "adam_t", "rng_state")
 
 
@@ -102,16 +109,23 @@ def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int,
                       seed: int | None = None) -> ModelParams:
     """Create every trainable tensor: Xavier for matrices, zeros for biases.
 
-    Attention ``wq``/``wk``/``wv`` are d_in x d, head h in columns
-    h*d/H .. (h+1)*d/H; a hetero HGNN layer's ``w`` is d x 5d, type τ of
-    ``NODE_TYPES`` in column block τ, and its ``b`` has a row per type.
-    Each block is its own Xavier draw, per head wq, wk, wv, then per type.
+    Every tensor is stored as the forward pass reads it. Attention
+    ``wq``/``wk``/``wv`` are d_in x d, head h in columns h*d/H .. (h+1)*d/H;
+    a hetero HGNN layer's ``w`` is 5d x d, type τ of ``NODE_TYPES`` in row
+    block τ, and its ``b`` has a row per type. Each block is its own Xavier
+    draw, per head wq, wk, wv, then per type. The gate's ``wo`` and ``wes``
+    are the first d and the last 2d rows of one 3d x d draw, and
+    ``enc.emotion_head.w`` (d x 7) and ``dec.out_proj.w`` (d x V) are the
+    transposes of 7 x d and V x d draws.
     """
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     params = ModelParams()
 
     def mat(name, rows, cols):
         params.add(name, xavier_init((rows, cols), rng))
+
+    def mat_t(name, rows, cols):  # a rows x cols draw, stored transposed
+        params.add(name, xavier_init((rows, cols), rng).values.T)
 
     def bias(name, cols):
         params.add(name, np.zeros((1, cols)))
@@ -142,7 +156,7 @@ def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int,
     for layer in range(cfg.gnn_layers):
         if cfg.gnn_mode == "hetero":
             params.add(f"enc.gnn.l{layer}.w", np.concatenate(
-                [xavier_init((d, d), rng).values for _ in NODE_TYPES], axis=1))
+                [xavier_init((d, d), rng).values for _ in NODE_TYPES], axis=0))
             # five bias rows, summed in the forward pass: one row would get
             # their summed gradient, which Adam rescales, so its steps differ
             params.add(f"enc.gnn.l{layer}.b", np.zeros((len(NODE_TYPES), d)))
@@ -153,7 +167,7 @@ def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int,
     bias("enc.out_ffn.b1", d)
     mat("enc.out_ffn.w2", d, d)
     bias("enc.out_ffn.b2", d)
-    mat("enc.emotion_head.w", len(EMOTIONS), d)
+    mat_t("enc.emotion_head.w", len(EMOTIONS), d)
 
     mat("dec.tok_emb", vocab_size, d)
     attention("dec.self_attn", d)
@@ -162,9 +176,11 @@ def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int,
     bias("dec.ffn.b1", d)
     mat("dec.ffn.w2", d, d)
     bias("dec.ffn.b2", d)
-    mat("dec.gate.w", 3 * d, d)
+    w_o, w_es = np.split(xavier_init((3 * d, d), rng).values, [d])
+    params.add("dec.gate.wo", w_o)
+    params.add("dec.gate.wes", w_es)
     bias("dec.gate.b", d)
-    mat("dec.out_proj.w", vocab_size, d)
+    mat_t("dec.out_proj.w", vocab_size, d)
     return params
 
 

@@ -102,7 +102,9 @@ def decoder_distributions(tokens, h_enc, e_p, s_p, weights, heads, residual=Fals
     """Teacher-forced next-token distributions of the unfused decoder.
 
     Row t is the distribution after ``tokens[:t + 1]``. ``weights`` maps the
-    ``dec.*`` parameter names to arrays. Causal self-attention over the
+    ``dec.*`` parameter names to arrays, with the gate weight as one 3d x d
+    ``dec.gate.w`` and the output projection ``dec.out_proj.w`` as V x d.
+    Causal self-attention over the
     token rows, cross-attention into ``h_enc``, the two-layer FFN, then the
     gate ``g = σ([o; e_p; s_p]·W_g + b)`` on the full concatenated input and
     ``o + g ⊙ e_p + (1 − g) ⊙ s_p``, projected onto the vocabulary.
@@ -125,7 +127,7 @@ def decoder_distributions(tokens, h_enc, e_p, s_p, weights, heads, residual=Fals
 
 
 def rewrite_checkpoint(path, edit) -> None:
-    """Apply ``edit(header, members)`` to the HGNN-CKPT-3 file at ``path``,
+    """Apply ``edit(header, members)`` to the HGNN-CKPT-4 file at ``path``,
     in place: ``header`` is its decoded JSON header and ``members`` maps
     every other member's name to its array."""
     with np.load(path, allow_pickle=False) as archive:

@@ -79,7 +79,27 @@ def test_generate_on_a_format_one_checkpoint_is_a_data_error(ckpt_and_corpus, ca
     ckpt, corpus = ckpt_and_corpus
     rewrite_checkpoint(ckpt, lambda header, members: header.update(magic="HGNN-CKPT-1"))
     assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
-    assert "HGNN-CKPT-3" in capsys.readouterr().err
+    assert "HGNN-CKPT-4" in capsys.readouterr().err
+
+
+def as_format_three(header, members):
+    """A checkpoint as format 3 wrote it: the gate weight in one 3d x d
+    tensor, the hetero layers' type blocks side by side, and the emotion
+    head and the output projection transposed."""
+    header.update(magic="HGNN-CKPT-3")
+    members["param/dec.gate.w"] = np.vstack(
+        [members.pop("param/dec.gate.wo"), members.pop("param/dec.gate.wes")])
+    members["param/enc.gnn.l0.w"] = np.hstack(np.split(members["param/enc.gnn.l0.w"], 5))
+    for name in ("param/enc.emotion_head.w", "param/dec.out_proj.w"):
+        members[name] = members[name].T
+
+
+def test_generate_on_a_format_three_checkpoint_is_a_data_error(ckpt_and_corpus, capsys):
+    ckpt, corpus = ckpt_and_corpus
+    rewrite_checkpoint(ckpt, as_format_three)
+    assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "not a HGNN-CKPT-4 checkpoint" in err
 
 
 FORMAT_TWO = {"magic": "HGNN-CKPT-2", "config": {}, "vocab": ["<pad>"], "roster": ["<unk>"],
@@ -97,7 +117,7 @@ def test_generate_on_a_file_that_is_not_format_three_is_a_data_error(ckpt_and_co
     Path(ckpt).write_bytes(Path(ckpt).read_bytes()[:100] if content is None else content)
     assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
     err = capsys.readouterr().err
-    assert "data error" in err and "not a HGNN-CKPT-3 checkpoint" in err
+    assert "data error" in err and "not a HGNN-CKPT-4 checkpoint" in err
     assert not any(word in err for word in ("Traceback", "BadZipFile", "pickle"))
 
 
@@ -109,14 +129,16 @@ def test_generate_on_a_file_that_is_not_format_three_is_a_data_error(ckpt_and_co
      "'params'"),
     (lambda header, members: members.pop("param/dec.gate.b"), "'dec.gate.b'"),
     (lambda header, members: members.update({"param/stray": np.zeros((1, 1))}), "'stray'"),
-    (lambda header, members: members.update({"param/dec.gate.w": members["param/dec.gate.w"].T}),
-     "'dec.gate.w'"),
-    (lambda header, members: members.update({"param/dec.gate.w": np.zeros(0)}), "'dec.gate.w'"),
+    # not square, so the transpose has the wrong shape
+    (lambda header, members: members.update(
+        {"param/dec.gate.wes": members["param/dec.gate.wes"].T}), "'dec.gate.wes'"),
+    (lambda header, members: members.update({"param/dec.gate.wes": np.zeros(0)}),
+     "'dec.gate.wes'"),
     (lambda header, members: header.update(vocab=5), "'vocab'"),
     (lambda header, members: header.update(roster=5), "'roster'"),
     (lambda header, members: members.update(
-        {"param/dec.gate.w": members["param/dec.gate.w"].astype(np.float32)}),
-     "tensor 'dec.gate.w' is float32"),
+        {"param/dec.gate.wes": members["param/dec.gate.wes"].astype(np.float32)}),
+     "tensor 'dec.gate.wes' is float32"),
     (lambda header, members: header["config"].update(bogus=1), "'config'"),
 ], ids=["vocab", "params-not-a-map", "missing-tensor", "extra-tensor", "wrong-shape", "missing-values",
         "vocab-not-a-list", "roster-not-a-list", "float32-tensor", "unknown-config-key"])

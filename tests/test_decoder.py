@@ -39,8 +39,12 @@ def stack(row, n):
 
 
 def oracle(tokens, h_enc, e_p, s_p, params, cfg):
-    """The unfused numpy decoder's distributions after each prefix of ``tokens``."""
+    """The unfused numpy decoder's distributions after each prefix of ``tokens``,
+    its weights in the oracle's layout: the gate's two blocks joined in one
+    3d x d ``dec.gate.w`` and the output projection V x d."""
     weights = {name: t.values for name, t in params.items()}
+    weights["dec.gate.w"] = np.vstack([weights.pop("dec.gate.wo"), weights.pop("dec.gate.wes")])
+    weights["dec.out_proj.w"] = weights["dec.out_proj.w"].T
     return decoder_distributions(tokens, h_enc.values, e_p.values, s_p.values, weights,
                                  cfg.heads, cfg.attention_residual)
 
@@ -81,7 +85,8 @@ def test_gate_equal_vectors_add_exactly():
 
 def test_gate_zero_weights_half_half():
     cfg, params, h_enc, e_p, s_p = setup()
-    params["dec.gate.w"].values[:] = 0.0
+    params["dec.gate.wo"].values[:] = 0.0
+    params["dec.gate.wes"].values[:] = 0.0
     params["dec.gate.b"].values[:] = 0.0
     o = dc.Tensor(np.zeros((2, cfg.d_model)))
     fused = dec.gate_fuse(o, dec.fold_gate(stack(e_p, 2), stack(s_p, 2), params))
@@ -93,7 +98,8 @@ def test_gate_hand_evaluation_d2():
     cfg = tiny_cfg(d_model=2, heads=1, d_hidden=2, d_pe=2, d_word=2)
     params = init_model_params(cfg, 6, cfg.z_speakers, seed=1)
     w = np.arange(12.0).reshape(6, 2) / 10.0
-    params["dec.gate.w"].values[:] = w
+    params["dec.gate.wo"].values[:] = w[:2]
+    params["dec.gate.wes"].values[:] = w[2:]
     params["dec.gate.b"].values[:] = [[0.1, -0.2]]
     o = np.array([[0.5, -1.0]])
     e = np.array([[1.0, 2.0]])
@@ -170,7 +176,7 @@ def test_cached_step_matches_step_distributions(seed, residual):
     cache = None
     for t, tok in enumerate(tokens):
         dist, cache = state.step(cache, [tok])
-        assert dist.shape == (1, params["dec.out_proj.w"].shape[0])
+        assert dist.shape == (1, params["dec.out_proj.w"].shape[1])
         prefix = oracle(tokens[:t + 1], h_enc, e_p, s_p, params, cfg)
         assert np.max(np.abs(dist[0] - prefix[-1])) <= 1e-12
         assert np.max(np.abs(dist[0] - full[t])) <= 1e-12
@@ -250,7 +256,7 @@ def test_immediate_eos_gives_empty_response():
     cfg, params, h_enc, e_p, s_p = setup()
     w = params["dec.out_proj.w"].values
     w[:] = 0.0
-    w[cp.EOS] = 5.0  # every step's argmax is EOS
+    w[:, cp.EOS] = 5.0  # every step's argmax is EOS
     ids, truncated = dec.greedy_many([(h_enc, e_p, s_p)], params, cfg)[0]
     assert ids == [] and truncated is False
 
@@ -259,7 +265,7 @@ def test_beam_width_one_equals_greedy():
     for seed in range(5):
         cfg, params, h_enc, e_p, s_p = setup(seed=seed)
         greedy = dec.greedy_many([(h_enc, e_p, s_p)], params, cfg)[0]
-        beam = dec.beam_decode(h_enc, e_p, s_p, params, cfg, cfg.max_len, width=1)
+        beam = dec.beam_decode(h_enc, e_p, s_p, params, cfg, width=1)
         assert greedy[0] == beam[0]
 
 
@@ -267,7 +273,7 @@ def test_cap_reached_flags_truncation(caplog):
     cfg, params, h_enc, e_p, s_p = setup()
     w = params["dec.out_proj.w"].values
     w[:] = 0.0
-    w[4] = 5.0  # argmax is always token 4, never EOS
+    w[:, 4] = 5.0  # argmax is always token 4, never EOS
     with caplog.at_level("WARNING"):
         ids, truncated = dec.greedy_many([(h_enc, e_p, s_p)], params, cfg)[0]
     assert truncated is True and len(ids) == cfg.max_len
@@ -278,7 +284,7 @@ def lockstep_setup(seed, n_dialogues=5):
     """Dialogues ``(h_enc, e_p, s_p)`` of 3, 5, 7, ... encoder rows, and
     parameters for them. Residual attention and scaled-up token embeddings
     make each token depend on the last, so that rows' histories differ;
-    the EOS row points along the gate inputs, so that some responses end
+    the EOS column points along the gate inputs, so that some responses end
     early, at different steps, and others reach the cap."""
     cfg = tiny_cfg(attention_residual=True)
     rng = np.random.default_rng(seed)
@@ -288,7 +294,7 @@ def lockstep_setup(seed, n_dialogues=5):
                   dc.Tensor(0.5 * rng.standard_normal((1, cfg.d_model))),
                   dc.Tensor(0.5 * rng.standard_normal((1, cfg.d_model))))
                  for j in range(n_dialogues)]
-    params["dec.out_proj.w"].values[cp.EOS] = sum(e.values[0] + s.values[0]
+    params["dec.out_proj.w"].values[:, cp.EOS] = sum(e.values[0] + s.values[0]
                                                   for _, e, s in dialogues)
     return cfg, params, dialogues
 
@@ -371,8 +377,8 @@ def test_cached_beam_matches_uncached_reference(width):
     for seed in range(6):
         cfg, params, h_enc, e_p, s_p = setup(seed=seed)
         # point EOS along the gate's inputs, so that some beams end early
-        params["dec.out_proj.w"].values[cp.EOS] = 0.1 * (e_p.values[0] + s_p.values[0])
-        got = dec.beam_decode(h_enc, e_p, s_p, params, cfg, cfg.max_len, width)
+        params["dec.out_proj.w"].values[:, cp.EOS] = 0.1 * (e_p.values[0] + s_p.values[0])
+        got = dec.beam_decode(h_enc, e_p, s_p, params, cfg, width)
         assert got == reference_beam(h_enc, e_p, s_p, params, cfg, cfg.max_len, width)
         flags.add(got[1])
     assert flags == {False, True}  # both finished and truncated searches compared
@@ -382,7 +388,7 @@ def test_cached_beam_matches_uncached_reference(width):
 def test_beam_width_below_one_rejected(width, caplog):
     cfg, params, h_enc, e_p, s_p = setup()
     with caplog.at_level("WARNING"), pytest.raises(ValueError, match="beam width"):
-        dec.beam_decode(h_enc, e_p, s_p, params, cfg, cfg.max_len, width)
+        dec.beam_decode(h_enc, e_p, s_p, params, cfg, width)
     assert not caplog.records
 
 
@@ -422,7 +428,7 @@ def test_decoder_parameter_gradients_match_fd():
     def build():
         return dec.sequence_nll(target, h_enc, leaves["e_p"], leaves["s_p"], params, cfg)
 
-    for name in ("dec.gate.w", "dec.gate.b", "dec.out_proj.w", "dec.tok_emb",
+    for name in ("dec.gate.wo", "dec.gate.wes", "dec.gate.b", "dec.out_proj.w", "dec.tok_emb",
                  "dec.self_attn.wq", "dec.cross_attn.wk", "dec.self_attn.wo"):
         err = dc.grad_check(build, {name: params[name]}, eps=1e-5)
         assert err <= 1e-4, (name, err)

@@ -204,9 +204,9 @@ def encoded_features(rec, cfg, vocab, roster, params):
 
 def type_blocks(params, layer):
     """Each node type's (w, b) in a hetero layer, as views into the stored
-    tensors: column block τ of ``w`` and row τ of ``b``, types in u, f, a,
+    tensors: row block τ of ``w`` and row τ of ``b``, types in u, f, a,
     e, s order."""
-    w = np.split(params[f"enc.gnn.l{layer}.w"].values, 5, axis=1)
+    w = np.split(params[f"enc.gnn.l{layer}.w"].values, 5)
     b = np.split(params[f"enc.gnn.l{layer}.b"].values, 5)
     return dict(zip("ufaes", zip(w, b)))
 

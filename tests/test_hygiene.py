@@ -1,5 +1,6 @@
 """Source hygiene that no installed linter checks: every imported name and
-every dataclass field is read, and the package never unpickles a file."""
+every dataclass field is read, the package never unpickles a file and
+never transposes a stored weight."""
 import ast
 from pathlib import Path
 
@@ -98,3 +99,28 @@ def test_the_scan_sees_a_load_that_allows_pickles():
                      "c = np.load(p, allow_pickle=False)\nd = json.load(f)\n"
                      "e = np.load(p, allow_pickle=flag)\n")
     assert pickle_loads(tree) == ["line 4", "line 5", "line 8"]
+
+
+def transposed_params(tree: ast.Module) -> list[str]:
+    """``transpose`` calls whose argument is a ``params[...]`` subscript: a
+    weight the forward pass reshapes on every call, where it could be
+    stored as the forward pass reads it."""
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "transpose"
+            and any(isinstance(arg, ast.Subscript)
+                    and getattr(arg.value, "id", getattr(arg.value, "attr", None)) == "params"
+                    for arg in node.args)]
+
+
+def test_no_parameter_is_transposed_in_the_package():
+    found = [f"{path.stem} {line}" for path in PACKAGE
+             for line in transposed_params(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_the_scan_sees_a_transposed_parameter():
+    tree = ast.parse("a = transpose(params['w'])\nb = dc.transpose(self.params['w'])\n"
+                     "c = transpose(k)\nd = transpose(matmul(x, params['w']))\n"
+                     "e = np.transpose(params['w'].values)\nf = transpose(table['w'])\n")
+    assert transposed_params(tree) == ["line 1", "line 2"]

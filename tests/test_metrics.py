@@ -187,7 +187,7 @@ def test_evaluate_counts_truncated_generations():
 
 
 def eos_model(seed, n_records):
-    """A tiny model whose EOS row points along the mean speaker embedding,
+    """A tiny model whose EOS column points along the mean speaker embedding,
     and ``n_records`` dialogues for it: some responses end, others reach the cap."""
     cfg = TrainConfig(d_word=4, d_hidden=6, d_model=8, heads=2, gnn_layers=1,
                       face_dim=3, audio_dim=3, z_speakers=3, max_turns=4,
@@ -197,7 +197,8 @@ def eos_model(seed, n_records):
     vocab = cp.build_vocab(records)
     roster = cp.build_roster(records, cfg.z_speakers)
     params = init_model_params(cfg, vocab.size, roster.size, seed=seed)
-    params["dec.out_proj.w"].values[cp.EOS] = 2.0 * params["enc.speaker_emb"].values[1:].mean(axis=0)
+    mean_speaker = params["enc.speaker_emb"].values[1:].mean(axis=0)
+    params["dec.out_proj.w"].values[:, cp.EOS] = 2.0 * mean_speaker
     return Model(cfg, params, vocab, roster), records
 
 

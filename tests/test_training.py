@@ -119,10 +119,16 @@ def test_joined_init_equals_per_head_and_per_type_draws(heads):
             want[f"{prefix}.{proj}"] = np.hstack(
                 [oracle.pop(f"{prefix}.h{k}.{proj}") for k in range(heads)])
     for layer in range(cfg.gnn_layers):
-        # node type τ in column block τ, and in row τ of the bias
-        want[f"enc.gnn.l{layer}.w"] = np.hstack(
+        # node type τ in row block τ, and in row τ of the bias
+        want[f"enc.gnn.l{layer}.w"] = np.vstack(
             [oracle.pop(f"enc.gnn.l{layer}.{code}.w") for code in "ufaes"])
         want[f"enc.gnn.l{layer}.b"] = np.zeros((5, cfg.d_model))
+    # the gate's output rows, then its emotion and personality rows
+    want["dec.gate.wo"], want["dec.gate.wes"] = np.split(oracle.pop("dec.gate.w"),
+                                                         [cfg.d_model])
+    # stored as the forward pass reads them: d x 7 and d x V
+    for name in ("enc.emotion_head.w", "dec.out_proj.w"):
+        want[name] = oracle.pop(name).T
     want.update(oracle)
     for name, values in want.items():
         assert np.array_equal(params[name].values, values), name
@@ -157,8 +163,8 @@ def test_adam_scalar_first_step_hand_value():
 def test_adam_aborts_on_nonfinite_gradient_with_name():
     cfg = tiny_cfg()
     params = init_model_params(cfg, 8, 3)
-    grads = {"dec.gate.w": np.full_like(params["dec.gate.w"].values, np.nan)}
-    with pytest.raises(dc.NumericalError, match="dec.gate.w"):
+    grads = {"dec.gate.wes": np.full_like(params["dec.gate.wes"].values, np.nan)}
+    with pytest.raises(dc.NumericalError, match="dec.gate.wes"):
         tr.adam_step(params, grads, cfg, t=1)
 
 
@@ -313,7 +319,7 @@ def test_format_one_checkpoint_rejected_by_name(tmp_path):
     path = tmp_path / "old.ckpt"
     fresh_model(tiny_corpus(2, cfg=cfg), cfg).save(path)
     rewrite_checkpoint(path, lambda header, members: header.update(magic="HGNN-CKPT-1"))
-    with pytest.raises(ValueError, match="HGNN-CKPT-3"):
+    with pytest.raises(ValueError, match="HGNN-CKPT-4"):
         Model.load(path)
 
 
@@ -376,10 +382,10 @@ def test_damaged_member_rejected_by_name(tmp_path):
     path = tmp_path / "model.ckpt"
     model.save(path)
     data = bytearray(path.read_bytes())
-    at = data.index(model.params["dec.gate.w"].values.tobytes())
+    at = data.index(model.params["dec.gate.wes"].values.tobytes())
     data[at + 3] ^= 0x10  # one bit of the stored values, caught by the zip CRC
     path.write_bytes(bytes(data))
-    with pytest.raises(ValueError, match="member 'param/dec.gate.w' is not a readable array"):
+    with pytest.raises(ValueError, match="member 'param/dec.gate.wes' is not a readable array"):
         Model.load(path)
 
 
@@ -389,9 +395,9 @@ def test_fortran_ordered_member_reads_as_its_values(tmp_path):
     path = tmp_path / "model.ckpt"
     model.save(path)
     rewrite_checkpoint(path, lambda header, members: members.update(
-        {"param/dec.gate.w": np.asfortranarray(members["param/dec.gate.w"])}))
-    loaded = Model.load(path).params["dec.gate.w"].values
-    assert np.array_equal(loaded, model.params["dec.gate.w"].values)
+        {"param/dec.gate.wes": np.asfortranarray(members["param/dec.gate.wes"])}))
+    loaded = Model.load(path).params["dec.gate.wes"].values
+    assert np.array_equal(loaded, model.params["dec.gate.wes"].values)
     assert loaded.flags.c_contiguous
 
 
