@@ -66,7 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--speakers", type=int, default=3)
 
-    p = sub.add_parser("train", help="train a model")
+    p = sub.add_parser(
+        "train", help="train a model",
+        description="Train a model. A minibatch's dialogues run in one process per CPU "
+                    "this process may use, forked for the run (taskset -c 0 gives one "
+                    "process); the results do not depend on the process count.")
     p.add_argument("--corpus", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True, help="checkpoint path")

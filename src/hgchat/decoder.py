@@ -4,6 +4,7 @@ encoded graph, and a learned gate that blends the emotion mixture with the
 responding speaker's personality, shared by teacher forcing and search."""
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
@@ -186,9 +187,11 @@ class DecodeState:
         return row_lookup(cache[0], rows), row_lookup(cache[1], rows)
 
 
+@functools.lru_cache(maxsize=256)
 def _hypothesis_mask(width: int, steps: int, heads: int) -> np.ndarray:
     """Boolean (H*W x steps*W) keep mask, one row block per head: query i
-    sees only the cache rows ``≡ i (mod W)``, its own row's tokens."""
+    sees only the cache rows ``≡ i (mod W)``, its own row's tokens;
+    read-only, as calls share it."""
     keep = np.tile(np.eye(width, dtype=bool), (heads, steps))
     keep.flags.writeable = False
     return keep

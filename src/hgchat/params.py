@@ -4,8 +4,10 @@ A checkpoint (format ``HGNN-CKPT-4``) is one uncompressed ``.npz`` archive,
 whatever the suffix of its path, with the members
 
 - ``header``: UTF-8 JSON bytes (uint8) with ``magic``, ``config``,
-  ``vocab``, ``roster``, ``adam_t`` and ``rng_state``, the training
-  generator's ``bit_generator.state`` (null until the model has trained);
+  ``vocab``, ``roster``, ``adam_t`` and ``rng_state``, the
+  ``bit_generator.state`` of the generator that shuffles the training
+  corpus each epoch (null until the model has trained); dropout draws
+  from generators keyed by the Adam step and batch position instead;
 - ``param/<name>``: every tensor ``init_model_params`` makes for the
   config, float64, in its shape, laid out as the forward pass reads it;
 - ``adam_m/<name>`` and ``adam_v/<name>``: Adam's moments of every tensor,
@@ -57,8 +59,9 @@ def xavier_init(shape, seed) -> Tensor:
 
 class ModelParams:
     """Flat name -> tensor map, plus what resuming training needs: the Adam
-    moment buffers and step count, the training generator's state and the
-    epoch order (None until the model has trained)."""
+    moment buffers and step count, the state of the generator that
+    shuffles the epochs and the epoch order (None until the model has
+    trained)."""
 
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}

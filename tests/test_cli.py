@@ -7,6 +7,7 @@ import pytest
 
 from hgchat import cli
 from hgchat import corpus as cp
+from hgchat import training
 from hgchat.cli import run_command
 from hgchat.config import TrainConfig
 from hgchat.diffcore import NumericalError
@@ -75,6 +76,13 @@ def test_gradcheck_command_passes_on_a_tiny_model(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_gradcheck_command_passes_at_its_defaults(monkeypatch, capsys):
+    # the full-model check the command exists for; about 11 s
+    monkeypatch.delenv("HGNN_SEED", raising=False)
+    assert run_command(["gradcheck"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_generate_on_a_format_one_checkpoint_is_a_data_error(ckpt_and_corpus, capsys):
     ckpt, corpus = ckpt_and_corpus
     rewrite_checkpoint(ckpt, lambda header, members: header.update(magic="HGNN-CKPT-1"))
@@ -111,8 +119,8 @@ FORMAT_TWO = {"magic": "HGNN-CKPT-2", "config": {}, "vocab": ["<pad>"], "roster"
     b"\x00\x01 neither an archive nor JSON\n",
     None,  # the first 100 bytes of the checkpoint: a zip cut short
 ], ids=["format-2-json", "not-a-zip", "truncated-zip"])
-def test_generate_on_a_file_that_is_not_format_three_is_a_data_error(ckpt_and_corpus, capsys,
-                                                                     content):
+def test_generate_on_a_file_that_is_not_format_four_is_a_data_error(ckpt_and_corpus, capsys,
+                                                                    content):
     ckpt, corpus = ckpt_and_corpus
     Path(ckpt).write_bytes(Path(ckpt).read_bytes()[:100] if content is None else content)
     assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
@@ -229,6 +237,21 @@ def test_numerical_failure_in_training_exits_three(ckpt_and_corpus, tmp_path, mo
 
     monkeypatch.setattr(cli, "train", diverging)
     assert run_command(["train", "--corpus", corpus, "--out", str(tmp_path / "m.json")]) == 3
+
+
+def test_non_finite_loss_in_a_training_worker_exits_three(ckpt_and_corpus, tmp_path,
+                                                         monkeypatch, capsys):
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    records = cp.load_corpus(ckpt_and_corpus[1])
+    # the second record of the first batch goes to the worker
+    order = training.train(records, TrainConfig(seed=0, epochs=1)).model.params.order
+    records[order[1]].faces[0, :] = 1e308  # finite, but the face FFN overflows
+    corpus = tmp_path / "diverging.jsonl"
+    cp.save_corpus(records, corpus)
+    assert run_command(["train", "--corpus", str(corpus), "--seed", "0", "--epochs", "1",
+                        "--out", str(tmp_path / "m.ckpt")]) == 3
+    assert f"numerical failure: non-finite loss on record {order[1]}" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_generate_on_a_corpus_of_other_face_width_is_a_data_error(ckpt_and_corpus, tmp_path,

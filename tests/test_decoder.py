@@ -218,6 +218,12 @@ def test_batched_step_matches_step_distributions_per_hypothesis(seed, residual):
             assert cache[0].shape == (len(prefixes[0]) * len(prefixes), cfg.d_model)
 
 
+def test_hypothesis_mask_is_built_once_and_read_only():
+    mask = dec._hypothesis_mask(3, 2, 2)
+    assert mask is dec._hypothesis_mask(3, 2, 2) and not mask.flags.writeable
+    assert np.array_equal(mask, np.tile(np.eye(3, dtype=bool), (2, 2)))
+
+
 # --- sequence NLL --------------------------------------------------------------
 
 def test_uniform_model_single_token_nll():

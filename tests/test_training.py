@@ -1,7 +1,11 @@
 import dataclasses
 import io
+import mmap
 import os
 import re
+import subprocess
+import sys
+import threading
 import zipfile
 
 import numpy as np
@@ -34,6 +38,27 @@ def fresh_model(records, cfg):
     vocab = cp.build_vocab(records, cfg.min_count)
     roster = cp.build_roster(records, cfg.z_speakers)
     return Model(cfg, init_model_params(cfg, vocab.size, roster.size), vocab, roster)
+
+
+PROCESS_COUNTS = (1, 2, 3)
+
+
+def pin_processes(monkeypatch, n):
+    """Make ``train`` see ``n`` usable CPUs, and so train in ``n`` processes
+    when a batch holds that many valid dialogues."""
+    monkeypatch.setattr(tr, "usable_cpus", lambda: n)
+
+
+def in_shared_memory(array):
+    """Whether ``array`` is, or is a view into, a memory mapping."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return isinstance(getattr(array, "obj", array), mmap.mmap)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # none running, none unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 # --- xavier ----------------------------------------------------------------
@@ -238,14 +263,16 @@ def test_training_runs_and_logs():
     assert res.log[0].epoch == 1 and res.log[-1].epoch == 3
 
 
-def test_training_deterministic_across_runs():
+def test_training_deterministic_across_runs(monkeypatch):
     cfg = tiny_cfg(epochs=2, dropout=0.1)
     records = tiny_corpus(5, cfg=cfg)
-    r1 = tr.train(records, cfg)
-    r2 = tr.train(records, cfg)
-    assert [s.joint for s in r1.log] == [s.joint for s in r2.log]
-    for name, t in r1.model.params.items():
-        assert np.array_equal(t.values, r2.model.params[name].values), name
+    for procs in PROCESS_COUNTS:
+        pin_processes(monkeypatch, procs)
+        r1 = tr.train(records, cfg)
+        r2 = tr.train(records, cfg)
+        assert [s.joint for s in r1.log] == [s.joint for s in r2.log]
+        for name, t in r1.model.params.items():
+            assert np.array_equal(t.values, r2.model.params[name].values), (procs, name)
 
 
 def test_invalid_record_skipped_and_counted():
@@ -438,25 +465,142 @@ def epoch_losses(log):
 @pytest.mark.parametrize("first", [1, 2])
 @pytest.mark.parametrize("gnn_mode", ["hetero", "homo"])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_resumed_training_equals_uninterrupted_training(tmp_path, seed, gnn_mode, first,
-                                                        via_checkpoint):
-    # train(E) == train(E1) -> save -> load -> train(E - E1), bit for bit
-    cfg = tiny_cfg(epochs=3, dropout=0.1, batch_size=2, gnn_mode=gnn_mode, seed=seed)
-    records = tiny_corpus(5, seed=seed, cfg=cfg)
-    whole = tr.train(records, cfg)
-    part = tr.train(records, dataclasses.replace(cfg, epochs=first))
-    model = part.model
-    if via_checkpoint:
-        model.save(tmp_path / "part.ckpt")
-        model = Model.load(tmp_path / "part.ckpt")
-    rest = tr.train(records, dataclasses.replace(cfg, epochs=cfg.epochs - first), model=model)
-    assert epoch_losses(part.log) + epoch_losses(rest.log) == epoch_losses(whole.log)
-    want, got = whole.model.params, rest.model.params
-    assert got.adam_t == want.adam_t
-    for name, t in want.items():
-        assert np.array_equal(t.values, got[name].values), name
-        assert np.array_equal(want.adam_m[name], got.adam_m[name]), name
-        assert np.array_equal(want.adam_v[name], got.adam_v[name]), name
+def test_resumed_training_equals_uninterrupted_training(tmp_path, monkeypatch, seed, gnn_mode,
+                                                        first, via_checkpoint):
+    # train(E) == train(E1) -> save -> load -> train(E - E1), bit for bit, in
+    # batches as wide as the process count, so that every process takes part
+    for procs in PROCESS_COUNTS:
+        pin_processes(monkeypatch, procs)
+        cfg = tiny_cfg(epochs=3, dropout=0.1, batch_size=max(2, procs), gnn_mode=gnn_mode,
+                       seed=seed)
+        records = tiny_corpus(5, seed=seed, cfg=cfg)
+        whole = tr.train(records, cfg)
+        part = tr.train(records, dataclasses.replace(cfg, epochs=first))
+        model = part.model
+        if via_checkpoint:
+            model.save(tmp_path / "part.ckpt")
+            model = Model.load(tmp_path / "part.ckpt")
+        rest = tr.train(records, dataclasses.replace(cfg, epochs=cfg.epochs - first),
+                        model=model)
+        assert epoch_losses(part.log) + epoch_losses(rest.log) == epoch_losses(whole.log)
+        want, got = whole.model.params, rest.model.params
+        assert got.adam_t == want.adam_t
+        for name, t in want.items():
+            assert np.array_equal(t.values, got[name].values), (procs, name)
+            assert np.array_equal(want.adam_m[name], got.adam_m[name]), (procs, name)
+            assert np.array_equal(want.adam_v[name], got.adam_v[name]), (procs, name)
+
+
+def trained_state(result):
+    params = result.model.params
+    return (epoch_losses(result.log), params.adam_t,
+            {name: (t.values, params.adam_m[name], params.adam_v[name])
+             for name, t in params.items()})
+
+
+def assert_same_state(a, b):
+    assert a[:2] == b[:2]
+    for name, arrays in a[2].items():
+        assert all(np.array_equal(x, y) for x, y in zip(arrays, b[2][name])), name
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_training_is_bit_identical_for_any_process_count(monkeypatch, dropout):
+    # 7 records in batches of 4, one invalid: the batches hold 3 and 3, or
+    # 4 and 2, valid dialogues, so a worker sits out a batch's last deal
+    cfg = tiny_cfg(epochs=3, batch_size=4, dropout=dropout)
+    records = tiny_corpus(7, seed=3, cfg=cfg)
+    records[4].speakers = records[4].speakers[:-1]
+    results = {}
+    for n in PROCESS_COUNTS:
+        pin_processes(monkeypatch, n)
+        model = fresh_model(records, cfg)
+        shared = []
+        results[n] = tr.train(records, cfg, model=model, log_fn=lambda stats: shared.append(
+            all(in_shared_memory(t.values) for t in model.params.values())))
+        assert shared == [n > 1] * cfg.epochs
+        assert_no_child_left()
+        # private arrays again, not views into the mapping the workers shared
+        assert not any(in_shared_memory(t.values) for t in results[n].model.params.values())
+    assert [s.skipped for s in results[1].log] == [1, 1, 1]
+    for n in PROCESS_COUNTS[1:]:
+        assert_same_state(trained_state(results[1]), trained_state(results[n]))
+
+
+def test_process_count_is_one_per_usable_cpu_within_a_batch(monkeypatch):
+    monkeypatch.setattr(tr, "usable_cpus", lambda: 8)
+    assert tr.process_count(batch_size=16, n_valid=100) == 8
+    assert tr.process_count(batch_size=3, n_valid=100) == 3
+    assert tr.process_count(batch_size=16, n_valid=5) == 5
+    assert tr.process_count(batch_size=16, n_valid=0) == 1
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:  # a fork would copy the other thread's locks mid-step
+        assert tr.process_count(batch_size=16, n_valid=100) == 1
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+def test_usable_cpus_is_one_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert tr.usable_cpus() == 1
+
+
+def test_one_dialogue_trains_without_forking_or_loading_multiprocessing():
+    # perfbench warms up on one dialogue, and its set-up time must not pay
+    # for the import
+    script = ("import sys\n"
+              "from hgchat import corpus, training\n"
+              "from hgchat.config import TrainConfig\n"
+              "training.usable_cpus = lambda: 4\n"
+              "records = corpus.synthesize_corpus(1, seed=0, max_turns=2)\n"
+              "training.train(records, TrainConfig(epochs=1))\n"
+              "assert 'multiprocessing' not in sys.modules\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=120)
+
+
+def record_dealt_to_a_worker(records, cfg):
+    """Index of the record a second process takes first: the second of the
+    first batch in epoch 1, whose order a one-epoch run stores."""
+    order = tr.train(records, dataclasses.replace(cfg, epochs=1)).model.params.order
+    return int(order[1])
+
+
+def diverge(record):
+    record.faces[0, :] = 1e308  # finite, but the face FFN overflows
+
+
+def test_non_finite_loss_in_a_worker_is_raised_in_the_parent(monkeypatch):
+    pin_processes(monkeypatch, 2)
+    cfg = tiny_cfg(epochs=1, batch_size=4)
+    records = tiny_corpus(4, seed=1, cfg=cfg)
+    bad = record_dealt_to_a_worker(records, cfg)
+    diverge(records[bad])
+    model = fresh_model(records, cfg)
+    with pytest.raises(dc.NumericalError, match=f"^non-finite loss on record {bad}$"):
+        tr.train(records, cfg, model=model)
+    assert_no_child_left()
+    assert not any(in_shared_memory(t.values) for t in model.params.values())
+
+
+def test_interrupted_training_leaves_no_worker(monkeypatch):
+    pin_processes(monkeypatch, 3)
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(tr, "adam_step", interrupt)
+    cfg = tiny_cfg(epochs=1)
+    records = tiny_corpus(4, cfg=cfg)
+    model = fresh_model(records, cfg)
+    with pytest.raises(KeyboardInterrupt):
+        tr.train(records, cfg, model=model)
+    assert_no_child_left()
+    assert not any(in_shared_memory(t.values) for t in model.params.values())
 
 
 # --- full-model gradient coverage --------------------------------------------------
