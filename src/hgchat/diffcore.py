@@ -7,7 +7,12 @@ kinds registered here. Design points:
 - recording happens on a thread-local tape, so independent evaluations
   may run concurrently with one tape each;
 - with no tape active, primitives just compute values (the fast path used
-  by generation and by the numeric side of gradient checks);
+  by generation, evaluation and the numeric side of gradient checks). A
+  process-wide count of active recordings gates the tape lookup: while no
+  thread records, a primitive touches no thread-local state;
+- every forward returns a C-contiguous 2-D float64 array, and the output
+  tensor is built from it unchecked; ``Tensor()`` checks and converts
+  data that comes from outside;
 - a tape is a list of primitive applications; the reverse sweep keys
   gradients by tensor identity and adds them into the ``grad`` buffers
   of the leaves that require one at the end.
@@ -82,6 +87,11 @@ class Tensor:
 # hold every tensor they touch, which keeps ``id(tensor)`` unique for as
 # long as the tape lives; the reverse sweep keys its gradients by it.
 _STATE = threading.local()
+# Recordings active on all threads. A thread that records has raised it
+# before its first primitive, so it always finds its own tape; while it is
+# 0, no primitive looks a tape up.
+_recordings = 0
+_recordings_lock = threading.Lock()
 
 
 def _active_tape() -> list | None:
@@ -92,14 +102,19 @@ def _active_tape() -> list | None:
 @contextmanager
 def recording() -> Iterator[list]:
     """Make a fresh tape the active one on this thread; recordings nest."""
+    global _recordings
     tape: list[tuple] = []
     stack = getattr(_STATE, "tapes", None)
     if stack is None:
         stack = _STATE.tapes = []
     stack.append(tape)
+    with _recordings_lock:
+        _recordings += 1
     try:
         yield tape
     finally:
+        with _recordings_lock:
+            _recordings -= 1
         stack.pop()
 
 
@@ -199,7 +214,7 @@ def _bwd_concat_rows(arrays, meta, out, g):
 
 
 def _fwd_transpose(arrays, meta):
-    return arrays[0].T
+    return np.ascontiguousarray(arrays[0].T)
 
 
 def _bwd_transpose(arrays, meta, out, g):
@@ -356,15 +371,20 @@ _register("dropout", _fwd_dropout, _bwd_dropout)
 
 
 def apply_primitive(kind: str, inputs: tuple[Tensor, ...], **meta) -> Tensor:
-    """Apply one primitive; record it if a tape is active."""
+    """Apply one primitive; record it if a tape is active on this thread."""
     prim = _PRIMS.get(kind)
     if prim is None:
         raise ValueError(f"unknown primitive kind: {kind!r}")
-    arrays = [t.values for t in inputs]
-    out = Tensor(prim.forward(arrays, meta))
-    tape = _active_tape()
-    if tape is not None:
-        tape.append((kind, inputs, out, meta))
+    # the forward's array is already C-contiguous 2-D float64: no Tensor() checks
+    out = object.__new__(Tensor)
+    out.values = prim.forward([t.values for t in inputs], meta)
+    out.requires_grad = False
+    out.grad = None
+    out.name = None
+    if _recordings:
+        tape = _active_tape()
+        if tape is not None:
+            tape.append((kind, inputs, out, meta))
     return out
 
 

@@ -39,9 +39,10 @@ def utterance_token_ids(record: DialogueRecord, vocab: Vocab, max_len: int) -> l
 
 
 def _lstm_pre(params: ModelParams, gate: str, x: Tensor, h: Tensor | None) -> Tensor:
-    """One gate's pre-activation ``x W + b + h U``; no ``h U`` from the zero state."""
+    """One gate's pre-activation ``h U + (x W + b)``, with ``x W + b`` as the
+    per-row bias of one affine; no ``h U`` from the zero state."""
     pre = affine(x, params[f"enc.lstm.w{gate}"], params[f"enc.lstm.b{gate}"])
-    return pre if h is None else add(pre, matmul(h, params[f"enc.lstm.u{gate}"]))
+    return pre if h is None else affine(h, params[f"enc.lstm.u{gate}"], pre)
 
 
 def lstm_last_hidden(params: ModelParams, token_rows: list[list[int]]) -> Tensor:

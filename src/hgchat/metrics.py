@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -149,10 +150,16 @@ def emotion_weighted_f1(predictions: list[str], golds: list[str]
 
 def evaluate(model: Model, records: list[DialogueRecord]) -> EvalReport:
     """Full report: PPL, diversity and BLEU of greedy responses, and the
-    emotion predictor's weighted F1 against the gold next emotions."""
+    emotion predictor's weighted F1 against the gold next emotions.
+
+    ``counts`` also holds how many responses hit the length cap, as a
+    number and a rate, and the min, median and max response length in
+    tokens (EOS not counted; 0 with no records)."""
     ppl = perplexity(model, records)
     outputs = model.generate_many(records)
     generated = [tokens for tokens, _ in outputs]
+    truncated = sum(cut for _, cut in outputs)
+    lengths = [len(tokens) for tokens in generated] or [0]
     refs = [tokenize(rec.response) for rec in records]
     preds = [model.predict_label(rec) for rec in records]
     golds = [rec.response_emotion for rec in records]
@@ -168,6 +175,10 @@ def evaluate(model: Model, records: list[DialogueRecord]) -> EvalReport:
         per_class=per_class,
         counts={"dialogues": len(records),
                 "generated_tokens": sum(len(g) for g in generated),
-                "truncated": sum(truncated for _, truncated in outputs),
+                "truncated": truncated,
+                "truncation_rate": truncated / len(records) if records else 0.0,
+                "response_len_min": min(lengths),
+                "response_len_median": statistics.median(lengths),
+                "response_len_max": max(lengths),
                 "emotion_accuracy": accuracy},
     )

@@ -122,13 +122,20 @@ def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int,
     transposes of 7 x d and V x d draws.
     """
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    return _build_params(cfg, vocab_size, roster_size,
+                         lambda rows, cols: xavier_init((rows, cols), rng).values)
+
+
+def _build_params(cfg: TrainConfig, vocab_size: int, roster_size: int, draw) -> ModelParams:
+    """The tensors of ``init_model_params``, each matrix block taken from
+    ``draw(rows, cols)`` in draw order; the one layout of the parameters."""
     params = ModelParams()
 
     def mat(name, rows, cols):
-        params.add(name, xavier_init((rows, cols), rng))
+        params.add(name, draw(rows, cols))
 
     def mat_t(name, rows, cols):  # a rows x cols draw, stored transposed
-        params.add(name, xavier_init((rows, cols), rng).values.T)
+        params.add(name, draw(rows, cols).T)
 
     def bias(name, cols):
         params.add(name, np.zeros((1, cols)))
@@ -137,7 +144,7 @@ def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int,
     head_dim = d // cfg.heads
 
     def attention(prefix, d_in):
-        draws = [xavier_init((d_in, head_dim), rng).values for _ in range(3 * cfg.heads)]
+        draws = [draw(d_in, head_dim) for _ in range(3 * cfg.heads)]
         for p, proj in enumerate(("wq", "wk", "wv")):
             params.add(f"{prefix}.{proj}", np.concatenate(draws[p::3], axis=1))
         mat(f"{prefix}.wo", d, d)
@@ -159,7 +166,7 @@ def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int,
     for layer in range(cfg.gnn_layers):
         if cfg.gnn_mode == "hetero":
             params.add(f"enc.gnn.l{layer}.w", np.concatenate(
-                [xavier_init((d, d), rng).values for _ in NODE_TYPES], axis=0))
+                [draw(d, d) for _ in NODE_TYPES], axis=0))
             # five bias rows, summed in the forward pass: one row would get
             # their summed gradient, which Adam rescales, so its steps differ
             params.add(f"enc.gnn.l{layer}.b", np.zeros((len(NODE_TYPES), d)))
@@ -179,7 +186,7 @@ def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int,
     bias("dec.ffn.b1", d)
     mat("dec.ffn.w2", d, d)
     bias("dec.ffn.b2", d)
-    w_o, w_es = np.split(xavier_init((3 * d, d), rng).values, [d])
+    w_o, w_es = np.split(draw(3 * d, d), [d])
     params.add("dec.gate.wo", w_o)
     params.add("dec.gate.wes", w_es)
     bias("dec.gate.b", d)
@@ -317,7 +324,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, TrainConfig, Vocab, 
                          f"{exc}") from None
     vocab = Vocab(fields["vocab"])
     roster = SpeakerRoster(fields["roster"])
-    layout = init_model_params(cfg, vocab.size, roster.size)
+    # zeros for values: the stored values replace them, so a draw would be wasted
+    layout = _build_params(cfg, vocab.size, roster.size, lambda rows, cols: np.zeros((rows, cols)))
     order = members.pop("order", None)
     stored: dict[str, dict[str, np.ndarray]] = {"param": {}, "adam_m": {}, "adam_v": {}}
     for member, values in members.items():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -415,3 +417,179 @@ def test_grad_check_reports_nonfinite_with_param_name():
 
     with np.errstate(all="ignore"), pytest.raises(dc.NumericalError, match="theta"):
         dc.grad_check(loss, {"theta": theta}, eps=1e-5)
+
+
+# --- the no-tape fast path -----------------------------------------------
+
+def prim_cases() -> list[tuple[str, tuple[np.ndarray, ...], dict]]:
+    """One or more (kind, input arrays, meta) applications of every kind."""
+    rng = np.random.default_rng(12)
+
+    def m(rows, cols):
+        return rng.standard_normal((rows, cols))
+
+    def keep(rows, cols):
+        mask = rng.random((rows, cols)) < 0.5
+        mask[:, 0] = True  # every row keeps one
+        return mask
+
+    probs = dc.softmax_rows(dc.Tensor(m(3, 4))).values
+    return [
+        ("matmul", (m(3, 4), m(4, 2)), {}),
+        ("add", (m(3, 4), m(3, 4)), {}),
+        ("elem_mul", (m(3, 4), m(3, 4)), {}),
+        ("scale", (m(3, 4),), {"alpha": -1.5}),
+        ("concat_cols", (m(3, 2), m(3, 5), m(3, 1)), {}),
+        ("concat_rows", (m(2, 3), m(4, 3)), {}),
+        ("transpose", (m(3, 5),), {}),
+        ("transpose", (m(1, 4),), {}),  # its transpose is a contiguous view
+        ("sigmoid", (m(3, 4),), {}),
+        ("relu", (m(3, 4),), {}),
+        ("tanh", (m(3, 4),), {}),
+        ("softmax_rows", (m(3, 5),), {"keep": None}),
+        ("softmax_rows", (m(3, 5),), {"keep": keep(3, 5)}),
+        ("softmax_rows", (m(64, 80),), {"keep": keep(64, 80)}),  # the gather path
+        ("mean_rows", (m(4, 3),), {}),
+        ("row_lookup", (m(5, 3),), {"indices": np.array([2, 0, 2, 2], dtype=np.intp)}),
+        ("affine", (m(3, 4), m(4, 2), m(1, 2)), {}),
+        ("affine", (m(3, 4), m(4, 2), m(3, 2)), {}),
+        ("log", (np.abs(m(3, 4)) + 0.5,), {}),
+        ("neg_pick", (probs,), {"indices": np.array([0, 3, 1], dtype=np.intp)}),
+        ("dropout", (m(3, 4),), {"mask": (rng.random((3, 4)) >= 0.5) / 0.5}),
+    ]
+
+
+def test_prim_cases_cover_every_kind():
+    assert {kind for kind, _, _ in prim_cases()} == set(dc._PRIMS)
+    assert dc._GATHER_MIN <= 64 * 80
+
+
+@pytest.mark.parametrize("case", prim_cases(), ids=lambda c: c[0])
+def test_forward_output_is_c_contiguous_2d_float64(case):
+    # apply_primitive builds its output from the forward's array unchecked
+    kind, arrays, meta = case
+    out = dc.apply_primitive(kind, tuple(dc.Tensor(a) for a in arrays), **meta)
+    assert out.values.ndim == 2 and out.values.dtype == np.float64
+    assert out.values.flags.c_contiguous
+    assert (out.requires_grad, out.grad, out.name) == (False, None, None)
+
+
+@pytest.mark.parametrize("case", prim_cases(), ids=lambda c: c[0])
+def test_every_backward_delta_has_its_inputs_shape(case):
+    kind, arrays, meta = case
+    out = dc._PRIMS[kind].forward(list(arrays), meta)
+    g = np.random.default_rng(13).standard_normal(out.shape)
+    deltas = dc._PRIMS[kind].backward(list(arrays), meta, out, g)
+    assert [d.shape for d in deltas] == [a.shape for a in arrays]
+
+
+def test_recording_threads_keep_their_own_tapes_beside_untaped_threads():
+    rng = np.random.default_rng(14)
+    w0, x0 = rng.standard_normal((4, 4)) / 2.0, rng.standard_normal((3, 4))
+    a = dc.Tensor(rng.standard_normal((2, 2)))
+
+    def recorded():
+        w = dc.Tensor(w0, requires_grad=True, name="w")
+        with dc.recording() as tape:
+            h = dc.Tensor(x0)
+            for _ in range(40):
+                h = dc.tanh(dc.matmul(h, w))
+            loss = dc.matmul(dc.matmul(dc.Tensor(np.ones((1, 3))), h),
+                             dc.Tensor(np.ones((4, 1))))
+            kinds = [kind for kind, *_ in tape]
+            dc.backward(loss)
+        return kinds, w.grad
+
+    alone = recorded()
+    assert len(alone[0]) == 82
+    stop = threading.Event()
+    untaped, runs = [0, 0], []
+
+    def untaped_loop(k):
+        while not stop.is_set():
+            dc.relu(dc.add(a, a))
+            untaped[k] += 2
+
+    def recorder():
+        for _ in range(15):
+            runs.append(recorded())
+
+    untaped_threads = [threading.Thread(target=untaped_loop, args=(k,)) for k in range(2)]
+    recorders = [threading.Thread(target=recorder) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads every few primitives
+    try:
+        for t in untaped_threads + recorders:
+            t.start()
+        for t in recorders:
+            t.join(timeout=60)
+    finally:
+        stop.set()
+        for t in untaped_threads:
+            t.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in untaped_threads + recorders)
+    assert all(untaped) and len(runs) == 30
+    for kinds, grad in runs:
+        assert kinds == alone[0]
+        assert grad.tobytes() == alone[1].tobytes()
+    assert dc._recordings == 0
+
+
+def test_the_recording_count_returns_to_zero():
+    assert dc._recordings == 0
+    with dc.recording():
+        with dc.recording():
+            assert dc._recordings == 2
+        assert dc._recordings == 1
+    assert dc._recordings == 0
+    with pytest.raises(KeyError):
+        with dc.recording():
+            with dc.recording():
+                raise KeyError("inside")
+    assert dc._recordings == 0 and dc._active_tape() is None
+
+
+def wrapper_calls() -> dict:
+    """One call of each thin wrapper, by the kind it applies."""
+    rng = np.random.default_rng(15)
+    a, b = dc.Tensor(rng.standard_normal((3, 3))), dc.Tensor(rng.standard_normal((3, 3)))
+    p = dc.softmax_rows(a)
+    return {
+        "matmul": lambda: dc.matmul(a, b),
+        "add": lambda: dc.add(a, b),
+        "elem_mul": lambda: dc.elem_mul(a, b),
+        "scale": lambda: dc.scale(a, 2.0),
+        "concat_cols": lambda: dc.concat_cols(a, b),
+        "concat_rows": lambda: dc.concat_rows(a, b),
+        "transpose": lambda: dc.transpose(a),
+        "sigmoid": lambda: dc.sigmoid(a),
+        "relu": lambda: dc.relu(a),
+        "tanh": lambda: dc.tanh(a),
+        "softmax_rows": lambda: dc.softmax_rows(a),
+        "mean_rows": lambda: dc.mean_rows(a),
+        "row_lookup": lambda: dc.row_lookup(a, [1, 1]),
+        "affine": lambda: dc.affine(a, b, dc.Tensor(np.ones((1, 3)))),
+        "log": lambda: dc.log(p),
+        "neg_pick": lambda: dc.neg_pick(p, [0, 1, 2]),
+        "dropout": lambda: dc.dropout(a, 0.5, np.random.default_rng(0)),
+    }
+
+
+def test_every_wrapper_dispatches_through_the_module_level_apply_primitive(monkeypatch):
+    # perfbench counts primitives at this one point; a wrapper that
+    # dispatched on its own would drop out of the traced counts
+    calls = wrapper_calls()
+    assert set(calls) == set(dc._PRIMS)
+    seen = []
+    real = dc.apply_primitive
+
+    def counting(kind, inputs, **meta):
+        seen.append(kind)
+        return real(kind, inputs, **meta)
+
+    monkeypatch.setattr(dc, "apply_primitive", counting)
+    for kind, call in calls.items():
+        seen.clear()
+        call()
+        assert seen == [kind]

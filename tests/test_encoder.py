@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,23 @@ def test_lstm_matches_zero_state_recurrence():
     want = lstm_final_states(params["enc.word_emb"].values, rows, *weights)
     got = enc.lstm_last_hidden(params, rows).values
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_lstm_records_one_affine_per_gate_and_step():
+    # step 0 skips the recurrent terms: a lookup, three affines, two sigmoids,
+    # a tanh and a product for c, a tanh and a product for h (10); a later
+    # step is a lookup, two affines per gate (x W + b, then h U on top of
+    # it as a per-row bias), three sigmoids, a tanh, c = f*c + i*g and
+    # h = o*tanh(c) (18); then one concat_rows and one row_lookup
+    cfg = tiny_cfg()
+    params = init_model_params(cfg, 7, 3)
+    rows = [[4, 5], [4, 5, 6, 6], [6]]  # ragged: 4 steps
+    with dc.recording() as tape:
+        enc.lstm_last_hidden(params, rows)
+        kinds = Counter(kind for kind, *_ in tape)
+    assert sum(kinds.values()) == 10 + 3 * 18 + 2
+    assert kinds == {"row_lookup": 5, "affine": 3 + 3 * 8, "sigmoid": 2 + 3 * 3,
+                     "tanh": 2 * 4, "elem_mul": 2 + 3 * 3, "add": 3, "concat_rows": 1}
 
 
 # --- modality projection ----------------------------------------------------

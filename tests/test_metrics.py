@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -184,6 +185,28 @@ def test_evaluate_counts_truncated_generations():
     assert report.counts["truncated"] == len(records)
     assert report.counts["generated_tokens"] == len(records) * model.cfg.max_len
     assert f"count_truncated: {len(records)}" in report.to_text()
+
+
+def test_evaluate_reports_truncation_rate_and_response_lengths(monkeypatch):
+    model, records = uniform_model(50)
+    capped = mx.evaluate(model, records).counts  # every response runs to the cap
+    assert capped["truncation_rate"] == 1.0
+    assert (capped["response_len_min"] == capped["response_len_median"]
+            == capped["response_len_max"] == model.cfg.max_len)
+    empty = mx.evaluate(model, []).counts
+    assert [empty[k] for k in ("truncation_rate", "response_len_min", "response_len_median",
+                               "response_len_max")] == [0.0, 0, 0, 0]
+
+    outputs = [(["a"] * 3, False), ([], False), (["b"] * 7, True), (["c"] * 4, False)]
+    monkeypatch.setattr(Model, "generate_many", lambda self, recs: outputs)
+    report = mx.evaluate(model, records)
+    want = {"truncated": 1, "truncation_rate": 0.25, "response_len_min": 0,
+            "response_len_median": 3.5, "response_len_max": 7}
+    assert {k: report.counts[k] for k in want} == want
+    lines = report.to_text().splitlines()
+    assert all(f"count_{k}: {v}" in lines for k, v in want.items())
+    head = json.loads(report.to_json_lines().splitlines()[0])
+    assert {k: head["counts"][k] for k in want} == want
 
 
 def eos_model(seed, n_records):
