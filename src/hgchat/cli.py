@@ -94,7 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="respond as this speaker (default: each record's)")
     p.add_argument("--beam", type=int, default=None, metavar="K")
 
-    p = sub.add_parser("eval", help="write an evaluation report")
+    p = sub.add_parser(
+        "eval", help="write an evaluation report",
+        description="Write an evaluation report. The records are scored in one process per "
+                    "CPU this process may use, forked for the run (taskset -c 0 gives one "
+                    "process); the report does not depend on the process count.")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--report", required=True)

@@ -325,12 +325,14 @@ def synthesize_corpus(n_dialogues: int, n_speakers: int = 3, seed: int = 0,
         audios[:-1] *= _HISTORY_SIGNAL_SCALE
         faces[-1], audios[-1] = _draw_label_bearing_pair(rng, face_dim, audio_dim)
         label = planted_label(faces[-1], audios[-1])
-        who = [speakers[int(rng.integers(n_speakers))] for _ in range(n)]
+        # one integers() call of size n draws what n scalar calls would
+        who = [speakers[i] for i in rng.integers(n_speakers, size=n)]
         next_speaker = speakers[int(rng.integers(n_speakers))]
         records.append(DialogueRecord(
-            utterances=[" ".join(rng.choice(_WORD_POOL, size=rng.integers(3, 7)))
+            utterances=[" ".join(_WORD_POOL[rng.integers(len(_WORD_POOL),
+                                                         size=rng.integers(3, 7))])
                         for _ in range(n)],
-            emotions=[EMOTIONS[int(rng.integers(len(EMOTIONS)))] for _ in range(n)],
+            emotions=[EMOTIONS[i] for i in rng.integers(len(EMOTIONS), size=n)],
             speakers=who,
             next_speaker=next_speaker,
             response=_RESPONSE_TEMPLATES[label].format(s=next_speaker),

@@ -172,13 +172,15 @@ def usable_cpus() -> int:
     return len(getaffinity(0)) if getaffinity is not None else 1
 
 
-def process_count(batch_size: int, n_valid: int) -> int:
-    """Processes that share each batch: one per usable CPU, no more than a
-    batch's valid dialogues, and one while another thread runs, since a
-    fork would copy that thread's locks in whatever state they are."""
+def process_count(*caps: int) -> int:
+    """Processes that share a piece of independent work (a batch's
+    dialogues in ``train``, the lockstep groups in ``metrics.evaluate``):
+    one per usable CPU, no more than the least of ``caps``, and one while
+    another thread runs, since a fork would copy that thread's locks in
+    whatever state they are."""
     if threading.active_count() > 1:
         return 1
-    return max(1, min(usable_cpus(), batch_size, n_valid))
+    return max(1, min(usable_cpus(), *caps))
 
 
 def _dialogue(model: Model, records: list[DialogueRecord], idx: int,

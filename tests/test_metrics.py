@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 from hgchat import corpus as cp
 from hgchat import decoder as dec
 from hgchat import metrics as mx
+from hgchat import training as tr
 from hgchat.config import TrainConfig
 from hgchat.model import Model
 from hgchat.params import init_model_params
@@ -239,3 +244,169 @@ def test_evaluate_report_equals_one_from_per_record_generate(monkeypatch):
                         lambda self, recs: [self.generate(rec) for rec in recs])
     assert mx.evaluate(model, records) == batched
     assert 0 < batched.counts["truncated"] < len(records)
+
+
+# --- per-class perplexity ----------------------------------------------------------
+
+def test_per_class_perplexity_pools_the_records_of_each_gold_emotion(monkeypatch):
+    model, records = uniform_model(50)
+    for rec, label in zip(records, ["joy", "anger", "joy", "joy"]):
+        rec.response_emotion = label
+    stats = dict(zip(map(id, records), [(2.0, 1), (4.0, 3), (3.0, 2), (6.0, 2)]))
+    monkeypatch.setattr(Model, "sequence_stats", lambda self, rec: stats[id(rec)])
+    report = mx.evaluate(model, records)
+    assert report.ppl == mx.perplexity(model, records) == math.exp(15.0 / 8)
+    ppl = {cs.label: cs.ppl for cs in report.per_class}
+    assert ppl == {**dict.fromkeys(cp.EMOTIONS), "joy": math.exp(11.0 / 5),
+                   "anger": math.exp(4.0 / 3)}
+    rows = [json.loads(line) for line in report.to_json_lines().splitlines()[1:]]
+    assert {row["class"]: row["ppl"] for row in rows} == ppl
+    lines = report.to_text().splitlines()
+    assert "per_class: label precision recall f1 support ppl" in lines
+    assert sum(line.endswith(" null") for line in lines) == len(cp.EMOTIONS) - 2
+    assert math.isnan(mx.pooled_perplexity([]))
+
+
+# --- evaluate in several processes -------------------------------------------------
+
+PROCESS_COUNTS = (1, 2, 3)
+
+
+def pin_processes(monkeypatch, n):
+    """Make ``evaluate`` see ``n`` usable CPUs, and so score in ``n``
+    processes when the records make that many lockstep groups."""
+    monkeypatch.setattr(tr, "usable_cpus", lambda: n)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # none running, none unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_scoring_processes(monkeypatch, tmp_path):
+    """Leave a file named by its pid in ``tmp_path`` from each process that
+    scores a group; returns a function that counts the pids."""
+    score_group = mx._score_group
+
+    def marked(model, group):
+        (tmp_path / str(os.getpid())).touch()
+        return score_group(model, group)
+
+    monkeypatch.setattr(mx, "_score_group", marked)
+
+    def count():
+        n = len(list(tmp_path.iterdir()))
+        for path in tmp_path.iterdir():
+            path.unlink()
+        return n
+    return count
+
+
+def test_evaluate_report_is_the_same_for_any_process_count(monkeypatch, tmp_path):
+    model, records = eos_model(2, 2 * dec.GREEDY_GROUP + 3)  # three groups
+    processes = count_scoring_processes(monkeypatch, tmp_path)
+    reports = {}
+    for n in PROCESS_COUNTS:
+        pin_processes(monkeypatch, n)
+        reports[n] = mx.evaluate(model, records)
+        assert processes() == n
+        assert_no_child_left()
+    assert reports[2] == reports[1] and reports[3] == reports[1]
+    assert 0 < reports[1].counts["truncated"] < len(records)
+
+
+def test_one_group_evaluates_in_one_process(monkeypatch, tmp_path):
+    model, records = eos_model(2, dec.GREEDY_GROUP)
+    processes = count_scoring_processes(monkeypatch, tmp_path)
+    pin_processes(monkeypatch, 4)
+    mx.evaluate(model, records)
+    assert processes() == 1
+
+
+def test_one_group_evaluates_without_loading_multiprocessing():
+    # perfbench warms up on one record, and its set-up time must not pay
+    # for the import
+    script = ("import sys\n"
+              "from hgchat import corpus, metrics, training\n"
+              "from hgchat.config import TrainConfig\n"
+              "from hgchat.model import Model\n"
+              "from hgchat.params import init_model_params\n"
+              "training.usable_cpus = lambda: 4\n"
+              "cfg = TrainConfig(max_len=4)\n"
+              "records = corpus.synthesize_corpus(8, seed=0, max_turns=2)\n"
+              "vocab = corpus.build_vocab(records)\n"
+              "roster = corpus.build_roster(records, cfg.z_speakers)\n"
+              "params = init_model_params(cfg, vocab.size, roster.size)\n"
+              "metrics.evaluate(Model(cfg, params, vocab, roster), records)\n"
+              "assert 'multiprocessing' not in sys.modules\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=120)
+
+
+def test_error_in_a_child_is_raised_in_the_parent_as_in_one_process(monkeypatch):
+    model, records = eos_model(2, 3 * dec.GREEDY_GROUP)
+    # the first fault in record order sits in group 1, which a second
+    # process scores; group 2's, which the parent scores, comes later
+    child = records[dec.GREEDY_GROUP + 1]
+    child.speakers = child.speakers[:-1]
+    parent = records[2 * dec.GREEDY_GROUP]
+    parent.emotions = parent.emotions[:-1]
+    raised = {}
+    for n in (1, 2):
+        pin_processes(monkeypatch, n)
+        with pytest.raises(Exception) as info:
+            mx.evaluate(model, records)
+        raised[n] = (info.type, str(info.value))
+        assert_no_child_left()
+    assert raised[1][0] is cp.RecordError and raised[1][1].startswith("speakers:")
+    assert raised[2] == raised[1]
+
+
+def test_a_child_that_dies_is_reported(monkeypatch):
+    model, records = eos_model(2, 2 * dec.GREEDY_GROUP)
+    parent_pid = os.getpid()
+    score_group = mx._score_group
+
+    def die_in_child(model, group):
+        if os.getpid() != parent_pid:
+            os._exit(3)
+        return score_group(model, group)
+
+    monkeypatch.setattr(mx, "_score_group", die_in_child)
+    pin_processes(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"^evaluation process 1 ended \(exit code 3\)"):
+        mx.evaluate(model, records)
+    assert_no_child_left()
+
+
+def test_interrupted_evaluation_leaves_no_child(monkeypatch):
+    model, records = eos_model(2, 3 * dec.GREEDY_GROUP)
+    parent_pid = os.getpid()
+    score_group = mx._score_group
+
+    def interrupt_parent(model, group):
+        if os.getpid() == parent_pid:
+            raise KeyboardInterrupt
+        return score_group(model, group)
+
+    monkeypatch.setattr(mx, "_score_group", interrupt_parent)
+    pin_processes(monkeypatch, 3)
+    with pytest.raises(KeyboardInterrupt):
+        mx.evaluate(model, records)
+    assert_no_child_left()
+
+
+def test_nothing_forks_while_another_thread_runs(monkeypatch, tmp_path):
+    model, records = eos_model(2, 3 * dec.GREEDY_GROUP)
+    processes = count_scoring_processes(monkeypatch, tmp_path)
+    pin_processes(monkeypatch, 3)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:  # a fork would copy the other thread's locks mid-step
+        mx.evaluate(model, records)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert processes() == 1

@@ -529,15 +529,15 @@ def test_training_is_bit_identical_for_any_process_count(monkeypatch, dropout):
 
 def test_process_count_is_one_per_usable_cpu_within_a_batch(monkeypatch):
     monkeypatch.setattr(tr, "usable_cpus", lambda: 8)
-    assert tr.process_count(batch_size=16, n_valid=100) == 8
-    assert tr.process_count(batch_size=3, n_valid=100) == 3
-    assert tr.process_count(batch_size=16, n_valid=5) == 5
-    assert tr.process_count(batch_size=16, n_valid=0) == 1
+    assert tr.process_count(16, 100) == 8
+    assert tr.process_count(3, 100) == 3
+    assert tr.process_count(16, 5) == 5
+    assert tr.process_count(16, 0) == 1
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
     try:  # a fork would copy the other thread's locks mid-step
-        assert tr.process_count(batch_size=16, n_valid=100) == 1
+        assert tr.process_count(16, 100) == 1
     finally:
         stop.set()
         other.join(timeout=10)
