@@ -233,41 +233,51 @@ def beam_decode(h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
     """Length-normalized beam search of up to ``cfg.max_len`` tokens;
     width 1 reproduces greedy decoding.
 
-    A hypothesis is (ids, log-probability). All live hypotheses step in one
-    ``DecodeState.step`` call, their caches held step-major. Each of the
-    W_old hypotheses proposes its ``width`` best tokens; the best ``width``
-    children overall survive or finish on EOS, and ``DecodeState.reorder``
-    gathers each survivor's parent's cache rows, ``s*W_old + parent``. This
-    covers siblings of one parent and a beam that narrows as hypotheses
-    finish.
+    A hypothesis is its ids and its log-probability. All live hypotheses
+    step in one ``DecodeState.step`` call, their caches held step-major.
+    Each of the W_old hypotheses proposes its ``width`` best tokens; the
+    best ``width`` children overall survive or finish on EOS, and
+    ``DecodeState.reorder`` gathers each survivor's parent's cache rows,
+    ``s*W_old + parent``. This covers siblings of one parent and a beam
+    that narrows as hypotheses finish. Children rank by score, descending,
+    then by ids. Their scores are added in numpy, and only the survivors'
+    ids are built.
     """
     if width < 1:
         raise ValueError(f"beam width must be at least 1, got {width}")
     state = DecodeState(h_enc, e_p, s_p, params, cfg)
-    live, cache = [([BOS], 0.0)], None
+    live, scores, cache = [[BOS]], [0.0], None
     done: list[tuple[list[int], float]] = []
     for _ in range(cfg.max_len):
-        dists, cache = state.step(cache, [ids[-1] for ids, _ in live])
+        dists, cache = state.step(cache, [ids[-1] for ids in live])
         logp = np.log(dists)
         best = np.argsort(-logp, axis=1, kind="stable")[:, :width]
-        pool = [(ids + [int(tok)], score + float(logp[parent, tok]), parent)
-                for parent, (ids, score) in enumerate(live) for tok in best[parent]]
-        pool.sort(key=lambda item: (-item[1], item[0]))
-        live, parents = [], []
-        for ids, score, parent in pool[:width]:
-            if ids[-1] == EOS:
-                done.append((ids[1:-1], score / max(1, len(ids) - 1)))
+        pool = np.array(scores)[:, None] + logp[np.arange(len(live))[:, None], best]
+        # live ids are distinct and of one length, so a child's ids rank as
+        # its parent's ids among the live ones, then as its token
+        rank = [0] * len(live)
+        for r, parent in enumerate(sorted(range(len(live)), key=live.__getitem__)):
+            rank[parent] = r
+        ranked = sorted((-score, rank[parent], tok, parent)
+                        for parent, (row, toks) in enumerate(zip(pool.tolist(), best.tolist()))
+                        for score, tok in zip(row, toks))
+        kept, parents, scores = [], [], []
+        for neg_score, _, tok, parent in ranked[:width]:
+            if tok == EOS:
+                done.append((live[parent][1:], -neg_score / len(live[parent])))
             else:
-                live.append((ids, score))
+                kept.append(live[parent] + [tok])
                 parents.append(parent)
-        if not live or len(done) >= width:
+                scores.append(-neg_score)
+        if not kept or len(done) >= width:
             break
+        live = kept
         cache = state.reorder(cache, len(dists), parents)
     if done:
         done.sort(key=lambda item: (-item[1], item[0]))
         return done[0][0], False
     log.warning("beam search hit the %d-token cap without EOS; truncated", cfg.max_len)
-    best = max(live, key=lambda item: item[1] / max(1, len(item[0]) - 1))
+    best = max(zip(live, scores), key=lambda item: item[1] / max(1, len(item[0]) - 1))
     return best[0][1:], True
 
 

@@ -15,7 +15,19 @@ kinds registered here. Design points:
   data that comes from outside;
 - a tape is a list of primitive applications; the reverse sweep keys
   gradients by tensor identity and adds them into the ``grad`` buffers
-  of the leaves that require one at the end.
+  of the leaves that require one at the end;
+- kernels call numpy's direct entry points: ``ndarray.dot`` for
+  products, ``ndarray.take`` for row gathers, a ufunc's ``reduce`` for
+  reductions, ``out=`` on buffers the kernel made itself. At the sizes
+  the model runs at, a numpy call costs about as much as its arithmetic,
+  and the ``@`` operator, fancy indexing and the ``max``, ``sum`` and
+  ``mean`` methods dispatch through more layers. Every kernel is bit for
+  bit equal to the operator form that ``tests/oracles.py`` keeps. For
+  products that holds on C- and F-ordered operands, the only layouts the
+  model passes them: on a strided view, ``dot`` and ``@`` may pick
+  different BLAS kernels;
+- no kernel writes into its inputs, its ``out`` or its ``g``: a value
+  may be shared, and a backward may return ``g`` itself (``add``).
 """
 from __future__ import annotations
 
@@ -142,14 +154,15 @@ def _shape_err(kind: str, arrays) -> ShapeError:
 
 def _fwd_matmul(arrays, meta):
     a, b = arrays
-    if a.shape[1] != b.shape[0]:
-        raise _shape_err("matmul", arrays)
-    return a @ b
+    try:
+        return a.dot(b)
+    except ValueError:
+        raise _shape_err("matmul", arrays) from None
 
 
 def _bwd_matmul(arrays, meta, out, g):
     a, b = arrays
-    return (g @ b.T, a.T @ g)
+    return (g.dot(b.T), a.T.dot(g))
 
 
 def _fwd_add(arrays, meta):
@@ -184,10 +197,10 @@ def _bwd_scale(arrays, meta, out, g):
 
 
 def _fwd_concat_cols(arrays, meta):
-    rows = {a.shape[0] for a in arrays}
-    if len(rows) != 1:
-        raise _shape_err("concat_cols", arrays)
-    return np.concatenate(arrays, axis=1)
+    try:
+        return np.concatenate(arrays, axis=1)
+    except ValueError:
+        raise _shape_err("concat_cols", arrays) from None
 
 
 def _bwd_concat_cols(arrays, meta, out, g):
@@ -199,10 +212,10 @@ def _bwd_concat_cols(arrays, meta, out, g):
 
 
 def _fwd_concat_rows(arrays, meta):
-    cols = {a.shape[1] for a in arrays}
-    if len(cols) != 1:
-        raise _shape_err("concat_rows", arrays)
-    return np.concatenate(arrays, axis=0)
+    try:
+        return np.concatenate(arrays, axis=0)
+    except ValueError:
+        raise _shape_err("concat_rows", arrays) from None
 
 
 def _bwd_concat_rows(arrays, meta, out, g):
@@ -214,7 +227,7 @@ def _bwd_concat_rows(arrays, meta, out, g):
 
 
 def _fwd_transpose(arrays, meta):
-    return np.ascontiguousarray(arrays[0].T)
+    return arrays[0].T.copy()
 
 
 def _bwd_transpose(arrays, meta, out, g):
@@ -222,14 +235,23 @@ def _bwd_transpose(arrays, meta, out, g):
 
 
 def _fwd_sigmoid(arrays, meta):
-    # exp(-|x|) never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below
+    # neither exp overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below,
+    # the numerator being e^min(x, 0) and the denominator 1 + e^-|x|
     x = arrays[0]
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _bwd_sigmoid(arrays, meta, out, g):
-    return (g * out * (1.0 - out),)
+    gx = g * out
+    gx *= 1.0 - out
+    return (gx,)
 
 
 def _fwd_relu(arrays, meta):
@@ -245,7 +267,10 @@ def _fwd_tanh(arrays, meta):
 
 
 def _bwd_tanh(arrays, meta, out, g):
-    return (g * (1.0 - out * out),)
+    gx = out * out
+    np.subtract(1.0, gx, out=gx)
+    gx *= g
+    return (gx,)
 
 
 # Fewest keep-mask entries for which softmax_rows gathers the kept entries.
@@ -263,40 +288,54 @@ def _fwd_softmax_rows(arrays, meta):
         counts = np.count_nonzero(keep, axis=1)
         kept = x[keep]
         top = np.maximum.reduceat(kept, np.cumsum(counts) - counts)
-        ex = np.zeros_like(x)
+        ex = np.zeros(x.shape)
         ex[keep] = np.exp(kept - np.repeat(top, counts))
     else:
         if keep is not None:
             x = np.where(keep, x, -np.inf)  # exp(-inf) is exactly 0
-        ex = np.exp(x - x.max(axis=1, keepdims=True))
-    return ex / ex.sum(axis=1, keepdims=True)
+        ex = x - np.maximum.reduce(x, axis=1, keepdims=True)
+        np.exp(ex, out=ex)
+    ex /= np.add.reduce(ex, axis=1, keepdims=True)
+    return ex
 
 
 def _bwd_softmax_rows(arrays, meta, out, g):
-    inner = (g * out).sum(axis=1, keepdims=True)
-    return (out * (g - inner),)
+    gx = g * out
+    np.subtract(g, np.add.reduce(gx, axis=1, keepdims=True), out=gx)
+    gx *= out
+    return (gx,)
 
 
 def _fwd_mean_rows(arrays, meta):
-    return arrays[0].mean(axis=0, keepdims=True)
+    x = arrays[0]
+    total = np.add.reduce(x, axis=0, keepdims=True)
+    total /= x.shape[0]
+    return total
 
 
 def _bwd_mean_rows(arrays, meta, out, g):
-    x = arrays[0]
-    return (np.repeat(g / x.shape[0], x.shape[0], axis=0),)
+    n = arrays[0].shape[0]
+    return ((g / n).repeat(n, axis=0),)
+
+
+def _out_of_range(kind: str, idx: np.ndarray, n: int) -> None:
+    """Raise the named ``IndexError`` if an entry of the intp ``idx`` is
+    outside [0, n): one reduction, a negative index reading as a huge
+    unsigned one."""
+    if idx.size and np.maximum.reduce(idx.view(np.uintp)) >= n:
+        bad = idx[(idx < 0) | (idx >= n)][0]
+        raise IndexError(f"{kind}: index {bad} out of range [0, {n})")
 
 
 def _fwd_row_lookup(arrays, meta):
     x = arrays[0]
     idx = meta["indices"]
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        bad = idx[(idx < 0) | (idx >= x.shape[0])][0]
-        raise IndexError(f"row_lookup: index {bad} out of range [0, {x.shape[0]})")
-    return x[idx]
+    _out_of_range("row_lookup", idx, x.shape[0])
+    return x.take(idx, axis=0)
 
 
 def _bwd_row_lookup(arrays, meta, out, g):
-    gx = np.zeros_like(arrays[0])
+    gx = np.zeros(arrays[0].shape)
     np.add.at(gx, meta["indices"], g)
     return (gx,)
 
@@ -306,12 +345,15 @@ def _fwd_affine(arrays, meta):
     x, w, b = arrays
     if x.shape[1] != w.shape[0] or b.shape not in ((1, w.shape[1]), (x.shape[0], w.shape[1])):
         raise _shape_err("affine", arrays)
-    return x @ w + b
+    out = x.dot(w)
+    out += b
+    return out
 
 
 def _bwd_affine(arrays, meta, out, g):
     x, w, b = arrays
-    return (g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True) if b.shape[0] == 1 else g)
+    return (g.dot(w.T), x.T.dot(g),
+            np.add.reduce(g, axis=0, keepdims=True) if b.shape[0] == 1 else g)
 
 
 def _fwd_log(arrays, meta):
@@ -327,17 +369,15 @@ def _fwd_neg_pick(arrays, meta):
     idx = meta["indices"]
     if idx.shape[0] != p.shape[0]:
         raise _shape_err("neg_pick", arrays)
-    if idx.size and (idx.min() < 0 or idx.max() >= p.shape[1]):
-        bad = idx[(idx < 0) | (idx >= p.shape[1])][0]
-        raise IndexError(f"neg_pick: index {bad} out of range [0, {p.shape[1]})")
+    _out_of_range("neg_pick", idx, p.shape[1])
     picked = p[np.arange(p.shape[0]), idx]
-    return np.array([[-np.log(picked).sum()]])
+    return np.array([[-np.add.reduce(np.log(picked))]])
 
 
 def _bwd_neg_pick(arrays, meta, out, g):
     p = arrays[0]
     idx = meta["indices"]
-    gx = np.zeros_like(p)
+    gx = np.zeros(p.shape)
     rows = np.arange(p.shape[0])
     gx[rows, idx] = -g[0, 0] / p[rows, idx]
     return (gx,)

@@ -174,15 +174,16 @@ def evaluate(model: Model, records: list[DialogueRecord]) -> EvalReport:
     number and a rate, and the min, median and max response length in
     tokens (EOS not counted; 0 with no records).
 
-    The records are scored in the lockstep groups of ``GREEDY_GROUP`` that
-    ``Model.generate_many`` decodes together, in one process per CPU that
-    ``os.sched_getaffinity`` lets this process use (so ``taskset -c 0``
-    gives one), no more than there are groups: the parent and the processes
-    it forks for this call take the groups in turn. The children send back
-    numbers, tokens and labels; the error one process would meet first is
-    raised here, with its type and message. The parent joins the results in record order and sums the
-    NLL as one process does, so the report does not depend on the process
-    count. A process that runs other threads evaluates alone."""
+    The records are scored in the fewest consecutive lockstep groups of at
+    most ``GREEDY_GROUP``, of near-equal size, that ``Model.generate_many``
+    decodes together, in one process per CPU that ``os.sched_getaffinity``
+    lets this process use (so ``taskset -c 0`` gives one), no more than
+    there are groups: the parent and the processes it forks for this call
+    take the groups in turn. The children send back numbers, tokens and
+    labels; the error one process would meet first is raised here, with
+    its type and message. The parent joins the results in record order and
+    sums the NLL as one process does, so the report does not depend on the
+    process count. A process that runs other threads evaluates alone."""
     scored = _score(model, records)
     stats = [(s.nll, s.tokens) for s in scored]
     preds = [s.label for s in scored]
@@ -233,10 +234,20 @@ def _score_group(model: Model, group: list[DialogueRecord]) -> list[Scored]:
             for (nll, n), label, (tokens, cut) in zip(stats, labels, outputs)]
 
 
+def _groups(records: list[DialogueRecord]) -> list[list[DialogueRecord]]:
+    """``records`` in the fewest consecutive lockstep groups of at most
+    ``GREEDY_GROUP``, their sizes differing by at most one, so that the
+    processes that take them finish together: 12 records make two groups
+    of 6, not 8 and 4."""
+    n = len(records)
+    count = -(-n // GREEDY_GROUP)
+    return [records[n * j // count:n * (j + 1) // count] for j in range(count)]
+
+
 def _score(model: Model, records: list[DialogueRecord]) -> list[Scored]:
     """Every record scored, in order: group j in process ``j % n_procs``,
     the parent being process 0."""
-    groups = [records[i:i + GREEDY_GROUP] for i in range(0, len(records), GREEDY_GROUP)]
+    groups = _groups(records)
     n_procs = training.process_count(len(groups))
     if n_procs == 1:
         return [row for group in groups for row in _score_group(model, group)]

@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 
+from hgchat.corpus import BOS, EOS
+
 
 def central_diff(f, theta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function over a flat buffer."""
@@ -124,6 +126,120 @@ def decoder_distributions(tokens, h_enc, e_p, s_p, weights, heads, residual=Fals
     z = np.concatenate([o, e, s], axis=1) @ weights["dec.gate.w"] + weights["dec.gate.b"]
     g = 1.0 / (1.0 + np.exp(-z))
     return softmax((o + g * e + (1.0 - g) * s) @ weights["dec.out_proj.w"].T)
+
+
+def beam_search(state, width: int, max_len: int) -> tuple[list[int], bool]:
+    """Length-normalized beam search over ``state``'s ``step`` and
+    ``reorder`` (a ``DecodeState``), its candidates held as Python lists
+    and sorted by (score descending, ids): ``decoder.beam_decode`` as it
+    read before it ranked them in numpy."""
+    live, cache = [([BOS], 0.0)], None
+    done = []
+    for _ in range(max_len):
+        dists, cache = state.step(cache, [ids[-1] for ids, _ in live])
+        logp = np.log(dists)
+        best = np.argsort(-logp, axis=1, kind="stable")[:, :width]
+        pool = [(ids + [int(tok)], score + float(logp[parent, tok]), parent)
+                for parent, (ids, score) in enumerate(live) for tok in best[parent]]
+        pool.sort(key=lambda item: (-item[1], item[0]))
+        live, parents = [], []
+        for ids, score, parent in pool[:width]:
+            if ids[-1] == EOS:
+                done.append((ids[1:-1], score / max(1, len(ids) - 1)))
+            else:
+                live.append((ids, score))
+                parents.append(parent)
+        if not live or len(done) >= width:
+            break
+        cache = state.reorder(cache, len(dists), parents)
+    if done:
+        done.sort(key=lambda item: (-item[1], item[0]))
+        return done[0][0], False
+    best = max(live, key=lambda item: item[1] / max(1, len(item[0]) - 1))
+    return best[0][1:], True
+
+
+# The diffcore kernels that call numpy's direct entry points, in the
+# operator and method forms they replaced, with diffcore's signatures
+# ``forward(arrays, meta)`` and ``backward(arrays, meta, out, g)``: each
+# must equal its rewrite bit for bit. ``gather_min`` is diffcore's
+# ``_GATHER_MIN``, passed in so that both take the same softmax path.
+
+def _ref_softmax_rows(arrays, meta, gather_min):
+    x, keep = arrays[0], meta.get("keep")
+    if keep is not None and keep.size >= gather_min:
+        counts = np.count_nonzero(keep, axis=1)
+        kept = x[keep]
+        top = np.maximum.reduceat(kept, np.cumsum(counts) - counts)
+        ex = np.zeros_like(x)
+        ex[keep] = np.exp(kept - np.repeat(top, counts))
+    else:
+        if keep is not None:
+            x = np.where(keep, x, -np.inf)
+        ex = np.exp(x - x.max(axis=1, keepdims=True))
+    return ex / ex.sum(axis=1, keepdims=True)
+
+
+def _ref_row_lookup_grad(arrays, meta, out, g):
+    gx = np.zeros_like(arrays[0])
+    np.add.at(gx, meta["indices"], g)
+    return (gx,)
+
+
+def _ref_neg_pick(arrays, meta):
+    p, idx = arrays[0], meta["indices"]
+    return np.array([[-np.log(p[np.arange(p.shape[0]), idx]).sum()]])
+
+
+def _ref_neg_pick_grad(arrays, meta, out, g):
+    p, idx = arrays[0], meta["indices"]
+    gx = np.zeros_like(p)
+    rows = np.arange(p.shape[0])
+    gx[rows, idx] = -g[0, 0] / p[rows, idx]
+    return (gx,)
+
+
+def _ref_sigmoid(arrays, meta):
+    x = arrays[0]
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _ref_concat_grads(axis):
+    def backward(arrays, meta, out, g):
+        cuts = np.cumsum([a.shape[axis] for a in arrays])[:-1]
+        return tuple(np.split(g, cuts, axis=axis))
+    return backward
+
+
+def kernel_references(gather_min: int) -> dict:
+    """Kind -> (forward, backward) of every rewritten diffcore kernel."""
+    return {
+        "matmul": (lambda arrays, meta: arrays[0] @ arrays[1],
+                   lambda arrays, meta, out, g: (g @ arrays[1].T, arrays[0].T @ g)),
+        "affine": (lambda arrays, meta: arrays[0] @ arrays[1] + arrays[2],
+                   lambda arrays, meta, out, g: (
+                       g @ arrays[1].T, arrays[0].T @ g,
+                       g.sum(axis=0, keepdims=True) if arrays[2].shape[0] == 1 else g)),
+        "concat_cols": (lambda arrays, meta: np.concatenate(arrays, axis=1),
+                        _ref_concat_grads(1)),
+        "concat_rows": (lambda arrays, meta: np.concatenate(arrays, axis=0),
+                        _ref_concat_grads(0)),
+        "transpose": (lambda arrays, meta: np.ascontiguousarray(arrays[0].T),
+                      lambda arrays, meta, out, g: (g.T,)),
+        "sigmoid": (_ref_sigmoid,
+                    lambda arrays, meta, out, g: (g * out * (1.0 - out),)),
+        "tanh": (lambda arrays, meta: np.tanh(arrays[0]),
+                 lambda arrays, meta, out, g: (g * (1.0 - out * out),)),
+        "softmax_rows": (lambda arrays, meta: _ref_softmax_rows(arrays, meta, gather_min),
+                         lambda arrays, meta, out, g: (
+                             out * (g - (g * out).sum(axis=1, keepdims=True)),)),
+        "mean_rows": (lambda arrays, meta: arrays[0].mean(axis=0, keepdims=True),
+                      lambda arrays, meta, out, g: (
+                          np.repeat(g / arrays[0].shape[0], arrays[0].shape[0], axis=0),)),
+        "row_lookup": (lambda arrays, meta: arrays[0][meta["indices"]], _ref_row_lookup_grad),
+        "neg_pick": (_ref_neg_pick, _ref_neg_pick_grad),
+    }
 
 
 def rewrite_checkpoint(path, edit) -> None:

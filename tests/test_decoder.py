@@ -12,7 +12,7 @@ from hgchat.config import TrainConfig
 from hgchat.model import Model
 from hgchat.params import init_model_params
 
-from oracles import decoder_distributions
+from oracles import beam_search, decoder_distributions
 
 
 def tiny_cfg(**kw):
@@ -388,6 +388,62 @@ def test_cached_beam_matches_uncached_reference(width):
         assert got == reference_beam(h_enc, e_p, s_p, params, cfg, cfg.max_len, width)
         flags.add(got[1])
     assert flags == {False, True}  # both finished and truncated searches compared
+
+
+def tie(params, how):
+    """Force equal scores: ``uniform`` makes every token of every step tie,
+    ``twins`` makes tokens 5 and 6, and 7 and 8, tie as siblings."""
+    w = params["dec.out_proj.w"].values
+    if how == "uniform":
+        w[:] = 0.0
+    elif how == "twins":
+        w[:, 6], w[:, 8] = w[:, 5], w[:, 7]
+        w[:, 5] *= 4.0
+        w[:, 6] *= 4.0
+
+
+@pytest.mark.parametrize("how", [None, "uniform", "twins"])
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_beam_search_equals_the_list_search_it_replaced(width, how):
+    flags = set()
+    for seed in range(6):
+        cfg, params, h_enc, e_p, s_p = setup(seed=seed)
+        params["dec.out_proj.w"].values[:, cp.EOS] = 0.1 * (e_p.values[0] + s_p.values[0])
+        tie(params, how)
+        got = dec.beam_decode(h_enc, e_p, s_p, params, cfg, width)
+        state = dec.DecodeState(h_enc, e_p, s_p, params, cfg)
+        assert got == beam_search(state, width, cfg.max_len)
+        flags.add(got[1])
+    if how is None and width > 1:
+        assert flags == {False, True}
+
+
+class ScriptedState:
+    """Stands in for a ``DecodeState``: row i's next-token distribution is
+    row ``tokens[i]`` of ``table``, and there is no cache."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def step(self, cache, tokens, dialogues=None):
+        return self.table[tokens], None
+
+    @staticmethod
+    def reorder(cache, width, parents):
+        return None
+
+
+def test_beam_ties_across_parents_rank_by_ids_not_by_parent_position(monkeypatch):
+    # BOS proposes 5 (p .4) above 4 (p .3); 5 then proposes 7 (p .3) and 4
+    # proposes 6 (p .4): [5, 7] and [4, 6] score log .4 + log .3 exactly
+    # alike, and [4, 6] ranks first by its ids though its parent ranks second
+    table = np.full((8, 8), 0.1)
+    table[cp.BOS] = [0.05, 0.05, 0.05, 0.05, 0.3, 0.4, 0.05, 0.05]
+    table[5, 7], table[4, 6] = 0.3, 0.4  # the search reads only their logs
+    cfg, params, h_enc, e_p, s_p = setup(cfg=tiny_cfg(max_len=2))
+    monkeypatch.setattr(dec, "DecodeState", lambda *args: ScriptedState(table))
+    got = dec.beam_decode(h_enc, e_p, s_p, params, cfg, 2)
+    assert got == beam_search(ScriptedState(table), 2, cfg.max_len) == ([4, 6], True)
 
 
 @pytest.mark.parametrize("width", [0, -1])

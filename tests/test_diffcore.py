@@ -1,6 +1,8 @@
+import itertools
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from hgchat import diffcore as dc
 
-from oracles import central_diff
+from oracles import central_diff, kernel_references
 
 
 def small_matrix(rows=st.integers(1, 4), cols=st.integers(1, 4)):
@@ -359,6 +361,127 @@ def test_keep_mask_softmax_equals_the_additive_mask_bit_for_bit(pattern, large):
     assert np.all(kept[0][~keep] == 0.0)
     for want, got in zip(additive, kept):
         assert got.tobytes() == want.tobytes()
+
+
+# --- kernels against their operator forms ---------------------------------
+
+REFERENCES = kernel_references(dc._GATHER_MIN)
+
+
+def layouts(a: np.ndarray) -> list[np.ndarray]:
+    """``a`` C-ordered, F-ordered (as a transposed view is) and as a column
+    slice of a wider array (as ``concat_cols`` passes ``g`` on). Products
+    take the first two only: on a strided view, ``ndarray.dot`` and ``@``
+    may pick different BLAS kernels, and no product in the model gets one
+    (``test_training`` checks that)."""
+    wide = np.zeros((a.shape[0], a.shape[1] + 3))
+    wide[:, 1:-2] = a
+    return [a, np.asfortranarray(a), wide[:, 1:-2]]
+
+
+def assert_kernel_matches(kind, arrays, meta, g=None):
+    """Forward and backward of ``kind`` equal their operator forms bit for
+    bit and write into none of ``arrays``, the output and ``g``."""
+    forward, backward = REFERENCES[kind]
+    prim = dc._PRIMS[kind]
+    before = [a.tobytes() for a in arrays]
+    out = prim.forward(list(arrays), meta)
+    want = forward(list(arrays), meta)
+    assert out.shape == want.shape and out.tobytes() == want.tobytes()
+    if all(a.flags.c_contiguous for a in arrays):  # as Tensor values are
+        assert out.flags.c_contiguous and out.dtype == np.float64
+    if g is None:
+        g = np.random.default_rng(out.size).standard_normal(out.shape)
+    seen = (out.tobytes(), g.tobytes())
+    got = prim.backward(list(arrays), meta, out, g)
+    wanted = backward(list(arrays), meta, want, g)
+    assert len(got) == len(wanted)
+    for delta, ref in zip(got, wanted):
+        assert delta.shape == ref.shape and delta.tobytes() == ref.tobytes()
+    assert [a.tobytes() for a in arrays] == before
+    assert (out.tobytes(), g.tobytes()) == seen
+
+
+@pytest.mark.parametrize("kind", ["matmul", "affine"])
+def test_products_equal_their_operator_forms_bit_for_bit(kind):
+    rng = np.random.default_rng(21)
+    sizes = (1, 2, 3, 8, 33, 130)
+    for m, k, n in itertools.product(sizes, repeat=3):
+        a, b, g = (rng.standard_normal(shape) for shape in ((m, k), (k, n), (m, n)))
+        biases = [rng.standard_normal((1, n)), rng.standard_normal((m, n))]  # shared, per row
+        for (la, a_), (lb, b_) in itertools.product(enumerate(layouts(a)[:2]),
+                                                     enumerate(layouts(b)[:2])):
+            g_ = layouts(g)[(la + lb) % 2]
+            extra = [biases[(la + lb) % 2]] if kind == "affine" else []
+            assert_kernel_matches(kind, [a_, b_, *extra], {}, g_)
+    for m, k in itertools.product(sizes, repeat=2):  # one buffer on both sides
+        a = rng.standard_normal((m, k))
+        extra = [rng.standard_normal((1, m))] if kind == "affine" else []
+        assert_kernel_matches(kind, [a, a.T, *extra], {})
+        square = rng.standard_normal((k, k))
+        extra = [rng.standard_normal((1, k))] if kind == "affine" else []
+        assert_kernel_matches(kind, [square, square, *extra], {}, square)
+
+
+def test_elementwise_kernels_equal_their_operator_forms_bit_for_bit():
+    rng = np.random.default_rng(22)
+    edges = np.array([[-np.inf, -1000.0, -800.0, -40.0, -1e-300, -0.0, 0.0, 1e-300, 0.7,
+                        36.0, 1000.0, np.inf]])
+    for x in (edges, *layouts(rng.normal(0.0, 8.0, (5, 10)))):
+        g = layouts(rng.standard_normal(x.shape))[x.shape[0] % 3]
+        for kind in ("sigmoid", "tanh", "transpose"):
+            with np.errstate(over="raise", divide="raise", invalid="raise"), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert_kernel_matches(kind, [x], {}, g.T.copy() if kind == "transpose" else g)
+        for rows in (1, 3, 5):
+            assert_kernel_matches("mean_rows", [x[:rows]], {})
+
+
+@pytest.mark.parametrize("pattern", [None, "causal", "hypothesis", "blocks", "random"])
+def test_softmax_rows_equals_its_operator_form_bit_for_bit(pattern):
+    # masks on both sides of _GATHER_MIN: the -inf fill and the gather
+    rng = np.random.default_rng(23)
+    for large in (False, True):
+        keep = (keep_pattern(pattern, large, rng) if pattern
+                else np.ones((16, 300) if large else (7, 12), dtype=bool))
+        assert (keep.size >= dc._GATHER_MIN) == large
+        x = rng.normal(0.0, 4.0, keep.shape)  # C-ordered, as a Tensor's values are
+        x[1] *= 400.0
+        for g in layouts(rng.standard_normal(keep.shape)):
+            assert_kernel_matches("softmax_rows", [x], {"keep": keep if pattern else None}, g)
+
+
+def test_gathers_and_concats_equal_their_operator_forms_bit_for_bit():
+    rng = np.random.default_rng(24)
+    table = rng.standard_normal((6, 4))
+    for idx in ([], [0], [5, 0, 5, 5, 2], list(range(6))):
+        idx = np.array(idx, dtype=np.intp)
+        for g in layouts(rng.standard_normal((len(idx), 4))):
+            assert_kernel_matches("row_lookup", [table], {"indices": idx}, g)
+    probs = dc.softmax_rows(dc.Tensor(rng.standard_normal((4, 9)))).values
+    assert_kernel_matches("neg_pick", [probs], {"indices": np.array([8, 0, 3, 3])})
+    parts = [layouts(rng.standard_normal((3, 2)))[i] for i in range(3)]
+    assert_kernel_matches("concat_cols", parts, {})
+    assert_kernel_matches("concat_rows", [p.T for p in parts] + [rng.standard_normal((1, 3))], {})
+
+
+@pytest.mark.parametrize("op", [dc.concat_cols, dc.concat_rows])
+def test_concat_of_mismatched_shapes_raises_the_named_shape_error(op):
+    mismatched = ((2, 3), (3, 2)) if op is dc.concat_cols else ((2, 3), (2, 4))
+    with pytest.raises(dc.ShapeError, match=rf"{op.__name__}: shapes do not conform"):
+        op(*(dc.Tensor(np.zeros(shape)) for shape in mismatched))
+    with pytest.raises(dc.ShapeError, match=op.__name__):
+        op()
+
+
+@pytest.mark.parametrize("bad", [-1, 3, -4, 2**40])
+def test_out_of_range_indices_raise_the_named_index_error(bad):
+    x = dc.Tensor(np.zeros((3, 2)))
+    with pytest.raises(IndexError, match=rf"^row_lookup: index {bad} out of range \[0, 3\)$"):
+        dc.row_lookup(x, [0, bad, 1])
+    with pytest.raises(IndexError, match=rf"^neg_pick: index {bad} out of range \[0, 2\)$"):
+        dc.neg_pick(dc.Tensor(np.full((3, 2), 0.5)), [0, bad, 1])
 
 
 def test_unreachable_leaf_gets_zero_grad():

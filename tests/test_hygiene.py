@@ -1,6 +1,6 @@
 """Source hygiene that no installed linter checks: every imported name and
 every dataclass field is read, the package never unpickles a file and
-never transposes a stored weight."""
+never transposes a stored weight, and diffcore's kernels never use ``@``."""
 import ast
 from pathlib import Path
 
@@ -124,3 +124,23 @@ def test_the_scan_sees_a_transposed_parameter():
                      "c = transpose(k)\nd = transpose(matmul(x, params['w']))\n"
                      "e = np.transpose(params['w'].values)\nf = transpose(table['w'])\n")
     assert transposed_params(tree) == ["line 1", "line 2"]
+
+
+def matmul_operators(tree: ast.Module) -> list[str]:
+    """Uses of the ``@`` operator, as ``a @ b`` or ``a @= b``."""
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))]
+
+
+def test_diffcore_calls_dot_and_never_the_matmul_operator():
+    # ``@`` goes through the matmul ufunc's dispatch, which at the model's
+    # sizes costs about as much as the product; ``ndarray.dot`` does not
+    path = ROOT / "src" / "hgchat" / "diffcore.py"
+    assert matmul_operators(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_scan_sees_a_matmul_operator():
+    tree = ast.parse("a = x @ w\nb = x.dot(w)\nc @= d\ne = f((x @ y) + z)\n"
+                     "g = np.matmul(x, y)\nh = x * w\n")
+    assert matmul_operators(tree) == ["line 1", "line 3", "line 4"]

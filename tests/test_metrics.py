@@ -323,6 +323,30 @@ def test_one_group_evaluates_in_one_process(monkeypatch, tmp_path):
     assert processes() == 1
 
 
+def test_groups_are_the_fewest_consecutive_and_near_equal():
+    sizes = {0: [], 1: [1], 7: [7], 8: [8], 9: [4, 5], 12: [6, 6], 16: [8, 8],
+             17: [5, 6, 6], 25: [6, 6, 6, 7]}
+    for n, want in sizes.items():
+        records = list(range(n))
+        groups = mx._groups(records)
+        assert [len(group) for group in groups] == want
+        assert [r for group in groups for r in group] == records
+
+
+@pytest.mark.parametrize("n_records", [1, 7, 12, 17])
+def test_balanced_groups_report_as_one_process_does(monkeypatch, tmp_path, n_records):
+    model, records = eos_model(3, n_records)
+    processes = count_scoring_processes(monkeypatch, tmp_path)
+    pin_processes(monkeypatch, 1)
+    want = mx.evaluate(model, records)
+    assert processes() == 1
+    for n in (2, 3):
+        pin_processes(monkeypatch, n)
+        assert mx.evaluate(model, records) == want
+        assert processes() == min(n, len(mx._groups(records)))
+        assert_no_child_left()
+
+
 def test_one_group_evaluates_without_loading_multiprocessing():
     # perfbench warms up on one record, and its set-up time must not pay
     # for the import

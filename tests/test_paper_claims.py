@@ -1,0 +1,29 @@
+"""Paper-claim checks: the trained model perceives what the paper says it
+does. The synthetic corpus plants each response emotion in the last
+turn's face and audio vectors only (``corpus.planted_label``), so the full
+heterogeneous-graph model can learn to read it there, and a model without
+face and audio nodes has nothing to read it from and stays near chance
+(1 in 7)."""
+from hgchat import corpus as cp
+from hgchat import training as tr
+from hgchat.config import TrainConfig
+
+
+def held_out_emotion_accuracy(ablate: tuple[str, ...]) -> float:
+    """Emotion accuracy on 140 held-out dialogues of a default-size model
+    trained for 8 epochs on 280 others."""
+    model = tr.train(cp.synthesize_corpus(280, seed=1), TrainConfig(epochs=8, seed=0,
+                                                                    ablate=ablate)).model
+    held_out = cp.synthesize_corpus(140, seed=2)
+    return sum(model.predict_label(rec) == rec.response_emotion
+               for rec in held_out) / len(held_out)
+
+
+def test_the_full_model_reads_the_emotion_that_face_and_audio_carry():
+    # over model seeds s = 0..6 with corpora 2s + 1 and 2s + 2, the full
+    # model scored 0.379-0.543 and the ablated one 0.086-0.164, gaps
+    # 0.229-0.436; seed 0 scores 0.407 and 0.086
+    full = held_out_emotion_accuracy(())
+    ablated = held_out_emotion_accuracy(("face", "audio"))
+    assert full - ablated >= 0.15
+    assert full >= 0.3 and ablated <= 0.2

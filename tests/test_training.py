@@ -625,3 +625,35 @@ def test_full_model_gradients_match_fd_small():
 
     err = dc.grad_check(build, dict(model.params.items()), eps=1e-5)
     assert err <= 1e-6, err
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"mask_orientation": "receiver", "attention_residual": True, "d_pe": 2, "dropout": 0.2},
+    {"gnn_mode": "homo"}], ids=["default", "receiver-residual", "homo"])
+def test_every_product_operand_is_c_or_f_ordered(monkeypatch, overrides):
+    # diffcore's products call ndarray.dot, which equals @ bit for bit on C-
+    # and F-ordered operands; on a strided view, such as the column slice a
+    # concat_cols backward passes on, the two may pick different BLAS kernels
+    cfg = tiny_cfg(**overrides)
+    records = tiny_corpus(2, seed=4, cfg=cfg)
+    model = fresh_model(records, cfg)
+    strided = []
+
+    def watch(kind, fn):
+        def watched(arrays, meta, *rest):
+            for a in [*arrays, *rest[1:]]:  # the inputs and the backward's g
+                if not (a.flags.c_contiguous or a.flags.f_contiguous):
+                    strided.append((kind, a.shape, a.strides))
+            return fn(arrays, meta, *rest)
+        return watched
+
+    for kind in ("matmul", "affine"):
+        prim = dc._PRIMS[kind]
+        monkeypatch.setattr(prim, "forward", watch(kind, prim.forward))
+        monkeypatch.setattr(prim, "backward", watch(kind, prim.backward))
+    for record in records:
+        with dc.recording():
+            dc.backward(model.losses(record, training=True, rng=np.random.default_rng(1)).joint)
+        model.generate(record, strategy="beam", beam_width=3)
+    model.generate_many(records)
+    assert strided == []
