@@ -150,6 +150,9 @@ def _load_records(path: str, max_turns: int) -> list[cp.DialogueRecord]:
 
 
 def cmd_synth(args) -> int:
+    for flag, count in (("--dialogues", args.dialogues), ("--speakers", args.speakers)):
+        if count < 1:
+            raise UsageError(f"{flag} must be at least 1, got {count}")
     seed = _seed_fallback(args.seed, {})
     if seed is None:
         seed = 0

@@ -27,6 +27,16 @@ log = logging.getLogger(__name__)
 GREEDY_GROUP = 8
 
 
+def lockstep_groups(records: list) -> list[list]:
+    """``records`` in the fewest consecutive lockstep groups of at most
+    ``GREEDY_GROUP``, their sizes differing by at most one, so that the
+    groups take about as long: 12 records make two groups of 6, not 8
+    and 4."""
+    n = len(records)
+    count = -(-n // GREEDY_GROUP)
+    return [records[n * j // count:n * (j + 1) // count] for j in range(count)]
+
+
 def emotion_mix(p: Tensor, emotion_emb: Tensor) -> Tensor:
     """Mix the emotion table rows by the predicted distribution (1x7 @ 7xd)."""
     return matmul(p, emotion_emb)

@@ -4,17 +4,12 @@ Numbers follow fixed conventions so runs are comparable: perplexity counts
 the EOS token, BLEU uses uniform weights up to order 4 with add-one
 smoothing on the higher-order precisions, and distinct-n pools n-grams
 across all responses before counting.
-
-``evaluate`` runs in one process per CPU that this process may use
-(``os.sched_getaffinity``), forked for the call, so ``taskset -c 0`` gives
-one; the report does not depend on the process count.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
-import signal
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
@@ -22,7 +17,7 @@ from typing import NamedTuple
 
 from . import training
 from .corpus import EMOTIONS, DialogueRecord, tokenize
-from .decoder import GREEDY_GROUP
+from .decoder import lockstep_groups
 from .model import Model
 
 
@@ -174,16 +169,11 @@ def evaluate(model: Model, records: list[DialogueRecord]) -> EvalReport:
     number and a rate, and the min, median and max response length in
     tokens (EOS not counted; 0 with no records).
 
-    The records are scored in the fewest consecutive lockstep groups of at
-    most ``GREEDY_GROUP``, of near-equal size, that ``Model.generate_many``
-    decodes together, in one process per CPU that ``os.sched_getaffinity``
-    lets this process use (so ``taskset -c 0`` gives one), no more than
-    there are groups: the parent and the processes it forks for this call
-    take the groups in turn. The children send back numbers, tokens and
-    labels; the error one process would meet first is raised here, with
-    its type and message. The parent joins the results in record order and
-    sums the NLL as one process does, so the report does not depend on the
-    process count. A process that runs other threads evaluates alone."""
+    The records are scored in the lockstep groups that
+    ``Model.generate_many`` decodes together, in one process per CPU that
+    this process may use (``training.process_count``; ``taskset -c 0``
+    gives one), forked for this call. The report, and the error that one
+    process would meet first, do not depend on the process count."""
     scored = _score(model, records)
     stats = [(s.nll, s.tokens) for s in scored]
     preds = [s.label for s in scored]
@@ -234,76 +224,26 @@ def _score_group(model: Model, group: list[DialogueRecord]) -> list[Scored]:
             for (nll, n), label, (tokens, cut) in zip(stats, labels, outputs)]
 
 
-def _groups(records: list[DialogueRecord]) -> list[list[DialogueRecord]]:
-    """``records`` in the fewest consecutive lockstep groups of at most
-    ``GREEDY_GROUP``, their sizes differing by at most one, so that the
-    processes that take them finish together: 12 records make two groups
-    of 6, not 8 and 4."""
-    n = len(records)
-    count = -(-n // GREEDY_GROUP)
-    return [records[n * j // count:n * (j + 1) // count] for j in range(count)]
-
-
 def _score(model: Model, records: list[DialogueRecord]) -> list[Scored]:
     """Every record scored, in order: group j in process ``j % n_procs``,
     the parent being process 0."""
-    groups = _groups(records)
+    groups = lockstep_groups(records)
     n_procs = training.process_count(len(groups))
     if n_procs == 1:
         return [row for group in groups for row in _score_group(model, group)]
-    import multiprocessing  # a call that forks nothing does not load it
-
-    context = multiprocessing.get_context("fork")
-    conns, procs = [], []
+    children = training.Forked("evaluation process", _serve,
+                               [(model, groups[k::n_procs]) for k in range(1, n_procs)])
     try:
-        for k in range(1, n_procs):
-            ours, theirs = context.Pipe(duplex=False)
-            proc = context.Process(target=_serve, daemon=True, args=(
-                theirs, model, groups[k::n_procs], conns + [ours]))
-            conns.append(ours)
-            proc.start()
-            procs.append(proc)
-            theirs.close()  # so that a child's death reads as EOF
         rows = []
         for j, group in enumerate(groups):
             k = j % n_procs
-            rows += _take(conns[k - 1], procs[k - 1], k) if k else _score_group(model, group)
+            rows += children.recv(k) if k else _score_group(model, group)
         return rows
     finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.join(training.WORKER_EXIT_S)
-            if proc.exitcode is None:
-                proc.kill()
-                proc.join()
+        children.close()
 
 
-def _take(conn, proc, k: int) -> list[Scored]:
-    """Child k's next group; its exception is raised here."""
-    try:
-        rows = conn.recv()
-    except EOFError:
-        proc.join(training.WORKER_EXIT_S)
-        raise RuntimeError(f"evaluation process {k} ended (exit code {proc.exitcode}) "
-                           f"before its group was scored") from None
-    if isinstance(rows, Exception):
-        raise rows
-    return rows
-
-
-def _serve(conn, model: Model, groups: list[list[DialogueRecord]], inherited: list) -> None:
-    """A child: send each of ``groups`` scored, or the first exception, and return."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt
-    for other in inherited:  # the parent's ends
-        other.close()
-    try:
-        for group in groups:
-            try:
-                rows = _score_group(model, group)
-            except Exception as exc:  # the parent raises it in record order
-                conn.send(exc)
-                return
-            conn.send(rows)
-    except OSError:
-        pass  # the parent closed its end, or died
+def _serve(conn, model: Model, groups: list[list[DialogueRecord]]) -> None:
+    """A child: send each of ``groups`` scored."""
+    for group in groups:
+        conn.send(_score_group(model, group))

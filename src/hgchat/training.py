@@ -7,6 +7,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -74,17 +75,12 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
     """Minibatch training loop; dialogues are processed one graph at a
     time and the batch gradient is the per-dialogue average.
 
-    The dialogues of a batch are independent work. They run in one process
-    per CPU that ``os.sched_getaffinity`` lets this process use (so
-    ``taskset -c 0`` gives one), no more than a batch's valid dialogues:
-    the parent and the workers it forks for the length of this call take
-    the batch positions in turn. The parent adds every dialogue's gradient
-    and loss terms in batch order, the sum one process makes. Each dialogue
-    draws its dropout masks from a generator of its own, seeded with
+    A batch's dialogues run in one process per CPU that this process may
+    use (``process_count``; ``taskset -c 0`` gives one), forked for this
+    call. The parent adds their gradients and loss terms in batch order,
+    and each dialogue draws its dropout masks from a generator seeded with
     ``(cfg.seed, step, position)``: the Adam step its batch makes and its
     index in the batch. So the results do not depend on the process count.
-    A process that runs other threads trains alone: a fork would copy the
-    locks those threads hold.
 
     Pass a previous result's model, or one read back from its checkpoint,
     to continue training on the same records: it goes on from the stored
@@ -183,6 +179,101 @@ def process_count(*caps: int) -> int:
     return max(1, min(usable_cpus(), *caps))
 
 
+class Forked:
+    """The processes that one call forks to share its work with the parent.
+
+    Child k, for k = 1 .. len(args), is forked from a ``fork`` context and
+    runs ``serve(conn, *args[k - 1])`` on its end of a pipe of its own;
+    ``conns[k - 1]`` is the parent's end. The child ignores SIGINT, which
+    the parent handles, and closes the parent's ends, so that its death
+    reads as EOF. It sends an exception from ``serve`` in place of its next
+    reply, then waits for the parent to close the pipe, so that no send of
+    the parent's meets a closed end. It returns once its pipe reads EOF or
+    fails: the parent closed it, or died.
+
+    ``recv(k)`` returns child k's next reply. It raises the exception the
+    child sent, and ``RuntimeError("<what> k ended (exit code X) ...")``
+    once the child has gone. ``close()`` closes every pipe, gives each child
+    ``WORKER_EXIT_S`` to exit, kills it if it has not, and reaps it. While
+    the children live, every process runs one BLAS thread, and ``close()``
+    restores the parent's count."""
+
+    def __init__(self, what: str, serve, args: list[tuple]):
+        import multiprocessing  # a call that forks nothing does not load it
+
+        self.what = what
+        self.conns, self.procs = [], []
+        self.blas_threads = _set_blas_threads(1)
+        try:
+            context = multiprocessing.get_context("fork")
+            for child_args in args:
+                ours, theirs = context.Pipe()
+                self.conns.append(ours)
+                proc = context.Process(target=self._child, daemon=True,
+                                       args=(theirs, serve, child_args))
+                proc.start()
+                self.procs.append(proc)
+                theirs.close()  # so that the child's death reads as EOF
+        except BaseException:
+            self.close()
+            raise
+
+    def recv(self, k: int):
+        conn, proc = self.conns[k - 1], self.procs[k - 1]
+        try:
+            message = conn.recv()
+        except EOFError:
+            proc.join(WORKER_EXIT_S)
+            raise RuntimeError(f"{self.what} {k} ended (exit code {proc.exitcode}) "
+                               f"before it replied") from None
+        if isinstance(message, Exception):
+            raise message
+        return message
+
+    def close(self) -> None:
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            proc.join(WORKER_EXIT_S)
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+        _set_blas_threads(self.blas_threads)
+
+    def _child(self, conn, serve, args: tuple) -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt
+        for end in self.conns:  # the parent's ends: theirs must be its alone
+            end.close()
+        try:
+            try:
+                serve(conn, *args)
+            except Exception as exc:  # the parent raises it where it reads the reply
+                conn.send(exc)
+                while True:
+                    conn.recv()  # until the parent closes the pipe
+        except (EOFError, OSError):
+            pass  # the parent closed the pipe, or died
+
+
+def _set_blas_threads(count: int | None) -> int | None:
+    """Give the OpenBLAS that a numpy wheel bundles in ``numpy.libs``
+    ``count`` threads and return the count it had; None, with nothing done,
+    for a ``count`` of None or where that library or its setter is missing."""
+    import ctypes
+
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
+        lib = ctypes.CDLL(str(path))
+        if count is not None and hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            old = get()
+            set_(count)
+            return old
+    return None
+
+
 def _dialogue(model: Model, records: list[DialogueRecord], idx: int,
               key: tuple[int, int, int]) -> tuple[float, float, float, bool]:
     """Forward and backward pass of record ``idx``, its dropout masks drawn
@@ -209,40 +300,25 @@ def _shared_zeros(shapes: list[tuple[int, int]]) -> list[np.ndarray]:
     return [flat[a:b].reshape(shape) for a, b, shape in zip(bounds, bounds[1:], shapes)]
 
 
-class _Workers:
+class _Workers(Forked):
     """The ``n_procs - 1`` forked processes that share each batch with the
     parent: worker k runs the batch's valid dialogues k, k + n_procs, ...
 
     While they live, the parameters sit in shared memory, where the
     parent's Adam steps update them between batches. A worker hands each
     gradient over in a shared slot of its own, which it refills only after
-    the parent has taken the previous gradient, and all else through a
+    the parent has taken the previous gradient, and all else through its
     pipe: no parameter or gradient is pickled."""
 
     def __init__(self, model: Model, records: list[DialogueRecord], n_procs: int):
-        import multiprocessing  # a run that forks nothing does not load it
-
         self.params = model.params
-        self.conns, self.procs, self.slots = [], [], []
-        try:
-            shapes = [t.shape for t in self.params.values()]
-            for t, shared in zip(self.params.values(), _shared_zeros(shapes)):
-                shared[...] = t.values
-                t.values = shared
-            context = multiprocessing.get_context("fork")
-            for _ in range(1, n_procs):
-                ours, theirs = context.Pipe()
-                slot = _shared_zeros(shapes)
-                proc = context.Process(target=_serve, daemon=True, args=(
-                    theirs, slot, model, records, self.conns + [ours]))
-                self.conns.append(ours)
-                self.slots.append(slot)
-                proc.start()
-                self.procs.append(proc)
-                theirs.close()  # so that a worker's death reads as EOF
-        except BaseException:
-            self.close()
-            raise
+        shapes = [t.shape for t in self.params.values()]
+        self.slots = [_shared_zeros(shapes) for _ in range(1, n_procs)]
+        for t, shared in zip(self.params.values(), _shared_zeros(shapes)):
+            shared[...] = t.values
+            t.values = shared
+        super().__init__("training worker", _serve,
+                         [(slot, model, records) for slot in self.slots])
 
     def deal(self, jobs: list[tuple[int, tuple]]) -> None:
         """Send each worker its share of a batch's ``(record, key)`` jobs."""
@@ -253,60 +329,33 @@ class _Workers:
 
     def take(self, k: int) -> tuple[float, float, float, bool]:
         """The result of worker k's next dialogue, its gradient added into
-        ``.grad``; a worker's exception is raised here."""
-        conn, proc = self.conns[k - 1], self.procs[k - 1]
-        try:
-            result = conn.recv()
-        except EOFError:
-            proc.join(WORKER_EXIT_S)
-            raise RuntimeError(f"training worker {k} ended (exit code {proc.exitcode}) "
-                               f"before its dialogue was done") from None
-        if isinstance(result, Exception):
-            raise result
+        ``.grad``."""
+        result = self.recv(k)
         for t, grad in zip(self.params.values(), self.slots[k - 1]):
             t.grad += grad
-        conn.send(None)  # the slot is free
+        self.conns[k - 1].send(None)  # the slot is free
         return result
 
     def close(self) -> None:
         """End and reap every worker, and give the parameters private
         arrays again."""
-        for conn in self.conns:
-            conn.close()
-        for proc in self.procs:
-            proc.join(WORKER_EXIT_S)
-            if proc.exitcode is None:
-                proc.kill()
-                proc.join()
+        super().close()
         for t in self.params.values():
             t.values = t.values.copy()
 
 
-def _serve(conn, slot: list[np.ndarray], model: Model, records: list[DialogueRecord],
-           inherited: list) -> None:
+def _serve(conn, slot: list[np.ndarray], model: Model, records: list[DialogueRecord]) -> None:
     """A worker: run the dialogues the parent deals, copying each gradient
-    into ``slot`` once the parent has taken the last; return when the
-    parent closes its end of ``conn`` or dies."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt
-    for other in inherited:  # the parent's ends: theirs must be its alone
-        other.close()
+    into ``slot`` once the parent has taken the last."""
     params = model.params
-    try:
-        while True:
-            jobs = conn.recv()
-            for j, (idx, key) in enumerate(jobs):
-                params.zero_grads()
-                try:
-                    result = _dialogue(model, records, idx, key)
-                except Exception as exc:  # the parent raises it in batch order
-                    conn.send(exc)
-                    while True:
-                        conn.recv()  # until the parent closes the pipe
-                if j:
-                    conn.recv()  # the parent has taken the previous gradient
-                for t, shared in zip(params.values(), slot):
-                    np.copyto(shared, t.grad)
-                conn.send(result)
-            conn.recv()  # the parent has taken the batch's last gradient
-    except (EOFError, OSError):
-        pass  # the parent closed the pipe, or died
+    while True:
+        jobs = conn.recv()
+        for j, (idx, key) in enumerate(jobs):
+            params.zero_grads()
+            result = _dialogue(model, records, idx, key)
+            if j:
+                conn.recv()  # the parent has taken the previous gradient
+            for t, shared in zip(params.values(), slot):
+                np.copyto(shared, t.grad)
+            conn.send(result)
+        conn.recv()  # the parent has taken the batch's last gradient

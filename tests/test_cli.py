@@ -52,6 +52,16 @@ def test_synth_exits_zero(tmp_path):
     assert len(cp.load_corpus(out)) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--dialogues", "-3"), ("--dialogues", "0"),
+                                         ("--speakers", "0"), ("--speakers", "-1")])
+def test_synth_count_below_one_is_a_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "corpus.jsonl"
+    argv = {"--dialogues": "2", "--speakers": "3", flag: value}
+    assert run_command(["synth", "--out", str(out), *(x for kv in argv.items() for x in kv)]) == 1
+    assert f"error: {flag} must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag_seed, env_seed, want", [
     (["--seed", "3"], "9", 3),  # the flag beats HGNN_SEED
     ([], "9", 9),               # HGNN_SEED without the flag

@@ -1,6 +1,7 @@
 """Source hygiene that no installed linter checks: every imported name and
 every dataclass field is read, the package never unpickles a file and
-never transposes a stored weight, and diffcore's kernels never use ``@``."""
+never transposes a stored weight, diffcore's kernels never use ``@``, and
+one class in the package forks processes."""
 import ast
 from pathlib import Path
 
@@ -144,3 +145,47 @@ def test_the_scan_sees_a_matmul_operator():
     tree = ast.parse("a = x @ w\nb = x.dot(w)\nc @= d\ne = f((x @ y) + z)\n"
                      "g = np.matmul(x, y)\nh = x * w\n")
     assert matmul_operators(tree) == ["line 1", "line 3", "line 4"]
+
+
+FORKING_NAMES = {"get_context", "Process", "Pipe"}
+
+
+def forking_sites(tree: ast.Module, helper: str) -> list[str]:
+    """Uses of ``get_context``, ``Process`` or ``Pipe``, and ``signal.signal``
+    calls that pass ``SIG_IGN``, outside the class named ``helper``."""
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == helper for node in ast.walk(cls)}
+
+    def name(node):
+        return getattr(node, "attr", getattr(node, "id", None))
+
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(tree) if id(node) not in inside and (
+            isinstance(node, (ast.Attribute, ast.Name)) and name(node) in FORKING_NAMES
+            or isinstance(node, ast.Call) and name(node.func) == "signal"
+            and any(name(arg) == "SIG_IGN" for arg in node.args)))]
+
+
+def test_only_the_fork_helper_creates_processes_or_pipes():
+    # one place owns the fork context, the pipes, the children's signal
+    # handling and their reaping
+    found = [f"{path.stem} {site}" for path in PACKAGE
+             for site in forking_sites(ast.parse(path.read_text(encoding="utf-8")), "Forked")]
+    assert found == []
+
+
+def test_the_scan_sees_a_fork_outside_the_helper():
+    tree = ast.parse("import multiprocessing as mp, signal\n"
+                     "class Forked:\n"
+                     "    def f(self):\n"
+                     "        ctx = mp.get_context('fork')\n"
+                     "        signal.signal(signal.SIGINT, signal.SIG_IGN)\n"
+                     "        return ctx.Process, ctx.Pipe\n"
+                     "ctx = mp.get_context('fork')\n"
+                     "a, b = ctx.Pipe()\n"
+                     "p = Process(target=print)\n"
+                     "signal.signal(signal.SIGINT, signal.SIG_IGN)\n"
+                     "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+                     "class Other:\n"
+                     "    pipe = mp.Pipe\n")
+    assert forking_sites(tree, "Forked") == ["line 7", "line 8", "line 9", "line 10", "line 13"]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hgchat import corpus as cp
 from hgchat import decoder as dec
 from hgchat import metrics as mx
+from hgchat import model as md
 from hgchat import training as tr
 from hgchat.config import TrainConfig
 from hgchat.model import Model
@@ -237,6 +238,20 @@ def test_generate_many_equals_generate_over_several_groups():
     assert {truncated for _, truncated in got} == {False, True}
 
 
+def test_generate_many_decodes_near_equal_lockstep_groups(monkeypatch):
+    model, records = eos_model(2, 12)
+    sizes = []
+    greedy_many = md.greedy_many
+
+    def sized(group, *args):
+        sizes.append(len(group))
+        return greedy_many(group, *args)
+
+    monkeypatch.setattr(md, "greedy_many", sized)
+    assert model.generate_many(records) == [model.generate(rec) for rec in records]
+    assert sizes == [6, 6]
+
+
 def test_evaluate_report_equals_one_from_per_record_generate(monkeypatch):
     model, records = eos_model(2, dec.GREEDY_GROUP + 3)
     batched = mx.evaluate(model, records)
@@ -328,7 +343,7 @@ def test_groups_are_the_fewest_consecutive_and_near_equal():
              17: [5, 6, 6], 25: [6, 6, 6, 7]}
     for n, want in sizes.items():
         records = list(range(n))
-        groups = mx._groups(records)
+        groups = dec.lockstep_groups(records)
         assert [len(group) for group in groups] == want
         assert [r for group in groups for r in group] == records
 
@@ -343,7 +358,7 @@ def test_balanced_groups_report_as_one_process_does(monkeypatch, tmp_path, n_rec
     for n in (2, 3):
         pin_processes(monkeypatch, n)
         assert mx.evaluate(model, records) == want
-        assert processes() == min(n, len(mx._groups(records)))
+        assert processes() == min(n, len(dec.lockstep_groups(records)))
         assert_no_child_left()
 
 

@@ -6,7 +6,9 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -563,11 +565,12 @@ def test_one_dialogue_trains_without_forking_or_loading_multiprocessing():
     subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=120)
 
 
-def record_dealt_to_a_worker(records, cfg):
-    """Index of the record a second process takes first: the second of the
-    first batch in epoch 1, whose order a one-epoch run stores."""
+def record_dealt_to_a_worker(records, cfg, position=1):
+    """Index of the record at ``position`` of the first batch in epoch 1,
+    whose order a one-epoch run stores: with two processes, positions 1
+    and 3 are the second process's first and second dialogues."""
     order = tr.train(records, dataclasses.replace(cfg, epochs=1)).model.params.order
-    return int(order[1])
+    return int(order[position])
 
 
 def diverge(record):
@@ -587,6 +590,29 @@ def test_non_finite_loss_in_a_worker_is_raised_in_the_parent(monkeypatch):
     assert not any(in_shared_memory(t.values) for t in model.params.values())
 
 
+def test_error_in_a_workers_second_dialogue_is_raised_in_the_parent(monkeypatch):
+    # the worker fails while the parent still runs its first dialogue, so
+    # the parent frees the worker's slot after the worker has given up
+    pin_processes(monkeypatch, 2)
+    cfg = tiny_cfg(epochs=1, batch_size=4)
+    records = tiny_corpus(4, seed=1, cfg=cfg)
+    bad = record_dealt_to_a_worker(records, cfg, position=3)
+    diverge(records[bad])
+    parent_pid = os.getpid()
+    dialogue = tr._dialogue
+
+    def slow_in_parent(*args):
+        if os.getpid() == parent_pid:
+            time.sleep(0.3)
+        return dialogue(*args)
+
+    monkeypatch.setattr(tr, "_dialogue", slow_in_parent)
+    model = fresh_model(records, cfg)
+    with pytest.raises(dc.NumericalError, match=f"^non-finite loss on record {bad}$"):
+        tr.train(records, cfg, model=model)
+    assert_no_child_left()
+
+
 def test_interrupted_training_leaves_no_worker(monkeypatch):
     pin_processes(monkeypatch, 3)
 
@@ -601,6 +627,66 @@ def test_interrupted_training_leaves_no_worker(monkeypatch):
         tr.train(records, cfg, model=model)
     assert_no_child_left()
     assert not any(in_shared_memory(t.values) for t in model.params.values())
+
+
+def test_a_worker_that_dies_is_reported(monkeypatch):
+    pin_processes(monkeypatch, 2)
+    parent_pid = os.getpid()
+    dialogue = tr._dialogue
+
+    def die_in_worker(*args):
+        if os.getpid() != parent_pid:
+            os._exit(3)
+        return dialogue(*args)
+
+    monkeypatch.setattr(tr, "_dialogue", die_in_worker)
+    cfg = tiny_cfg(epochs=1, batch_size=4)
+    records = tiny_corpus(4, cfg=cfg)
+    model = fresh_model(records, cfg)
+    with pytest.raises(RuntimeError, match=r"^training worker 1 ended \(exit code 3\)"):
+        tr.train(records, cfg, model=model)
+    assert_no_child_left()
+    assert not any(in_shared_memory(t.values) for t in model.params.values())
+
+
+def test_blas_runs_one_thread_per_process_while_workers_live(monkeypatch, tmp_path):
+    threads = [4]
+
+    def set_threads(count):
+        if count is None:
+            return None
+        old, threads[0] = threads[0], count
+        return old
+
+    monkeypatch.setattr(tr, "_set_blas_threads", set_threads)
+    dialogue = tr._dialogue
+
+    def mark(*args):  # each process leaves its thread count in a file named by its pid
+        (tmp_path / str(os.getpid())).write_text(str(threads[0]))
+        return dialogue(*args)
+
+    monkeypatch.setattr(tr, "_dialogue", mark)
+    cfg = tiny_cfg(epochs=2, batch_size=4)
+    records = tiny_corpus(4, cfg=cfg)
+    seen, counts = [], {}
+    for n in (1, 2):
+        pin_processes(monkeypatch, n)
+        for path in tmp_path.iterdir():
+            path.unlink()
+        tr.train(records, cfg, log_fn=lambda stats: seen.append(threads[0]))
+        assert threads == [4]  # restored
+        counts[n] = sorted(path.read_text() for path in tmp_path.iterdir())
+    assert seen == [4, 4, 1, 1]
+    assert counts == {1: ["4"], 2: ["1", "1"]}
+
+
+def test_the_bundled_openblas_thread_count_is_set_and_restored():
+    bundled = list((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
+    old = tr._set_blas_threads(3)
+    try:
+        assert (old is not None) == bool(bundled)
+    finally:
+        assert tr._set_blas_threads(old) == (3 if bundled else None)
 
 
 # --- full-model gradient coverage --------------------------------------------------
