@@ -238,9 +238,7 @@ def cmd_inspect_graph(args) -> int:
     records = _load_records(args.corpus, cfg.max_turns)
     if not 0 <= args.index < len(records):
         raise ValueError(f"--index {args.index} outside corpus of {len(records)}")
-    graph = build_hetero_graph(records[args.index], self_loops=cfg.self_loops,
-                               mask_orientation=cfg.mask_orientation,
-                               ablate=cfg.ablate)
+    graph = build_hetero_graph(records[args.index], ablate=cfg.ablate)
     print(format_graph(graph))
     return 0
 

@@ -5,6 +5,8 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
+from .graph import ABLATABLE
+
 
 class ConfigError(ValueError):
     pass
@@ -42,16 +44,11 @@ class TrainConfig:
     z_speakers: int = 13
 
     # graph construction
-    self_loops: bool = True
-    mask_orientation: str = "sender"
-    normalize_adjacency: bool = False
     gnn_mode: str = "hetero"
     ablate: tuple[str, ...] = ()
 
     # behavior switches
     golden_emotion: bool = False
-    detach_predicted_emotion: bool = False
-    attention_residual: bool = False
 
     # data limits
     max_turns: int = 35
@@ -68,14 +65,19 @@ class TrainConfig:
             raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
         if self.d_model % self.heads != 0:
             raise ConfigError(f"heads={self.heads} must divide d_model={self.d_model}")
-        if self.mask_orientation not in ("sender", "receiver"):
-            raise ConfigError(f"mask_orientation must be sender or receiver, "
-                              f"got {self.mask_orientation!r}")
         if self.gnn_mode not in ("hetero", "homo"):
             raise ConfigError(f"gnn_mode must be hetero or homo, got {self.gnn_mode!r}")
-        bad = [a for a in self.ablate if a not in ("face", "audio", "emotion", "speaker")]
+        bad = [a for a in self.ablate if a not in ABLATABLE]
         if bad:
             raise ConfigError(f"unknown ablation(s): {bad}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        for name in ("learning_rate", "adam_eps"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be at least 0, got {self.epochs}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         for name in ("d_word", "d_hidden", "d_model", "d_pe", "face_dim", "audio_dim",

@@ -125,7 +125,7 @@ class DecodeState:
         """``h_enc`` stacks the dialogues' encoder rows, ``nodes[j]`` of them
         for dialogue j (None: all of one dialogue's), and row j of ``e_p``
         and ``s_p`` belongs to dialogue j."""
-        self.params, self.heads, self.residual = params, cfg.heads, cfg.attention_residual
+        self.params, self.heads = params, cfg.heads
         self.self_wk = key_weight(params, "dec.self_attn", cfg.heads)
         self.cross_kv = project_kv(params, "dec.cross_attn", h_enc, cfg.heads)
         self.node_dialogue = (None if nodes is None or len(nodes) == 1
@@ -162,10 +162,9 @@ class DecodeState:
         k, v = matmul(x, self.self_wk), matmul(x, params["dec.self_attn.wv"])
         if cache is not None:
             k, v = concat_rows(cache[0], k), concat_rows(cache[1], v)
-        h_r = multihead(params, "dec.self_attn", x, (transpose(k), v), self.heads, mask, drop,
-                        self.residual)
+        h_r = multihead(params, "dec.self_attn", x, (transpose(k), v), self.heads, mask, drop)
         attended = multihead(params, "dec.cross_attn", h_r, self.cross_kv, self.heads,
-                             cross_mask, drop, self.residual)
+                             cross_mask, drop)
         o = ffn(params, "dec.ffn", attended, drop)
         return softmax_rows(matmul(gate_fuse(o, fold), params["dec.out_proj.w"])), (k, v)
 

@@ -85,10 +85,6 @@ class Tensor:
         if self.grad is not None:
             self.grad.fill(0.0)
 
-    def detach(self) -> "Tensor":
-        """Copy of the values with no gradient path back to this tensor."""
-        return Tensor(self.values.copy())
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag})"

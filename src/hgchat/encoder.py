@@ -13,7 +13,7 @@ import logging
 
 import numpy as np
 
-from .config import ConfigError, TrainConfig
+from .config import TrainConfig
 from .corpus import (EMOTION_INDEX, PAD, DialogueRecord, RecordError, SpeakerRoster,
                      Vocab, distinct_speakers, tokenize)
 from .diffcore import (Tensor, add, affine, concat_cols, concat_rows, elem_mul,
@@ -89,12 +89,8 @@ def encode_utterances(record: DialogueRecord, params: ModelParams, vocab: Vocab,
     last_hidden = lstm_last_hidden(params, token_rows)
     pe = row_lookup(params["enc.pe"], [n - 1 - i for i in range(n)])
     h_u = concat_cols(last_hidden, pe)
-    residual = cfg.attention_residual
-    if residual and cfg.d_hidden + cfg.d_pe != cfg.d_model:
-        raise ConfigError("attention_residual in the encoder requires "
-                          "d_hidden + d_pe == d_model")
     kv = project_kv(params, "enc.ctx_attn", h_u, cfg.heads)
-    return multihead(params, "enc.ctx_attn", h_u, kv, cfg.heads, drop=drop, residual=residual)
+    return multihead(params, "enc.ctx_attn", h_u, kv, cfg.heads, drop=drop)
 
 
 def project_modality(vectors: np.ndarray, which: str, params: ModelParams,
@@ -118,25 +114,6 @@ def lookup_node_embeddings(record: DialogueRecord, params: ModelParams,
     return x_e, x_s
 
 
-def _conv_matrix(graph: HeteroGraph, normalize: bool, typed: bool) -> np.ndarray:
-    """The adjacency as the convolution reads it, with normalisation folded in.
-
-    Untyped, and typed in receiver mode, each row is divided by its
-    degree. Typed in sender mode, ``A_ij`` is divided by i's degree into
-    j's type, which row-normalises each sender type's block on its own.
-    Rows or blocks with no neighbours stay zero.
-    """
-    a = graph.adjacency.astype(np.float64)
-    if not normalize:
-        return a
-    if typed and graph.mask_orientation == "sender":
-        one_hot = graph.node_type[:, np.newaxis] == np.arange(len(NODE_TYPES))
-        degree = (a @ one_hot)[:, graph.node_type]
-    else:
-        degree = a.sum(axis=1, keepdims=True)
-    return np.divide(a, degree, out=np.zeros_like(a), where=degree > 0)
-
-
 def hgnn_forward(graph: HeteroGraph, h0: Tensor, params: ModelParams,
                  cfg: TrainConfig, drop: Dropouter | None = None) -> Tensor:
     """Stacked graph convolution over the typed adjacency, ReLU after
@@ -149,23 +126,16 @@ def hgnn_forward(graph: HeteroGraph, h0: Tensor, params: ModelParams,
     weights W_τ as row blocks and its ``b`` stacks the five b_τ as rows.
     The mask M keeps node j's type block of the columns of ``[H; …; H]``,
     five copies of H side by side, so ``([H; …; H] ⊙ M)·w`` is row j of H
-    times W_τ(j):
-
-    - sender mode (A_τ keeps columns of type τ):
-      ``A·(([H; …; H] ⊙ M)·w) + Σ_τ b_τ``;
-    - receiver mode (A_τ keeps rows of type τ):
-      ``([A·H; …; A·H] ⊙ M)·w + Σ_τ b_τ``.
-
-    ``normalize_adjacency`` row-normalises each A_τ; that folds into A
-    (see ``_conv_matrix``). homo mode applies a single matrix over the
-    plain adjacency.
+    times W_τ(j). A_τ keeps the columns (senders) of type τ, so the layer
+    is ``A·(([H; …; H] ⊙ M)·w) + Σ_τ b_τ``. homo mode applies a single
+    matrix over the plain adjacency.
     """
     if h0.shape[0] != graph.n_nodes:
         raise ValueError(f"feature matrix has {h0.shape[0]} rows for "
                          f"{graph.n_nodes} graph nodes")
     h = h0
     hetero = cfg.gnn_mode == "hetero"
-    a = Tensor(_conv_matrix(graph, cfg.normalize_adjacency, hetero))
+    a = Tensor(graph.adjacency.astype(np.float64))
     if not hetero:
         for layer in range(cfg.gnn_layers):
             h = relu(affine(matmul(a, h), params[f"enc.gnn.l{layer}.w"],
@@ -175,16 +145,11 @@ def hgnn_forward(graph: HeteroGraph, h0: Tensor, params: ModelParams,
         one_hot = graph.node_type[:, np.newaxis] == np.arange(n_types)
         mask = Tensor(np.repeat(one_hot.astype(np.float64), cfg.d_model, axis=1))
         ones = Tensor(np.ones((1, n_types)))
-        sender = graph.mask_orientation == "sender"
         for layer in range(cfg.gnn_layers):
             w = params[f"enc.gnn.l{layer}.w"]
             b_sum = matmul(ones, params[f"enc.gnn.l{layer}.b"])
-            if sender:
-                messages = matmul(elem_mul(concat_cols(*[h] * n_types), mask), w)
-                h = relu(affine(a, messages, b_sum))
-            else:
-                h = relu(affine(elem_mul(concat_cols(*[matmul(a, h)] * n_types), mask), w,
-                                b_sum))
+            messages = matmul(elem_mul(concat_cols(*[h] * n_types), mask), w)
+            h = relu(affine(a, messages, b_sum))
     return ffn(params, "enc.out_ffn", h, drop)
 
 

@@ -6,12 +6,13 @@ assembled by stacking the per-type blocks in the same order. Emotion
 nodes are instanced per utterance; speaker nodes once per distinct
 speaker, in order of first appearance.
 
-A graph stores one matrix, the 0/1 adjacency, plus the type of every
-node. Each of the eleven pairing rules joins exactly one unordered pair
-of node types, so the rule behind an edge, the typed adjacencies and
-the node list are all derived from those two arrays on demand
-(``edge_rules``, ``type_adjacency``, ``nodes``); only ``format_graph``,
-``inspect-graph`` and the tests read them.
+A graph stores one matrix, the 0/1 adjacency with a self-loop on every
+node, plus the type of every node. Each of the eleven pairing rules
+joins exactly one unordered pair of node types, so the rule behind an
+edge, the typed adjacencies and the node list are all derived from
+those two arrays on demand (``edge_rules``, ``type_adjacency``,
+``nodes``); only ``format_graph``, ``inspect-graph`` and the tests read
+them.
 """
 from __future__ import annotations
 
@@ -68,7 +69,6 @@ class Node:
 class HeteroGraph:
     adjacency: np.ndarray   # |V| x |V|, entries 0/1
     node_type: np.ndarray   # |V| indices into NODE_TYPES, in contiguous blocks
-    mask_orientation: str
 
     @property
     def n_nodes(self) -> int:
@@ -86,13 +86,12 @@ class HeteroGraph:
 
     @property
     def type_adjacency(self) -> dict[NodeType, np.ndarray]:
-        """The adjacency kept to senders (columns) or receivers (rows) of
-        each type; the five matrices sum to the adjacency."""
+        """The adjacency kept to the columns (senders) of each type; the
+        five matrices sum to the adjacency."""
         typed = {}
         for t, kind in enumerate(NODE_TYPES):
             mask = self.node_type == t
-            typed[kind] = self.adjacency * (mask[np.newaxis, :] if self.mask_orientation == "sender"
-                                            else mask[:, np.newaxis])
+            typed[kind] = self.adjacency * mask[np.newaxis, :]
         return typed
 
     @property
@@ -116,18 +115,16 @@ def _resolve_ablations(ablate) -> set[NodeType]:
     return dropped
 
 
-def build_hetero_graph(record: DialogueRecord, self_loops: bool = True,
-                       mask_orientation: str = "sender",
+def build_hetero_graph(record: DialogueRecord,
                        ablate: tuple[str, ...] = ()) -> HeteroGraph:
     """Build the typed graph for one dialogue.
 
     An edge exists iff at least one of the eleven pairing rules holds;
     rules touching absent node types (missing modalities or ablated
     types) are skipped along with the nodes themselves. Each rule fills
-    one block of the adjacency and its mirror.
+    one block of the adjacency and its mirror, and every node gets a
+    self-loop.
     """
-    if mask_orientation not in ("sender", "receiver"):
-        raise ValueError(f"mask_orientation must be sender or receiver, got {mask_orientation!r}")
     n = record.n_turns
     dropped = _resolve_ablations(ablate)
     missing = {NodeType.FACE: record.faces is None, NodeType.AUDIO: record.audios is None}
@@ -153,11 +150,10 @@ def build_hetero_graph(record: DialogueRecord, self_loops: bool = True,
         if a in block and b in block:
             adjacency[block[a], block[b]] = relation[rel]
             adjacency[block[b], block[a]] = relation[rel].T
-    if self_loops:
-        np.fill_diagonal(adjacency, 1)
+    np.fill_diagonal(adjacency, 1)
 
     node_type = np.repeat([_TYPE_INDEX[kind] for kind in kinds], sizes)
-    return HeteroGraph(adjacency, node_type, mask_orientation)
+    return HeteroGraph(adjacency, node_type)
 
 
 def format_graph(graph: HeteroGraph) -> str:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .diffcore import (Tensor, add, affine, concat_rows, dropout, elem_mul,
+from .diffcore import (Tensor, affine, concat_rows, dropout, elem_mul,
                        matmul, relu, scale, softmax_rows, transpose)
 
 
@@ -80,8 +80,7 @@ def project_kv(params, prefix: str, src: Tensor, heads: int) -> tuple[Tensor, Te
 
 
 def multihead(params, prefix: str, x: Tensor, kv: tuple[Tensor, Tensor], heads: int,
-              mask: np.ndarray | None = None, drop: Dropouter | None = None,
-              residual: bool = False) -> Tensor:
+              mask: np.ndarray | None = None, drop: Dropouter | None = None) -> Tensor:
     """Multi-head scaled dot-product attention of the rows ``x`` over the
     transposed, scaled keys and the values ``kv`` that ``project_kv``
     made, all heads in one pass.
@@ -89,11 +88,11 @@ def multihead(params, prefix: str, x: Tensor, kv: tuple[Tensor, Tensor], heads: 
     The projections ``{prefix}.wq/wk/wv`` (d_in x d) hold every head,
     head h in columns h*d/H .. (h+1)*d/H, and ``{prefix}.wo`` is the shared
     output projection. The heads are laid out as row blocks (``attend``),
-    and a boolean keep ``mask`` is already tiled over them.
+    and a boolean keep ``mask`` is already tiled over them. The result is
+    the projected context after dropout, with no residual of ``x``.
     """
     context = attend(matmul(x, params[f"{prefix}.wq"]), *kv, heads, mask)
-    out = maybe_drop(matmul(context, params[f"{prefix}.wo"]), drop)
-    return add(out, x) if residual else out
+    return maybe_drop(matmul(context, params[f"{prefix}.wo"]), drop)
 
 
 def ffn(params, prefix: str, x: Tensor, drop: Dropouter | None = None) -> Tensor:

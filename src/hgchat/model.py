@@ -44,23 +44,20 @@ class Model:
         """Encoder node states and emotion distribution of one dialogue;
         raises ``RecordError`` for a record this model cannot take."""
         record.validate(self.cfg.max_turns)
-        graph = build_hetero_graph(record, self_loops=self.cfg.self_loops,
-                                   mask_orientation=self.cfg.mask_orientation,
-                                   ablate=self.cfg.ablate)
+        graph = build_hetero_graph(record, ablate=self.cfg.ablate)
         h0 = assemble_node_features(record, graph, self.params, self.vocab,
                                     self.roster, self.cfg, drop)
         h_enc = hgnn_forward(graph, h0, self.params, self.cfg, drop)
         return Encoded(h_enc, predict_emotion(h_enc, self.params))
 
     def decoder_emotion(self, encoded: Encoded, record: DialogueRecord) -> Tensor:
-        """The distribution the decoder mixes with: predicted, detached
-        predicted, or the one-hot gold label in golden-emotion mode."""
+        """The distribution the decoder mixes with: the predicted one, through
+        which the generation loss reaches the predictor, or the one-hot gold
+        label in golden-emotion mode."""
         if self.cfg.golden_emotion:
             one_hot = np.zeros((1, len(EMOTIONS)))
             one_hot[0, EMOTION_INDEX[record.response_emotion]] = 1.0
             return Tensor(one_hot)
-        if self.cfg.detach_predicted_emotion:
-            return encoded.p.detach()
         return encoded.p
 
     def mix_inputs(self, encoded: Encoded, record: DialogueRecord,

@@ -25,6 +25,10 @@ now stored as its reader takes it: the gate weight is ``dec.gate.wo``
 3d x d ``dec.gate.w``; a hetero ``enc.gnn.l{L}.w`` is 5d x d, type τ in
 row block τ, where it was d x 5d; ``enc.emotion_head.w`` is d x 7 and
 ``dec.out_proj.w`` d x V, where both were stored transposed.
+
+Older format-4 configs also hold five settings that have since been
+removed (``_REMOVED_SETTINGS``); the reader drops each one that holds the
+value the model now always has, and refuses any other value.
 """
 from __future__ import annotations
 
@@ -46,6 +50,10 @@ from .graph import NODE_TYPES
 
 CHECKPOINT_MAGIC = "HGNN-CKPT-4"
 _HEADER_KEYS = ("config", "vocab", "roster", "adam_t", "rng_state")
+# removed config settings, each with the one reading the model kept
+_REMOVED_SETTINGS = {"self_loops": True, "mask_orientation": "sender",
+                     "normalize_adjacency": False, "detach_predicted_emotion": False,
+                     "attention_residual": False}
 
 
 def xavier_init(shape, seed) -> Tensor:
@@ -317,8 +325,14 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, TrainConfig, Vocab, 
     the stored config."""
     members = _read_members(path)
     fields = _read_header(path, members.pop("header", None))
+    config = dict(fields["config"])
+    for key, kept in _REMOVED_SETTINGS.items():
+        value = config.pop(key, kept)
+        if value != kept or type(value) is not type(kept):
+            raise ValueError(f"{path}: checkpoint setting {key!r} is {value!r}, but the "
+                             f"model now always has {key} = {kept!r}")
     try:
-        cfg = TrainConfig.from_dict(fields["config"])
+        cfg = TrainConfig.from_dict(config)
     except (ValueError, TypeError) as exc:  # a ConfigError would read as a usage error
         raise ValueError(f"{path}: checkpoint 'config' is not a valid configuration: "
                          f"{exc}") from None

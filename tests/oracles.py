@@ -57,15 +57,12 @@ def multi_head_attention(q, k, v, wqs, wks, wvs, wo, causal=False):
     return np.concatenate(contexts, axis=1) @ wo
 
 
-def typed_graph_conv(adjacency, kinds, h, layers, orientation, normalize,
-                     act=lambda x: np.maximum(x, 0.0)):
+def typed_graph_conv(adjacency, kinds, h, layers, act=lambda x: np.maximum(x, 0.0)):
     """Heterogeneous graph convolution as five typed matrices per layer.
 
     ``kinds`` gives each node's type code; each layer of ``layers`` maps a
-    code to its ``(w, b)``. A_τ keeps the adjacency's columns of type τ in
-    sender orientation and its rows of type τ in receiver orientation;
-    ``normalize`` divides each row of each A_τ by its own sum. A layer is
-    ``act(Σ_τ A_τ h w_τ + b_τ)``.
+    code to its ``(w, b)``. A_τ keeps the adjacency's columns (senders) of
+    type τ. A layer is ``act(Σ_τ A_τ h w_τ + b_τ)``.
     """
     adj = np.asarray(adjacency, dtype=np.float64)
     kinds = np.asarray(kinds)
@@ -73,10 +70,7 @@ def typed_graph_conv(adjacency, kinds, h, layers, orientation, normalize,
         pre = 0.0
         for code, (w, b) in weights.items():
             keep = (kinds == code).astype(np.float64)
-            a_t = adj * (keep[np.newaxis, :] if orientation == "sender" else keep[:, np.newaxis])
-            if normalize:
-                sums = a_t.sum(axis=1, keepdims=True)
-                a_t = np.divide(a_t, sums, out=np.zeros_like(a_t), where=sums > 0)
+            a_t = adj * keep[np.newaxis, :]
             pre = pre + a_t @ h @ w + b
         h = act(pre)
     return h
@@ -100,22 +94,22 @@ def lstm_final_states(emb, token_rows, wi, ui, bi, wf, uf, bf, wo, uo, bo, wc, u
     return np.array(out)
 
 
-def decoder_distributions(tokens, h_enc, e_p, s_p, weights, heads, residual=False):
+def decoder_distributions(tokens, h_enc, e_p, s_p, weights, heads):
     """Teacher-forced next-token distributions of the unfused decoder.
 
     Row t is the distribution after ``tokens[:t + 1]``. ``weights`` maps the
     ``dec.*`` parameter names to arrays, with the gate weight as one 3d x d
     ``dec.gate.w`` and the output projection ``dec.out_proj.w`` as V x d.
     Causal self-attention over the
-    token rows, cross-attention into ``h_enc``, the two-layer FFN, then the
+    token rows, cross-attention into ``h_enc``, each without a residual
+    connection, the two-layer FFN, then the
     gate ``g = σ([o; e_p; s_p]·W_g + b)`` on the full concatenated input and
     ``o + g ⊙ e_p + (1 − g) ⊙ s_p``, projected onto the vocabulary.
     """
     def attention(prefix, q, kv, causal):
         split = lambda proj: np.split(weights[f"{prefix}.{proj}"], heads, axis=1)
-        out = multi_head_attention(q, kv, kv, split("wq"), split("wk"), split("wv"),
-                                   weights[f"{prefix}.wo"], causal=causal)
-        return out + q if residual else out
+        return multi_head_attention(q, kv, kv, split("wq"), split("wk"), split("wv"),
+                                    weights[f"{prefix}.wo"], causal=causal)
 
     x = weights["dec.tok_emb"][list(tokens)]
     h_r = attention("dec.self_attn", x, x, True)

@@ -120,6 +120,47 @@ def test_generate_on_a_format_three_checkpoint_is_a_data_error(ckpt_and_corpus, 
     assert "data error" in err and "not a HGNN-CKPT-4 checkpoint" in err
 
 
+# the settings that format-4 checkpoints stored before they were removed,
+# each at the one value the model kept
+REMOVED_SETTINGS = {"self_loops": True, "mask_orientation": "sender",
+                    "normalize_adjacency": False, "detach_predicted_emotion": False,
+                    "attention_residual": False}
+
+
+def test_generate_on_a_checkpoint_with_the_removed_settings_at_their_kept_values(
+        ckpt_and_corpus, capsys):
+    ckpt, corpus = ckpt_and_corpus
+    assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 0
+    want = capsys.readouterr().out
+    rewrite_checkpoint(ckpt, lambda header, members: header["config"].update(REMOVED_SETTINGS))
+    assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("key, value", [
+    ("self_loops", False), ("mask_orientation", "receiver"), ("normalize_adjacency", True),
+    ("detach_predicted_emotion", True), ("attention_residual", True), ("self_loops", 1)])
+def test_generate_on_a_checkpoint_with_a_removed_reading_is_a_data_error(
+        ckpt_and_corpus, capsys, key, value):
+    ckpt, corpus = ckpt_and_corpus
+    rewrite_checkpoint(ckpt, lambda header, members: header["config"].update(
+        {**REMOVED_SETTINGS, key: value}))
+    assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"setting {key!r} is {value!r}" in err
+
+
+def test_config_file_naming_a_removed_setting_is_a_usage_error(ckpt_and_corpus, tmp_path,
+                                                               capsys):
+    _, corpus = ckpt_and_corpus
+    config = tmp_path / "run.cfg"
+    config.write_text("self_loops = true\n")
+    assert run_command(["train", "--corpus", corpus, "--config", str(config),
+                        "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert "unknown key 'self_loops'" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 FORMAT_TWO = {"magic": "HGNN-CKPT-2", "config": {}, "vocab": ["<pad>"], "roster": ["<unk>"],
               "params": {"dec.gate.b": {"shape": [1, 1], "values": [0.0]}}}
 
@@ -237,6 +278,29 @@ def test_train_resume_with_a_setting_of_its_own_is_a_usage_error(ckpt_and_corpus
     assert run_command(["train", "--corpus", corpus, "--resume", ckpt, *flag,
                         "--out", str(tmp_path / "m.ckpt")]) == 1
     assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, flags, named", [
+    ("beta2 = 1.0\n", ["--epochs", "1"], "beta2 must be in [0, 1)"),
+    ("adam_eps = 0\n", ["--epochs", "1"], "adam_eps must be positive"),
+    ("", ["--epochs", "-3"], "epochs must be at least 0")],
+    ids=["beta2-one", "adam-eps-zero", "negative-epochs"])
+def test_train_with_an_optimizer_setting_that_cannot_train_is_a_usage_error(
+        ckpt_and_corpus, tiny_config, tmp_path, capsys, setting, flags, named):
+    _, corpus = ckpt_and_corpus
+    config = Path(tiny_config)
+    config.write_text(config.read_text() + setting)
+    assert run_command(["train", "--corpus", corpus, "--config", tiny_config, *flags,
+                        "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert f"error: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_resume_with_negative_epochs_is_a_usage_error(ckpt_and_corpus, tmp_path, capsys):
+    ckpt, corpus = ckpt_and_corpus
+    assert run_command(["train", "--corpus", corpus, "--resume", ckpt, "--epochs", "-3",
+                        "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert "epochs must be at least 0, got -3" in capsys.readouterr().err
 
 
 def test_numerical_failure_in_training_exits_three(ckpt_and_corpus, tmp_path, monkeypatch):

@@ -81,28 +81,27 @@ def graph_edge_set(graph):
 
 def assert_matches_oracle(speakers, emotions, with_modalities=True):
     rec = record_for(speakers, emotions, with_modalities)
-    for orientation in ("sender", "receiver"):
-        graph = build_hetero_graph(rec, self_loops=False, mask_orientation=orientation)
-        nodes, want = oracle_edges(speakers, with_modalities)
-        assert [(n.kind.value, n.source) for n in graph.nodes] == nodes
-        assert graph_edge_set(graph) == want
-        # oracle for the five masks as well
-        kinds = [n[0] for n in nodes]
-        for kind in NODE_TYPES:
-            mask = np.array([k == kind.value for k in kinds])
-            dense = np.zeros((len(nodes), len(nodes)), dtype=np.int64)
-            for i, j in want:
-                dense[i, j] = dense[j, i] = 1
-            expect = dense * (mask[np.newaxis, :] if orientation == "sender"
-                              else mask[:, np.newaxis])
-            assert np.array_equal(graph.type_adjacency[kind], expect), (kind, orientation)
+    graph = build_hetero_graph(rec)
+    nodes, want = oracle_edges(speakers, with_modalities)
+    assert [(n.kind.value, n.source) for n in graph.nodes] == nodes
+    assert graph_edge_set(graph) == want
+    # oracle for the five masks as well: the edges plus a self-loop on
+    # every node, kept to the columns (senders) of each type
+    kinds = [n[0] for n in nodes]
+    for kind in NODE_TYPES:
+        mask = np.array([k == kind.value for k in kinds])
+        dense = np.eye(len(nodes), dtype=np.int64)
+        for i, j in want:
+            dense[i, j] = dense[j, i] = 1
+        expect = dense * mask[np.newaxis, :]
+        assert np.array_equal(graph.type_adjacency[kind], expect), kind
 
 
 # --- pinned examples -----------------------------------------------------
 
 def test_single_turn_graph_five_nodes_eight_edges():
     rec = record_for(["s1"])
-    graph = build_hetero_graph(rec, self_loops=False)
+    graph = build_hetero_graph(rec)
     assert graph.n_nodes == 5
     assert len(graph.edge_rules) == 8
     fired = sorted(r for rules in graph.edge_rules.values() for r in rules)
@@ -112,7 +111,7 @@ def test_single_turn_graph_five_nodes_eight_edges():
 def test_duplicate_firing_rules_yield_single_binary_edge():
     # both "adjacent" and "same speaker" fire for the one utterance pair
     rec = record_for(["s1", "s1"])
-    graph = build_hetero_graph(rec, self_loops=False)
+    graph = build_hetero_graph(rec)
     u0, u1 = 0, 1
     assert graph.adjacency[u0, u1] == 1
     assert np.all((graph.adjacency == 0) | (graph.adjacency == 1))
@@ -120,7 +119,7 @@ def test_duplicate_firing_rules_yield_single_binary_edge():
 
 def test_three_turn_same_speaker_links():
     rec = record_for(["s1", "s2", "s1"])
-    graph = build_hetero_graph(rec, self_loops=False)
+    graph = build_hetero_graph(rec)
     by_desc = {(n.kind.value, n.source): n.idx for n in graph.nodes}
     e = graph.edge_rules
     u13 = tuple(sorted((by_desc[("u", 0)], by_desc[("u", 2)])))
@@ -133,16 +132,17 @@ def test_three_turn_same_speaker_links():
 
 def test_speaker_column_carries_rules_5_8_9():
     rec = record_for(["s1"])
-    graph = build_hetero_graph(rec, self_loops=False)
+    graph = build_hetero_graph(rec)
     a_s = graph.type_adjacency[NodeType.SPEAKER]
     s_idx = graph.nodes_of(NodeType.SPEAKER)[0].idx
-    assert a_s[:, s_idx].sum() == 3
-    assert a_s.sum() == 3  # only that column is populated
+    assert a_s[:, s_idx].sum() == 4  # rules 5, 8 and 9, and the self-loop
+    assert a_s[s_idx, s_idx] == 1
+    assert a_s.sum() == 4  # only that column is populated
 
 
 def test_empty_type_gives_zero_matrix():
     rec = record_for(["s1"], with_modalities=False)
-    graph = build_hetero_graph(rec, self_loops=False)
+    graph = build_hetero_graph(rec)
     assert np.array_equal(graph.type_adjacency[NodeType.FACE],
                           np.zeros((graph.n_nodes, graph.n_nodes), dtype=np.int64))
 
@@ -194,32 +194,27 @@ def random_record(draw):
     n = draw(st.integers(1, 4))
     speakers = [f"s{draw(st.integers(1, 3))}" for _ in range(n)]
     with_mod = draw(st.booleans())
-    return record_for(speakers, None, with_mod), draw(st.booleans())
+    return record_for(speakers, None, with_mod)
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_record())
-def test_symmetry_and_partition(data):
-    rec, loops = data
-    for orientation in ("sender", "receiver"):
-        graph = build_hetero_graph(rec, self_loops=loops, mask_orientation=orientation)
-        a = graph.adjacency
-        assert np.array_equal(a, a.T)
-        assert set(np.unique(a)) <= {0, 1}
-        total = sum(graph.type_adjacency[k] for k in NODE_TYPES)
-        assert np.array_equal(total, a)
-        if loops:
-            assert np.all(np.diag(a) == 1)
-        else:
-            assert np.all(np.diag(a) == 0)
+def test_symmetry_and_partition(rec):
+    graph = build_hetero_graph(rec)
+    a = graph.adjacency
+    assert np.array_equal(a, a.T)
+    assert set(np.unique(a)) <= {0, 1}
+    total = sum(graph.type_adjacency[k] for k in NODE_TYPES)
+    assert np.array_equal(total, a)
+    assert np.all(np.diag(a) == 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 2), min_size=2, max_size=4))
 def test_monotone_under_appending_a_turn(pattern):
     speakers = [f"s{p + 1}" for p in pattern]
-    before = build_hetero_graph(record_for(speakers[:-1]), self_loops=False)
-    after = build_hetero_graph(record_for(speakers), self_loops=False)
+    before = build_hetero_graph(record_for(speakers[:-1]))
+    after = build_hetero_graph(record_for(speakers))
 
     def descriptor_edges(graph):
         desc = {n.idx: (n.kind.value, n.source) for n in graph.nodes}
@@ -235,7 +230,7 @@ def test_unknown_ablation_rejected():
 
 def test_ablation_removes_nodes_and_rules():
     rec = record_for(["s1", "s2"])
-    graph = build_hetero_graph(rec, self_loops=False, ablate=("face", "audio"))
+    graph = build_hetero_graph(rec, ablate=("face", "audio"))
     kinds = {n.kind for n in graph.nodes}
     assert NodeType.FACE not in kinds and NodeType.AUDIO not in kinds
     fired = {r for rules in graph.edge_rules.values() for r in rules}
@@ -243,14 +238,13 @@ def test_ablation_removes_nodes_and_rules():
 
 
 def test_format_graph_contains_rule_annotations():
-    text = format_graph(build_hetero_graph(record_for(["s1"]), self_loops=False))
+    text = format_graph(build_hetero_graph(record_for(["s1"])))
     assert "nodes: 5" in text and "edges: 8" in text
     assert "rules" in text and "adjacency[speaker]" in text
 
 
-@pytest.mark.parametrize("orientation", ["sender", "receiver"])
-def test_format_graph_text_is_pinned(orientation):
+def test_format_graph_text_is_pinned():
     # three turns, two speakers, every node type: all eleven rules fire
-    graph = build_hetero_graph(record_for(["s1", "s2", "s1"]), mask_orientation=orientation)
-    pinned = Path(__file__).parent / "data" / f"format_graph_3turn_{orientation}.txt"
+    graph = build_hetero_graph(record_for(["s1", "s2", "s1"]))
+    pinned = Path(__file__).parent / "data" / "format_graph_3turn_sender.txt"
     assert format_graph(graph) + "\n" == pinned.read_text()

@@ -224,8 +224,10 @@ def test_joint_loss_hand_arithmetic():
     assert (1 - lam) * 4.0 + lam * 1.2 == pytest.approx(2.6, abs=1e-15)
 
 
-def test_lambda_zero_detached_zeroes_predictor_gradient():
-    cfg = tiny_cfg(lam=0.0, detach_predicted_emotion=True)
+def test_lambda_zero_golden_emotion_zeroes_predictor_gradient():
+    # the decoder mixes with the gold label, so only the weightless
+    # classification term could reach the predictor
+    cfg = tiny_cfg(lam=0.0, golden_emotion=True)
     records = tiny_corpus(cfg=cfg)
     model = fresh_model(records, cfg)
     with dc.recording():
@@ -235,7 +237,7 @@ def test_lambda_zero_detached_zeroes_predictor_gradient():
 
 
 def test_lambda_one_zeroes_generation_head_gradient():
-    cfg = tiny_cfg(lam=1.0, detach_predicted_emotion=True)
+    cfg = tiny_cfg(lam=1.0)
     records = tiny_corpus(cfg=cfg)
     model = fresh_model(records, cfg)
     with dc.recording():
@@ -245,7 +247,7 @@ def test_lambda_one_zeroes_generation_head_gradient():
 
 
 def test_without_detach_predictor_receives_mll_gradient():
-    cfg = tiny_cfg(lam=0.0, detach_predicted_emotion=False)
+    cfg = tiny_cfg(lam=0.0)
     records = tiny_corpus(cfg=cfg)
     model = fresh_model(records, cfg)
     with dc.recording():
@@ -714,8 +716,8 @@ def test_full_model_gradients_match_fd_small():
 
 
 @pytest.mark.parametrize("overrides", [
-    {}, {"mask_orientation": "receiver", "attention_residual": True, "d_pe": 2, "dropout": 0.2},
-    {"gnn_mode": "homo"}], ids=["default", "receiver-residual", "homo"])
+    {}, {"d_pe": 2, "dropout": 0.2}, {"gnn_mode": "homo"}],
+    ids=["default", "dropout-narrow-pe", "homo"])
 def test_every_product_operand_is_c_or_f_ordered(monkeypatch, overrides):
     # diffcore's products call ndarray.dot, which equals @ bit for bit on C-
     # and F-ordered operands; on a strided view, such as the column slice a
