@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .corpus import BOS, EOS
-from .diffcore import (ContractError, Tensor, add, affine, concat_cols,
+from .diffcore import (ContractError, Keep, Tensor, add, affine, concat_cols,
                        concat_rows, elem_mul, matmul, neg_pick, row_lookup,
                        scale, sigmoid, softmax_rows, transpose)
 from .layers import Dropouter, causal_mask, ffn, key_weight, multihead, project_kv
@@ -111,11 +111,12 @@ class DecodeState:
     unfinished dialogue of a greedy search (iteration-level batching, as in
     Orca, Yu et al., OSDI 2022). Its cache is step-major: row ``s*W + i``
     holds row i's token s, so a step appends its W rows with one
-    ``concat_rows``. With W > 1 the self-attention scores get a block mask
-    that lets query i see only the cache rows ``≡ i (mod W)``; with D > 1
-    the cross-attention scores get one that lets it see only its own
-    dialogue's encoder rows. Greedy decoding of one dialogue needs neither,
-    and without later rows no causal mask is needed either. ``reorder``
+    ``concat_rows``. With W > 1 the self-attention scores get a block mask,
+    a ``Keep`` that lets query i see only the cache rows ``≡ i (mod W)``;
+    with D > 1 the cross-attention scores get a ``Keep`` that lets it see
+    only its own dialogue's encoder rows, built once per layout of rows.
+    Greedy decoding of one dialogue needs neither, and without later rows
+    no causal mask is needed either. ``reorder``
     picks the cache rows of the rows that go on. Caches are extended into
     new tensors, never written in place.
     """
@@ -143,19 +144,19 @@ class DecodeState:
                 fold = (fold[0], *(row_lookup(t, rows) for t in fold[1:]))
             mask = None
             if self.node_dialogue is not None:
-                mask = np.tile(rows[:, None] == self.node_dialogue, (self.heads, 1))
-                mask.flags.writeable = False
+                mask = Keep(np.tile(rows[:, None] == self.node_dialogue, (self.heads, 1)))
             self._layout = (dialogues, fold, mask)
         return self._layout[1:]
 
     def run(self, cache: tuple[Tensor, Tensor] | None, tokens: list[int],
-            mask: np.ndarray | None, drop: Dropouter | None = None,
+            mask: Keep | None, drop: Dropouter | None = None,
             dialogues: tuple[int, ...] | None = None
             ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         """Next-token distributions (n x V) for the n rows ``tokens``, given
-        the ``cache`` before them, a boolean self-attention keep ``mask``
-        (head-tiled, H*n x cached + n rows, or None) and the dialogue each
-        row decodes (None: dialogue 0 for every row), and the extended cache."""
+        the ``cache`` before them, a ``Keep`` of the self-attention scores
+        (``mask``: head-tiled, H*n x cached + n rows, or None) and the
+        dialogue each row decodes (None: dialogue 0 for every row), and the
+        extended cache."""
         params = self.params
         fold, cross_mask = self._rows(dialogues or (0,) * len(tokens))
         x = row_lookup(params["dec.tok_emb"], tokens)
@@ -197,13 +198,10 @@ class DecodeState:
 
 
 @functools.lru_cache(maxsize=256)
-def _hypothesis_mask(width: int, steps: int, heads: int) -> np.ndarray:
-    """Boolean (H*W x steps*W) keep mask, one row block per head: query i
-    sees only the cache rows ``≡ i (mod W)``, its own row's tokens;
-    read-only, as calls share it."""
-    keep = np.tile(np.eye(width, dtype=bool), (heads, steps))
-    keep.flags.writeable = False
-    return keep
+def _hypothesis_mask(width: int, steps: int, heads: int) -> Keep:
+    """The ``Keep`` of (H*W x steps*W) scores, one row block per head:
+    query i sees only the cache rows ``≡ i (mod W)``, its own row's tokens."""
+    return Keep(np.tile(np.eye(width, dtype=bool), (heads, steps)))
 
 
 def greedy_many(dialogues: list[tuple[Tensor, Tensor, Tensor]], params: ModelParams,

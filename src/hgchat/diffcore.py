@@ -27,7 +27,12 @@ kinds registered here. Design points:
   model passes them: on a strided view, ``dot`` and ``@`` may pick
   different BLAS kernels;
 - no kernel writes into its inputs, its ``out`` or its ``g``: a value
-  may be shared, and a backward may return ``g`` itself (``add``).
+  may be shared, and a backward may return ``g`` itself (``add``);
+- a masked softmax takes a ``Keep``: the flat indices of the kept entries
+  and each row's count and start, built once from a boolean keep mask and
+  cached by the code that makes the mask. ``softmax_rows`` has one masked
+  path at every size: it gathers the kept entries, exponentiates them
+  alone and scatters them into zeros.
 """
 from __future__ import annotations
 
@@ -269,28 +274,57 @@ def _bwd_tanh(arrays, meta, out, g):
     return (gx,)
 
 
-# Fewest keep-mask entries for which softmax_rows gathers the kept entries.
-# Over the masked calls of the benchmark's beam, train and evaluate, both
-# ways cost the same between 4096 and 8192 entries; below, the gather's
-# extra calls cost more than the exps it saves (beam masks stay below).
-_GATHER_MIN = 4096
+class Keep:
+    """The entries that a masked ``softmax_rows`` keeps of a (rows x cols)
+    score matrix, built once from a 2-D boolean keep mask of that shape.
+
+    It holds only what the kernel reads: ``index``, the flat (row-major)
+    indices of the kept entries, and per row their number (``counts``) and
+    where they begin in ``index`` (``starts``). Its arrays are read-only,
+    as calls share them. Raises ``ContractError`` for anything but a 2-D
+    boolean array, and for a row that keeps no entry, whose softmax has no
+    value."""
+
+    __slots__ = ("shape", "index", "counts", "starts")
+
+    def __init__(self, mask: np.ndarray):
+        if not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_ and mask.ndim == 2):
+            raise ContractError(f"a keep mask is a 2-D boolean array, got {_describe(mask)}")
+        counts = np.count_nonzero(mask, axis=1)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            raise ContractError(f"keep mask row {empty[0]} keeps no entry")
+        self.shape = mask.shape
+        self.index = np.flatnonzero(mask)
+        self.counts = counts
+        self.starts = np.cumsum(counts) - counts
+        for arr in (self.index, self.counts, self.starts):
+            arr.flags.writeable = False
+
+
+def _describe(value) -> str:
+    if isinstance(value, np.ndarray):
+        return f"a {value.ndim}-D {value.dtype} array"
+    return type(value).__name__
 
 
 def _fwd_softmax_rows(arrays, meta):
     x, keep = arrays[0], meta.get("keep")
-    if keep is not None and keep.size >= _GATHER_MIN:
-        # exp of the kept entries alone, gathered row by row: numpy's exp is
-        # several times slower where it underflows, -inf included
-        counts = np.count_nonzero(keep, axis=1)
-        kept = x[keep]
-        top = np.maximum.reduceat(kept, np.cumsum(counts) - counts)
-        ex = np.zeros(x.shape)
-        ex[keep] = np.exp(kept - np.repeat(top, counts))
-    else:
-        if keep is not None:
-            x = np.where(keep, x, -np.inf)  # exp(-inf) is exactly 0
+    if keep is None:
         ex = x - np.maximum.reduce(x, axis=1, keepdims=True)
         np.exp(ex, out=ex)
+    else:
+        # exp of the kept entries alone, gathered row by row: numpy's exp is
+        # several times slower where it underflows, and the masked entries
+        # of the additive form all do
+        if x.shape != keep.shape:
+            raise ShapeError(f"softmax_rows: scores of shape {x.shape}, "
+                             f"keep mask of shape {keep.shape}")
+        kept = x.take(keep.index)
+        kept -= np.repeat(np.maximum.reduceat(kept, keep.starts), keep.counts)
+        np.exp(kept, out=kept)
+        ex = np.zeros(x.shape)
+        ex.put(keep.index, kept)
     ex /= np.add.reduce(ex, axis=1, keepdims=True)
     return ex
 
@@ -466,9 +500,13 @@ def tanh(x: Tensor) -> Tensor:
     return apply_primitive("tanh", (x,))
 
 
-def softmax_rows(x: Tensor, keep: np.ndarray | None = None) -> Tensor:
-    """Softmax of each row over the entries the boolean ``keep`` (x's shape;
-    None keeps all) marks; the others get exactly 0. Every row keeps one."""
+def softmax_rows(x: Tensor, keep: Keep | None = None) -> Tensor:
+    """Softmax of each row over the entries that ``keep`` (a ``Keep`` of
+    x's shape; None keeps all) marks; the others get exactly 0. It equals
+    the softmax of x plus −1e30 at the masked entries bit for bit, at every
+    size."""
+    if keep is not None and not isinstance(keep, Keep):
+        raise TypeError(f"softmax_rows: keep must be a Keep or None, got {_describe(keep)}")
     return apply_primitive("softmax_rows", (x,), keep=keep)
 
 

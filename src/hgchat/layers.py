@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .diffcore import (Tensor, affine, concat_rows, dropout, elem_mul,
+from .diffcore import (Keep, Tensor, affine, concat_rows, dropout, elem_mul,
                        matmul, relu, scale, softmax_rows, transpose)
 
 
@@ -26,13 +26,10 @@ def maybe_drop(t: Tensor, drop: Dropouter | None) -> Tensor:
 
 
 @functools.lru_cache(maxsize=64)
-def causal_mask(n: int, heads: int) -> np.ndarray:
-    """Boolean (H*n x n) keep mask that lets query i see the keys up to i,
-    tiled once per head as ``attend`` lays heads out; read-only, as calls
-    share it."""
-    keep = np.tile(np.tri(n, dtype=bool), (heads, 1))
-    keep.flags.writeable = False
-    return keep
+def causal_mask(n: int, heads: int) -> Keep:
+    """The ``Keep`` of (H*n x n) scores that lets query i see the keys up
+    to i, tiled once per head as ``attend`` lays heads out."""
+    return Keep(np.tile(np.tri(n, dtype=bool), (heads, 1)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -46,7 +43,7 @@ def _head_layout(heads: int, n: int, d: int) -> tuple[Tensor, Tensor]:
 
 
 def attend(q: Tensor, kt: Tensor, v: Tensor, heads: int,
-           mask: np.ndarray | None = None) -> Tensor:
+           mask: Keep | None = None) -> Tensor:
     """Every head's scaled dot-product attention in one pass.
 
     ``q`` (n x d) and ``v`` (m x d) hold all heads side by side, head h in
@@ -58,7 +55,7 @@ def attend(q: Tensor, kt: Tensor, v: Tensor, heads: int,
     softmax over all H*n rows is exactly the per-head softmax, and
     ``Sᵀ ((P v) ⊙ B)`` puts each head's context back in its own columns,
     which is the column-wise concatenation of the heads' contexts. A
-    boolean keep ``mask`` is (H*n x m), one row block per head.
+    ``mask`` is a ``Keep`` of (H*n x m) scores, one row block per head.
     """
     n, d = q.shape
     blocks, fold = _head_layout(heads, n, d)
@@ -80,7 +77,7 @@ def project_kv(params, prefix: str, src: Tensor, heads: int) -> tuple[Tensor, Te
 
 
 def multihead(params, prefix: str, x: Tensor, kv: tuple[Tensor, Tensor], heads: int,
-              mask: np.ndarray | None = None, drop: Dropouter | None = None) -> Tensor:
+              mask: Keep | None = None, drop: Dropouter | None = None) -> Tensor:
     """Multi-head scaled dot-product attention of the rows ``x`` over the
     transposed, scaled keys and the values ``kv`` that ``project_kv``
     made, all heads in one pass.
@@ -88,7 +85,7 @@ def multihead(params, prefix: str, x: Tensor, kv: tuple[Tensor, Tensor], heads: 
     The projections ``{prefix}.wq/wk/wv`` (d_in x d) hold every head,
     head h in columns h*d/H .. (h+1)*d/H, and ``{prefix}.wo`` is the shared
     output projection. The heads are laid out as row blocks (``attend``),
-    and a boolean keep ``mask`` is already tiled over them. The result is
+    and a ``mask`` is a ``Keep`` already tiled over them. The result is
     the projected context after dropout, with no residual of ``x``.
     """
     context = attend(matmul(x, params[f"{prefix}.wq"]), *kv, heads, mask)

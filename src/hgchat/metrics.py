@@ -172,8 +172,11 @@ def evaluate(model: Model, records: list[DialogueRecord]) -> EvalReport:
     The records are scored in the lockstep groups that
     ``Model.generate_many`` decodes together, in one process per CPU that
     this process may use (``training.process_count``; ``taskset -c 0``
-    gives one), forked for this call. The report, and the error that one
-    process would meet first, do not depend on the process count."""
+    gives one), forked for this call. A group costs the summed turn counts
+    of its records; the groups are dealt heaviest first, each to the
+    least-loaded process, the parent first. Neither the report nor the
+    error raised, the one that one process would meet first, depends on
+    the process count."""
     scored = _score(model, records)
     stats = [(s.nll, s.tokens) for s in scored]
     preds = [s.label for s in scored]
@@ -225,22 +228,55 @@ def _score_group(model: Model, group: list[DialogueRecord]) -> list[Scored]:
 
 
 def _score(model: Model, records: list[DialogueRecord]) -> list[Scored]:
-    """Every record scored, in order: group j in process ``j % n_procs``,
-    the parent being process 0."""
+    """Every record scored, in order, its lockstep groups dealt by
+    ``_deal``. The parent scores its own groups in record order, holding
+    back the first error, and then takes each group's rows in record
+    order, so that the error raised is the first in record order, its own
+    or a child's."""
     groups = lockstep_groups(records)
     n_procs = training.process_count(len(groups))
     if n_procs == 1:
         return [row for group in groups for row in _score_group(model, group)]
+    owner = _deal([sum(rec.n_turns for rec in group) for group in groups], n_procs)
     children = training.Forked("evaluation process", _serve,
-                               [(model, groups[k::n_procs]) for k in range(1, n_procs)])
+                               [(model, [g for g, k in zip(groups, owner) if k == child])
+                                for child in range(1, n_procs)])
     try:
-        rows = []
+        own, error = {}, None
         for j, group in enumerate(groups):
-            k = j % n_procs
-            rows += children.recv(k) if k else _score_group(model, group)
+            if owner[j] == 0:
+                try:
+                    own[j] = _score_group(model, group)
+                except Exception as exc:  # raised below unless a child's comes first
+                    error = exc
+                    break
+        rows = []
+        for j, k in enumerate(owner):
+            if k:
+                rows += children.recv(k)
+            elif j in own:
+                rows += own[j]
+            else:
+                raise error
         return rows
     finally:
         children.close()
+
+
+def _deal(costs: list[int], n_procs: int) -> list[int]:
+    """The process of each group of ``costs``, the parent being process 0:
+    heaviest first, each to the least-loaded process, the lowest-numbered
+    of equals (Graham's LPT rule, 1969). It pays where groups differ in
+    cost, as records sorted by turn count make them: the parent, which
+    starts at once, takes the heaviest, and each child, which starts a
+    fork later, a lighter one."""
+    owner = [0] * len(costs)
+    loads = [0] * n_procs
+    for j in sorted(range(len(costs)), key=lambda j: -costs[j]):
+        k = loads.index(min(loads))
+        owner[j] = k
+        loads[k] += costs[j]
+    return owner
 
 
 def _serve(conn, model: Model, groups: list[list[DialogueRecord]]) -> None:

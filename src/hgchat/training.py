@@ -1,6 +1,7 @@
 """Joint optimization of the generation and classification losses."""
 from __future__ import annotations
 
+import functools
 import logging
 import mmap
 import os
@@ -259,18 +260,29 @@ def _set_blas_threads(count: int | None) -> int | None:
     """Give the OpenBLAS that a numpy wheel bundles in ``numpy.libs``
     ``count`` threads and return the count it had; None, with nothing done,
     for a ``count`` of None or where that library or its setter is missing."""
+    functions = None if count is None else _blas_thread_functions()
+    if functions is None:
+        return None
+    get, set_ = functions
+    old = get()
+    set_(count)
+    return old
+
+
+@functools.cache
+def _blas_thread_functions():
+    """The thread-count getter and setter of the bundled OpenBLAS, or None
+    where that library or its setter is missing; resolved once per process."""
     import ctypes
 
     for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
         lib = ctypes.CDLL(str(path))
-        if count is not None and hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
             get = lib.scipy_openblas_get_num_threads64_
             set_ = lib.scipy_openblas_set_num_threads64_
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            old = get()
-            set_(count)
-            return old
+            return get, set_
     return None
 
 

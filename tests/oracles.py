@@ -156,21 +156,16 @@ def beam_search(state, width: int, max_len: int) -> tuple[list[int], bool]:
 # The diffcore kernels that call numpy's direct entry points, in the
 # operator and method forms they replaced, with diffcore's signatures
 # ``forward(arrays, meta)`` and ``backward(arrays, meta, out, g)``: each
-# must equal its rewrite bit for bit. ``gather_min`` is diffcore's
-# ``_GATHER_MIN``, passed in so that both take the same softmax path.
+# must equal its rewrite bit for bit. The operator form of a masked
+# softmax adds −1e30 to the entries that its ``Keep`` masks.
 
-def _ref_softmax_rows(arrays, meta, gather_min):
+def _ref_softmax_rows(arrays, meta):
     x, keep = arrays[0], meta.get("keep")
-    if keep is not None and keep.size >= gather_min:
-        counts = np.count_nonzero(keep, axis=1)
-        kept = x[keep]
-        top = np.maximum.reduceat(kept, np.cumsum(counts) - counts)
-        ex = np.zeros_like(x)
-        ex[keep] = np.exp(kept - np.repeat(top, counts))
-    else:
-        if keep is not None:
-            x = np.where(keep, x, -np.inf)
-        ex = np.exp(x - x.max(axis=1, keepdims=True))
+    if keep is not None:
+        additive = np.full(keep.shape, -1e30)
+        additive.flat[keep.index] = 0.0
+        x = x + additive
+    ex = np.exp(x - x.max(axis=1, keepdims=True))
     return ex / ex.sum(axis=1, keepdims=True)
 
 
@@ -206,7 +201,7 @@ def _ref_concat_grads(axis):
     return backward
 
 
-def kernel_references(gather_min: int) -> dict:
+def kernel_references() -> dict:
     """Kind -> (forward, backward) of every rewritten diffcore kernel."""
     return {
         "matmul": (lambda arrays, meta: arrays[0] @ arrays[1],
@@ -225,7 +220,7 @@ def kernel_references(gather_min: int) -> dict:
                     lambda arrays, meta, out, g: (g * out * (1.0 - out),)),
         "tanh": (lambda arrays, meta: np.tanh(arrays[0]),
                  lambda arrays, meta, out, g: (g * (1.0 - out * out),)),
-        "softmax_rows": (lambda arrays, meta: _ref_softmax_rows(arrays, meta, gather_min),
+        "softmax_rows": (_ref_softmax_rows,
                          lambda arrays, meta, out, g: (
                              out * (g - (g * out).sum(axis=1, keepdims=True)),)),
         "mean_rows": (lambda arrays, meta: arrays[0].mean(axis=0, keepdims=True),

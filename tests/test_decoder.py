@@ -216,8 +216,9 @@ def test_batched_step_matches_step_distributions_per_hypothesis(seed):
 
 def test_hypothesis_mask_is_built_once_and_read_only():
     mask = dec._hypothesis_mask(3, 2, 2)
-    assert mask is dec._hypothesis_mask(3, 2, 2) and not mask.flags.writeable
-    assert np.array_equal(mask, np.tile(np.eye(3, dtype=bool), (2, 2)))
+    assert mask is dec._hypothesis_mask(3, 2, 2)
+    assert not any(a.flags.writeable for a in (mask.index, mask.counts, mask.starts))
+    assert np.array_equal(mask.index, np.flatnonzero(np.tile(np.eye(3, dtype=bool), (2, 2))))
 
 
 # --- sequence NLL --------------------------------------------------------------

@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgchat import decoder as dec
 from hgchat import diffcore as dc
+from hgchat.config import TrainConfig
+from hgchat.layers import causal_mask
+from hgchat.params import init_model_params
 
 from oracles import central_diff, kernel_references
 
@@ -336,13 +340,48 @@ def keep_pattern(name: str, large: bool, rng: np.random.Generator) -> np.ndarray
     return keep
 
 
+def lockstep_cross_mask(nodes: list[int], live: tuple[int, ...]) -> dc.Keep:
+    """The cross-attention ``Keep`` of a lockstep ``DecodeState`` over
+    dialogues of ``nodes`` encoder rows, for rows that decode ``live``."""
+    cfg = TrainConfig()
+    rng = np.random.default_rng(9)
+    h_enc, e_p, s_p = (dc.Tensor(rng.standard_normal((rows, cfg.d_model)))
+                       for rows in (sum(nodes), len(nodes), len(nodes)))
+    state = dec.DecodeState(h_enc, e_p, s_p, init_model_params(cfg, 12, 3), cfg, nodes)
+    return state._rows(live)[1]
+
+
+def model_mask(name: str, large: bool) -> tuple[dc.Keep, np.ndarray]:
+    """A ``Keep`` that the model builds, and the boolean mask it stands for."""
+    heads = TrainConfig().heads
+    if name == "causal_mask":
+        n = 40 if large else 7
+        return causal_mask(n, heads), np.tile(np.tri(n, dtype=bool), (heads, 1))
+    if name.startswith("hypothesis_mask"):  # at step 1 every row keeps one entry
+        steps = int(name.rsplit("_", 1)[1])
+        width = (32 if large else 3) if steps == 1 else (6 if large else 2)
+        return (dec._hypothesis_mask(width, steps, heads),
+                np.tile(np.eye(width, dtype=bool), (heads, steps)))
+    nodes = [200, 500, 400] if large else [2, 5, 4]  # the rows of dialogues 0 and 2 go on
+    return (lockstep_cross_mask(nodes, (0, 2)),
+            np.tile(np.array([[0], [2]]) == np.repeat(np.arange(3), nodes), (heads, 1)))
+
+
+MODEL_MASKS = ("causal_mask", "hypothesis_mask_1", "hypothesis_mask_50", "cross_mask")
+
+
 @pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
-@pytest.mark.parametrize("pattern", ["causal", "hypothesis", "blocks", "random"])
+@pytest.mark.parametrize("pattern", ["causal", "hypothesis", "blocks", "random", *MODEL_MASKS])
 def test_keep_mask_softmax_equals_the_additive_mask_bit_for_bit(pattern, large):
-    # large masks take the gather of kept entries, small ones the -inf fill
+    # sizes on both sides of 4096 entries; the model's own masks against
+    # the boolean masks they stand for
     rng = np.random.default_rng(8)
-    keep = keep_pattern(pattern, large, rng)
-    assert (keep.size >= dc._GATHER_MIN) == large
+    if pattern in MODEL_MASKS:
+        entries, keep = model_mask(pattern, large)
+    else:
+        keep = keep_pattern(pattern, large, rng)
+        entries = dc.Keep(keep)
+    assert (keep.size >= 4096) == large
     x0 = rng.normal(0.0, 4.0, keep.shape)
     x0[1] *= 400.0  # kept entries that underflow too
     probe = rng.standard_normal(keep.shape)
@@ -357,15 +396,41 @@ def test_keep_mask_softmax_equals_the_additive_mask_bit_for_bit(pattern, large):
         return p.values, x.grad
 
     additive = run(lambda x: dc.softmax_rows(dc.add(x, dc.Tensor(np.where(keep, 0.0, -1e30)))))
-    kept = run(lambda x: dc.softmax_rows(x, keep))
+    kept = run(lambda x: dc.softmax_rows(x, entries))
     assert np.all(kept[0][~keep] == 0.0)
     for want, got in zip(additive, kept):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("mask", [np.ones(3, dtype=bool), np.ones((2, 3, 4), dtype=bool),
+                                  np.ones((4, 3)), [[True, False]], None],
+                         ids=["1d", "3d", "float", "list", "none"])
+def test_keep_is_built_from_a_2d_boolean_array_only(mask):
+    with pytest.raises(dc.ContractError, match="a keep mask is a 2-D boolean array"):
+        dc.Keep(mask)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (4, 80)])
+def test_keep_refuses_a_row_that_keeps_no_entry(shape):
+    mask = np.ones(shape, dtype=bool)
+    mask[2] = False
+    with pytest.raises(dc.ContractError, match="keep mask row 2 keeps no entry"):
+        dc.Keep(mask)
+
+
+def test_softmax_rows_takes_a_keep_of_its_shape_or_none():
+    x = dc.Tensor(np.zeros((4, 3)))
+    mask = np.ones((4, 3), dtype=bool)
+    with pytest.raises(TypeError, match="keep must be a Keep or None"):
+        dc.softmax_rows(x, mask)
+    with pytest.raises(dc.ShapeError, match=r"softmax_rows.*\(4, 3\).*\(3, 4\)"):
+        dc.softmax_rows(x, dc.Keep(np.ones((3, 4), dtype=bool)))
+    assert np.array_equal(dc.softmax_rows(x, dc.Keep(mask)).values, np.full((4, 3), 1 / 3))
+
+
 # --- kernels against their operator forms ---------------------------------
 
-REFERENCES = kernel_references(dc._GATHER_MIN)
+REFERENCES = kernel_references()
 
 
 def layouts(a: np.ndarray) -> list[np.ndarray]:
@@ -440,16 +505,17 @@ def test_elementwise_kernels_equal_their_operator_forms_bit_for_bit():
 
 @pytest.mark.parametrize("pattern", [None, "causal", "hypothesis", "blocks", "random"])
 def test_softmax_rows_equals_its_operator_form_bit_for_bit(pattern):
-    # masks on both sides of _GATHER_MIN: the -inf fill and the gather
+    # masks on both sides of 4096 entries
     rng = np.random.default_rng(23)
     for large in (False, True):
         keep = (keep_pattern(pattern, large, rng) if pattern
                 else np.ones((16, 300) if large else (7, 12), dtype=bool))
-        assert (keep.size >= dc._GATHER_MIN) == large
+        assert (keep.size >= 4096) == large
         x = rng.normal(0.0, 4.0, keep.shape)  # C-ordered, as a Tensor's values are
         x[1] *= 400.0
         for g in layouts(rng.standard_normal(keep.shape)):
-            assert_kernel_matches("softmax_rows", [x], {"keep": keep if pattern else None}, g)
+            assert_kernel_matches("softmax_rows", [x],
+                                  {"keep": dc.Keep(keep) if pattern else None}, g)
 
 
 def test_gathers_and_concats_equal_their_operator_forms_bit_for_bit():
@@ -554,7 +620,7 @@ def prim_cases() -> list[tuple[str, tuple[np.ndarray, ...], dict]]:
     def keep(rows, cols):
         mask = rng.random((rows, cols)) < 0.5
         mask[:, 0] = True  # every row keeps one
-        return mask
+        return dc.Keep(mask)
 
     probs = dc.softmax_rows(dc.Tensor(m(3, 4))).values
     return [
@@ -571,7 +637,7 @@ def prim_cases() -> list[tuple[str, tuple[np.ndarray, ...], dict]]:
         ("tanh", (m(3, 4),), {}),
         ("softmax_rows", (m(3, 5),), {"keep": None}),
         ("softmax_rows", (m(3, 5),), {"keep": keep(3, 5)}),
-        ("softmax_rows", (m(64, 80),), {"keep": keep(64, 80)}),  # the gather path
+        ("softmax_rows", (m(64, 80),), {"keep": keep(64, 80)}),  # above 4096 entries
         ("mean_rows", (m(4, 3),), {}),
         ("row_lookup", (m(5, 3),), {"indices": np.array([2, 0, 2, 2], dtype=np.intp)}),
         ("affine", (m(3, 4), m(4, 2), m(1, 2)), {}),
@@ -584,7 +650,6 @@ def prim_cases() -> list[tuple[str, tuple[np.ndarray, ...], dict]]:
 
 def test_prim_cases_cover_every_kind():
     assert {kind for kind, _, _ in prim_cases()} == set(dc._PRIMS)
-    assert dc._GATHER_MIN <= 64 * 80
 
 
 @pytest.mark.parametrize("case", prim_cases(), ids=lambda c: c[0])

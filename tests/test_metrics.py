@@ -385,11 +385,11 @@ def test_one_group_evaluates_without_loading_multiprocessing():
 def test_error_in_a_child_is_raised_in_the_parent_as_in_one_process(monkeypatch):
     model, records = eos_model(2, 3 * dec.GREEDY_GROUP)
     # the first fault in record order sits in group 1, which a second
-    # process scores; group 2's, which the parent scores, comes later
+    # process scores; group 2's comes later
     child = records[dec.GREEDY_GROUP + 1]
     child.speakers = child.speakers[:-1]
-    parent = records[2 * dec.GREEDY_GROUP]
-    parent.emotions = parent.emotions[:-1]
+    later = records[2 * dec.GREEDY_GROUP]
+    later.emotions = later.emotions[:-1]
     raised = {}
     for n in (1, 2):
         pin_processes(monkeypatch, n)
@@ -399,6 +399,83 @@ def test_error_in_a_child_is_raised_in_the_parent_as_in_one_process(monkeypatch)
         assert_no_child_left()
     assert raised[1][0] is cp.RecordError and raised[1][1].startswith("speakers:")
     assert raised[2] == raised[1]
+
+
+def turn_sorted(seed, n_records):
+    """``eos_model``'s model and records, the records sorted by turn count,
+    so that each lockstep group costs more than the one before."""
+    model, records = eos_model(seed, n_records)
+    records.sort(key=lambda rec: rec.n_turns)
+    costs = [sum(rec.n_turns for rec in group) for group in dec.lockstep_groups(records)]
+    assert costs == sorted(set(costs))
+    return model, records
+
+
+def mark_groups(monkeypatch, tmp_path, records):
+    """Leave a file named ``<group>.<pid>`` from each process that scores a
+    lockstep group of ``records``; returns a function that maps each marked
+    group to its pid."""
+    group_of = {id(group[0]): j for j, group in enumerate(dec.lockstep_groups(records))}
+    score_group = mx._score_group
+
+    def marked(model, group):
+        (tmp_path / f"{group_of[id(group[0])]}.{os.getpid()}").touch()
+        return score_group(model, group)
+
+    monkeypatch.setattr(mx, "_score_group", marked)
+
+    def scorers():
+        marks = {}
+        for path in tmp_path.iterdir():
+            group, pid = path.name.split(".")
+            marks[int(group)] = int(pid)
+            path.unlink()
+        return marks
+    return scorers
+
+
+def test_the_parent_scores_the_heaviest_group(monkeypatch, tmp_path):
+    model, records = turn_sorted(2, 3 * dec.GREEDY_GROUP)
+    scorers = mark_groups(monkeypatch, tmp_path, records)
+    pin_processes(monkeypatch, 1)
+    want = mx.evaluate(model, records)
+    assert scorers() == {0: os.getpid(), 1: os.getpid(), 2: os.getpid()}
+    for n in (2, 3):
+        pin_processes(monkeypatch, n)
+        assert mx.evaluate(model, records) == want
+        marks = scorers()
+        assert_no_child_left()
+        assert marks[2] == os.getpid() and len(set(marks.values())) == n
+        if n == 2:  # the two lighter groups together cost less than the heaviest
+            assert marks[0] == marks[1] != os.getpid()
+
+
+@pytest.mark.parametrize("child_fault", [True, False], ids=["child_first", "parent_only"])
+def test_the_first_error_in_record_order_is_raised_whoever_scores_it(monkeypatch,
+                                                                      child_fault):
+    model, records = turn_sorted(2, 3 * dec.GREEDY_GROUP)
+    # the parent scores group 2, the heaviest, and a child groups 0 and 1
+    heavy = records[2 * dec.GREEDY_GROUP + 1]
+    heavy.emotions = heavy.emotions[:-1]
+    if child_fault:
+        light = records[dec.GREEDY_GROUP + 1]
+        light.speakers = light.speakers[:-1]
+    raised = {}
+    for n in (1, 2):
+        pin_processes(monkeypatch, n)
+        with pytest.raises(cp.RecordError) as info:
+            mx.evaluate(model, records)
+        raised[n] = str(info.value)
+        assert_no_child_left()
+    assert raised[1].startswith("speakers:" if child_fault else "emotions:")
+    assert raised[2] == raised[1]
+
+
+def test_deal_gives_the_heaviest_group_to_the_least_loaded_process():
+    assert mx._deal([9, 18, 29], 2) == [1, 1, 0]
+    assert mx._deal([9, 18, 29], 3) == [2, 1, 0]
+    assert mx._deal([5, 5, 5, 5], 2) == [0, 1, 0, 1]  # equals in record order
+    assert mx._deal([1, 7, 2, 2, 3], 2) == [0, 0, 1, 1, 1]
 
 
 def test_a_child_that_dies_is_reported(monkeypatch):

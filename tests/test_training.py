@@ -691,6 +691,27 @@ def test_the_bundled_openblas_thread_count_is_set_and_restored():
         assert tr._set_blas_threads(old) == (3 if bundled else None)
 
 
+def test_two_forked_lifetimes_open_the_bundled_openblas_at_most_once(monkeypatch):
+    import ctypes
+
+    opened = []
+    cdll = ctypes.CDLL
+
+    def counting_cdll(*args, **kwargs):
+        opened.append(args[0])
+        return cdll(*args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", counting_cdll)
+    tr._blas_thread_functions.cache_clear()
+    try:
+        for _ in range(2):
+            tr.Forked("idle process", lambda conn: None, [()]).close()
+            assert_no_child_left()
+    finally:
+        tr._blas_thread_functions.cache_clear()
+    assert len(opened) <= 1
+
+
 # --- full-model gradient coverage --------------------------------------------------
 
 def jitter_params(params, seed, scale=0.05):
