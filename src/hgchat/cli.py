@@ -119,8 +119,24 @@ def _seed_fallback(explicit: int | None, file_values: dict) -> int | None:
         return explicit
     if "seed" in file_values:
         return None  # let the file value stand
-    env = os.environ.get("HGNN_SEED")
+    env = os.environ.get("HGNN_SEED", "").strip()
+    if env and not env.isdecimal():  # what int() reads, less a sign or an underscore
+        raise UsageError(f"HGNN_SEED must be a non-negative integer, got {env!r}")
     return int(env) if env else None
+
+
+def _show(cfg: TrainConfig) -> TrainConfig:
+    """Print the run preamble, the resolved ``cfg``, and return it."""
+    print("resolved configuration:")
+    print(format_config(cfg))
+    return cfg
+
+
+def _check_out_dir(path: str) -> None:
+    """Refuse an output ``path`` whose directory is missing, before any work."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(f"cannot write {path}: directory {parent} not found")
 
 
 def _resolved(args, overrides: dict | None = None, base: dict | None = None) -> TrainConfig:
@@ -130,17 +146,16 @@ def _resolved(args, overrides: dict | None = None, base: dict | None = None) -> 
     file_values = parse_config_file(file_path) if file_path else {}
     overrides = {**(overrides or {}),
                  "seed": _seed_fallback(getattr(args, "seed", None), file_values)}
-    cfg = TrainConfig.from_dict({**(base or {}), **file_values,
-                                 **{k: v for k, v in overrides.items() if v is not None}})
-    print("resolved configuration:")
-    print(format_config(cfg))
-    return cfg
+    return _show(TrainConfig.from_dict({**(base or {}), **file_values,
+                                        **{k: v for k, v in overrides.items() if v is not None}}))
 
 
-def _load_records(path: str, max_turns: int) -> list[cp.DialogueRecord]:
+def _load_records(path: str, cfg: TrainConfig) -> list[cp.DialogueRecord]:
+    """The records of the corpus at ``path`` that a model of ``cfg`` takes."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"corpus file not found: {path}")
-    records, errors = cp.load_corpus_verbose(path, max_turns=max_turns)
+    records, errors = cp.load_corpus_verbose(path, max_turns=cfg.max_turns,
+                                             face_dim=cfg.face_dim, audio_dim=cfg.audio_dim)
     if errors:
         print(f"skipped {len(errors)} malformed record(s); first: "
               f"line {errors[0][0]}: {errors[0][1]}", file=sys.stderr)
@@ -150,12 +165,12 @@ def _load_records(path: str, max_turns: int) -> list[cp.DialogueRecord]:
 
 
 def cmd_synth(args) -> int:
-    for flag, count in (("--dialogues", args.dialogues), ("--speakers", args.speakers)):
-        if count < 1:
-            raise UsageError(f"{flag} must be at least 1, got {count}")
-    seed = _seed_fallback(args.seed, {})
-    if seed is None:
-        seed = 0
+    for flag, value, least in (("--dialogues", args.dialogues, 1),
+                               ("--speakers", args.speakers, 1), ("--seed", args.seed, 0)):
+        if value is not None and value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
+    seed = _seed_fallback(args.seed, {}) or 0
+    _check_out_dir(args.out)
     records = cp.synthesize_corpus(args.dialogues, n_speakers=args.speakers,
                                    seed=seed)
     cp.save_corpus(records, args.out)
@@ -173,12 +188,12 @@ def _resumed(args) -> Model:
     model = Model.load(args.resume)
     if args.epochs is not None:
         model.cfg = dataclasses.replace(model.cfg, epochs=args.epochs)
-    print("resolved configuration:")
-    print(format_config(model.cfg))
+    _show(model.cfg)
     return model
 
 
 def cmd_train(args) -> int:
+    _check_out_dir(args.out)
     if args.resume is not None:
         model = _resumed(args)
         cfg = model.cfg
@@ -191,7 +206,7 @@ def cmd_train(args) -> int:
         if args.golden_emotion:
             overrides["golden_emotion"] = True
         model, cfg = None, _resolved(args, overrides)
-    records = _load_records(args.corpus, cfg.max_turns)
+    records = _load_records(args.corpus, cfg)
     t0 = time.monotonic()
     train(records, cfg, model=model, log_fn=lambda s: print(s.line()),
           checkpoint_path=args.out)
@@ -204,9 +219,7 @@ def cmd_generate(args) -> int:
     if args.beam is not None and args.beam < 1:
         raise UsageError(f"--beam must be at least 1, got {args.beam}")
     model = Model.load(args.ckpt)
-    print("resolved configuration:")
-    print(format_config(model.cfg))
-    records = _load_records(args.corpus, model.cfg.max_turns)
+    records = _load_records(args.corpus, _show(model.cfg))
     # the decoder itself logs a response that hits the length cap
     if args.beam and args.beam > 1:
         outputs = (model.generate(rec, strategy="beam", beam_width=args.beam,
@@ -219,10 +232,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out_dir(args.report)
     model = Model.load(args.ckpt)
-    print("resolved configuration:")
-    print(format_config(model.cfg))
-    records = _load_records(args.corpus, model.cfg.max_turns)
+    records = _load_records(args.corpus, _show(model.cfg))
     report = evaluate(model, records)
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(report.to_text() + "\n")
@@ -235,7 +247,7 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect_graph(args) -> int:
     cfg = _resolved(args)
-    records = _load_records(args.corpus, cfg.max_turns)
+    records = _load_records(args.corpus, cfg)
     if not 0 <= args.index < len(records):
         raise ValueError(f"--index {args.index} outside corpus of {len(records)}")
     graph = build_hetero_graph(records[args.index], ablate=cfg.ablate)

@@ -76,8 +76,9 @@ class TrainConfig:
         for name in ("learning_rate", "adam_eps"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be at least 0, got {self.epochs}")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be at least 0, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         for name in ("d_word", "d_hidden", "d_model", "d_pe", "face_dim", "audio_dim",

@@ -51,7 +51,11 @@ class DialogueRecord:
     def n_turns(self) -> int:
         return len(self.utterances)
 
-    def validate(self, max_turns: int = 35) -> None:
+    def validate(self, max_turns: int = 35, face_dim: int | None = None,
+                 audio_dim: int | None = None) -> None:
+        """Raise ``RecordError`` for a record a model with these limits
+        cannot take; a width of None accepts vectors of any width, and a
+        record without face or audio vectors passes either way."""
         n = self.n_turns
         if n < 1:
             raise RecordError("utterances: need at least one history turn")
@@ -60,9 +64,13 @@ class DialogueRecord:
         for name, seq in (("emotions", self.emotions), ("speakers", self.speakers)):
             if len(seq) != n:
                 raise RecordError(f"{name}: length {len(seq)} != {n} utterances")
-        for name, mat in (("faces", self.faces), ("audios", self.audios)):
-            if mat is not None and mat.shape[0] != n:
-                raise RecordError(f"{name}: {mat.shape[0]} vectors != {n} utterances")
+        for name, mat, dim in (("face", self.faces, face_dim), ("audio", self.audios, audio_dim)):
+            if mat is None:
+                continue
+            if mat.shape[0] != n:
+                raise RecordError(f"{name}s: {mat.shape[0]} vectors != {n} utterances")
+            if dim is not None and mat.shape[1] != dim:
+                raise RecordError(f"{name} vectors: expected dim {dim}, got {mat.shape[1]}")
         for label in list(self.emotions) + [self.response_emotion]:
             if label not in EMOTION_INDEX:
                 raise RecordError(f"emotions: unknown category {label!r}")
@@ -147,9 +155,11 @@ def save_corpus(records: list[DialogueRecord], path: str | Path) -> None:
             fh.write(json.dumps(_record_to_obj(rec), allow_nan=False) + "\n")
 
 
-def load_corpus_verbose(path: str | Path, max_turns: int = 35
+def load_corpus_verbose(path: str | Path, **limits
                         ) -> tuple[list[DialogueRecord], list[tuple[int, str]]]:
-    """Load records; returns (valid records, (line number, reason) rejects)."""
+    """Load records; returns (valid records, (line number, reason) rejects).
+    ``limits`` are ``DialogueRecord.validate``'s: a model's ``max_turns``,
+    ``face_dim`` and ``audio_dim``."""
     records: list[DialogueRecord] = []
     errors: list[tuple[int, str]] = []
     with open(path, encoding="utf-8") as fh:
@@ -159,7 +169,7 @@ def load_corpus_verbose(path: str | Path, max_turns: int = 35
             try:
                 obj = json.loads(line, parse_constant=_reject_constant)
                 rec = _record_from_obj(obj)
-                rec.validate(max_turns=max_turns)
+                rec.validate(**limits)
             except (json.JSONDecodeError, RecordError, ValueError) as exc:
                 errors.append((lineno, str(exc)))
                 log.warning("%s line %d: %s", path, lineno, exc)
@@ -172,10 +182,6 @@ def load_corpus_verbose(path: str | Path, max_turns: int = 35
 
 def _reject_constant(name: str):
     raise RecordError(f"non-finite literal {name} is not permitted")
-
-
-def load_corpus(path: str | Path, max_turns: int = 35) -> list[DialogueRecord]:
-    return load_corpus_verbose(path, max_turns=max_turns)[0]
 
 
 @dataclass

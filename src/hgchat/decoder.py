@@ -14,7 +14,7 @@ from .corpus import BOS, EOS
 from .diffcore import (ContractError, Keep, Tensor, add, affine, concat_cols,
                        concat_rows, elem_mul, matmul, neg_pick, row_lookup,
                        scale, sigmoid, softmax_rows, transpose)
-from .layers import Dropouter, causal_mask, ffn, key_weight, multihead, project_kv
+from .layers import Drop, causal_mask, ffn, key_weight, multihead, project_kv
 from .params import ModelParams
 
 log = logging.getLogger(__name__)
@@ -35,11 +35,6 @@ def lockstep_groups(records: list) -> list[list]:
     n = len(records)
     count = -(-n // GREEDY_GROUP)
     return [records[n * j // count:n * (j + 1) // count] for j in range(count)]
-
-
-def emotion_mix(p: Tensor, emotion_emb: Tensor) -> Tensor:
-    """Mix the emotion table rows by the predicted distribution (1x7 @ 7xd)."""
-    return matmul(p, emotion_emb)
 
 
 def fold_gate(e_p: Tensor, s_p: Tensor, params: ModelParams) -> tuple[Tensor, ...]:
@@ -71,7 +66,7 @@ def gate_fuse(o: Tensor, fold: tuple[Tensor, ...]) -> Tensor:
 
 def step_distributions(prefix_ids: list[int], h_enc: Tensor, e_p: Tensor,
                        s_p: Tensor, params: ModelParams, cfg: TrainConfig,
-                       drop: Dropouter | None = None) -> Tensor:
+                       drop: Drop | None = None) -> Tensor:
     """Next-token distributions for every prefix position (teacher-forced).
 
     Row t is the distribution over token t+1 given tokens up to t: the
@@ -87,7 +82,7 @@ def step_distributions(prefix_ids: list[int], h_enc: Tensor, e_p: Tensor,
 
 def sequence_nll(target_ids: list[int], h_enc: Tensor, e_p: Tensor, s_p: Tensor,
                  params: ModelParams, cfg: TrainConfig,
-                 drop: Dropouter | None = None) -> Tensor:
+                 drop: Drop | None = None) -> Tensor:
     """Teacher-forced negative log-likelihood of a response ending in EOS."""
     if not target_ids or target_ids[-1] != EOS:
         raise ContractError("target sequence must end with EOS")
@@ -149,7 +144,7 @@ class DecodeState:
         return self._layout[1:]
 
     def run(self, cache: tuple[Tensor, Tensor] | None, tokens: list[int],
-            mask: Keep | None, drop: Dropouter | None = None,
+            mask: Keep | None, drop: Drop | None = None,
             dialogues: tuple[int, ...] | None = None
             ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         """Next-token distributions (n x V) for the n rows ``tokens``, given

@@ -14,13 +14,13 @@ import logging
 import numpy as np
 
 from .config import TrainConfig
-from .corpus import (EMOTION_INDEX, PAD, DialogueRecord, RecordError, SpeakerRoster,
-                     Vocab, distinct_speakers, tokenize)
+from .corpus import (EMOTION_INDEX, PAD, DialogueRecord, SpeakerRoster, Vocab,
+                     distinct_speakers, tokenize)
 from .diffcore import (Tensor, add, affine, concat_cols, concat_rows, elem_mul,
                        matmul, mean_rows, relu, row_lookup, sigmoid,
                        softmax_rows, tanh)
 from .graph import HeteroGraph, NODE_TYPES, NodeType
-from .layers import Dropouter, ffn, multihead, project_kv
+from .layers import Drop, ffn, multihead, project_kv
 from .params import ModelParams
 
 log = logging.getLogger(__name__)
@@ -78,7 +78,7 @@ def lstm_last_hidden(params: ModelParams, token_rows: list[list[int]]) -> Tensor
 
 
 def encode_utterances(record: DialogueRecord, params: ModelParams, vocab: Vocab,
-                      cfg: TrainConfig, drop: Dropouter | None = None) -> Tensor:
+                      cfg: TrainConfig, drop: Drop | None = None) -> Tensor:
     """Contextual utterance features: attention over [state; position] rows.
 
     Position indices run from N for the first history turn down to 1 for
@@ -94,13 +94,9 @@ def encode_utterances(record: DialogueRecord, params: ModelParams, vocab: Vocab,
 
 
 def project_modality(vectors: np.ndarray, which: str, params: ModelParams,
-                     cfg: TrainConfig, drop: Dropouter | None = None) -> Tensor:
-    if which not in ("face", "audio"):
-        raise ValueError(f"which must be face or audio, got {which!r}")
-    expected = cfg.face_dim if which == "face" else cfg.audio_dim
-    if vectors.shape[1] != expected:
-        raise RecordError(f"{which} vectors: expected dim {expected}, "
-                          f"got {vectors.shape[1]}")
+                     drop: Drop | None = None) -> Tensor:
+    """The ``face`` or ``audio`` vectors in the model width, through that
+    modality's FFN; ``DialogueRecord.validate`` has checked their width."""
     return ffn(params, f"enc.{which}_ffn", Tensor(vectors), drop)
 
 
@@ -115,7 +111,7 @@ def lookup_node_embeddings(record: DialogueRecord, params: ModelParams,
 
 
 def hgnn_forward(graph: HeteroGraph, h0: Tensor, params: ModelParams,
-                 cfg: TrainConfig, drop: Dropouter | None = None) -> Tensor:
+                 cfg: TrainConfig, drop: Drop | None = None) -> Tensor:
     """Stacked graph convolution over the typed adjacency, ReLU after
     each layer.
 
@@ -162,14 +158,14 @@ def predict_emotion(h_enc: Tensor, params: ModelParams) -> Tensor:
 
 def assemble_node_features(record: DialogueRecord, graph: HeteroGraph,
                            params: ModelParams, vocab: Vocab, roster: SpeakerRoster,
-                           cfg: TrainConfig, drop: Dropouter | None = None) -> Tensor:
+                           cfg: TrainConfig, drop: Drop | None = None) -> Tensor:
     """Stack the per-type feature blocks in graph node order."""
     present = {NODE_TYPES[t] for t in set(graph.node_type.tolist())}
     blocks = [encode_utterances(record, params, vocab, cfg, drop)]
     if NodeType.FACE in present:
-        blocks.append(project_modality(record.faces, "face", params, cfg, drop))
+        blocks.append(project_modality(record.faces, "face", params, drop))
     if NodeType.AUDIO in present:
-        blocks.append(project_modality(record.audios, "audio", params, cfg, drop))
+        blocks.append(project_modality(record.audios, "audio", params, drop))
     if NodeType.EMOTION in present or NodeType.SPEAKER in present:
         x_e, x_s = lookup_node_embeddings(record, params, roster)
         if NodeType.EMOTION in present:

@@ -81,9 +81,6 @@ class HeteroGraph:
         return [Node(i, NODE_TYPES[t], i - starts.setdefault(t, i))
                 for i, t in enumerate(self.node_type.tolist())]
 
-    def nodes_of(self, kind: NodeType) -> list[Node]:
-        return [n for n in self.nodes if n.kind == kind]
-
     @property
     def type_adjacency(self) -> dict[NodeType, np.ndarray]:
         """The adjacency kept to the columns (senders) of each type; the
@@ -95,14 +92,13 @@ class HeteroGraph:
         return typed
 
     @property
-    def edge_rules(self) -> dict[tuple[int, int], list[int]]:
-        """(i<j) -> the rule that links them; self-loops are not edges."""
+    def edge_rules(self) -> dict[tuple[int, int], int]:
+        """Every edge (i, j), i < j, in row-major order, mapped to the one
+        rule that joins the types of its two nodes; self-loops are not
+        edges."""
         rows, cols = np.nonzero(np.triu(self.adjacency, 1))
         rules = _RULE_OF_PAIR[self.node_type[rows], self.node_type[cols]]
-        return {(a, b): [r] for a, b, r in zip(rows.tolist(), cols.tolist(), rules.tolist())}
-
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edge_rules)
+        return dict(zip(zip(rows.tolist(), cols.tolist()), rules.tolist()))
 
 
 def _resolve_ablations(ablate) -> set[NodeType]:
@@ -164,9 +160,8 @@ def format_graph(graph: HeteroGraph) -> str:
     for node in graph.nodes:
         lines.append(f"  [{node.idx:3d}] {node.kind.name.lower():9s} source={node.source}")
     lines.append(f"edges: {len(edge_rules)}")
-    for (a, b), rules in sorted(edge_rules.items()):
-        tag = ",".join(str(r) for r in sorted(rules))
-        lines.append(f"  ({a},{b}) rules {tag}")
+    for (a, b), rule in edge_rules.items():
+        lines.append(f"  ({a},{b}) rules {rule}")
     lines.append("adjacency:")
     lines.extend("  " + " ".join(str(v) for v in row) for row in graph.adjacency)
     for kind in NODE_TYPES:

@@ -3,25 +3,20 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Callable
 
 import numpy as np
 
-from .diffcore import (Keep, Tensor, affine, concat_rows, dropout, elem_mul,
-                       matmul, relu, scale, softmax_rows, transpose)
+from .diffcore import (Keep, Tensor, affine, concat_rows, elem_mul, matmul, relu,
+                       scale, softmax_rows, transpose)
+
+# Training-mode dropout: ``functools.partial(diffcore.dropout, rate=...,
+# rng=...)``, which draws each mask from its generator and passes a tensor
+# through at rate 0. A ``drop`` of None means eval: no dropout.
+Drop = Callable[[Tensor], Tensor]
 
 
-class Dropouter:
-    """Training-mode dropout with an explicit generator; None means eval."""
-
-    def __init__(self, rate: float, rng: np.random.Generator):
-        self.rate = rate
-        self.rng = rng
-
-    def __call__(self, t: Tensor) -> Tensor:
-        return dropout(t, self.rate, self.rng) if self.rate > 0.0 else t
-
-
-def maybe_drop(t: Tensor, drop: Dropouter | None) -> Tensor:
+def maybe_drop(t: Tensor, drop: Drop | None) -> Tensor:
     return drop(t) if drop is not None else t
 
 
@@ -77,7 +72,7 @@ def project_kv(params, prefix: str, src: Tensor, heads: int) -> tuple[Tensor, Te
 
 
 def multihead(params, prefix: str, x: Tensor, kv: tuple[Tensor, Tensor], heads: int,
-              mask: Keep | None = None, drop: Dropouter | None = None) -> Tensor:
+              mask: Keep | None = None, drop: Drop | None = None) -> Tensor:
     """Multi-head scaled dot-product attention of the rows ``x`` over the
     transposed, scaled keys and the values ``kv`` that ``project_kv``
     made, all heads in one pass.
@@ -92,7 +87,7 @@ def multihead(params, prefix: str, x: Tensor, kv: tuple[Tensor, Tensor], heads: 
     return maybe_drop(matmul(context, params[f"{prefix}.wo"]), drop)
 
 
-def ffn(params, prefix: str, x: Tensor, drop: Dropouter | None = None) -> Tensor:
+def ffn(params, prefix: str, x: Tensor, drop: Drop | None = None) -> Tensor:
     """Two affine layers with a ReLU in between (position-wise)."""
     inner = relu(affine(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
     inner = maybe_drop(inner, drop)

@@ -1,6 +1,7 @@
 """End-to-end wiring of one dialogue through encoder, predictor, and decoder."""
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -9,11 +10,11 @@ import numpy as np
 from .config import TrainConfig
 from .corpus import (EMOTION_INDEX, EMOTIONS, EOS, DialogueRecord,
                      SpeakerRoster, Vocab, tokenize)
-from .decoder import emotion_mix, generate_ids, greedy_many, lockstep_groups, sequence_nll
-from .diffcore import Tensor, add, neg_pick, row_lookup, scale
+from .decoder import generate_ids, greedy_many, lockstep_groups, sequence_nll
+from .diffcore import Tensor, add, dropout, matmul, neg_pick, row_lookup, scale
 from .encoder import assemble_node_features, hgnn_forward, predict_emotion
 from .graph import build_hetero_graph
-from .layers import Dropouter
+from .layers import Drop
 from .params import ModelParams, load_checkpoint, save_checkpoint
 
 log = logging.getLogger(__name__)
@@ -40,10 +41,10 @@ class Model:
     vocab: Vocab
     roster: SpeakerRoster
 
-    def encode(self, record: DialogueRecord, drop: Dropouter | None = None) -> Encoded:
+    def encode(self, record: DialogueRecord, drop: Drop | None = None) -> Encoded:
         """Encoder node states and emotion distribution of one dialogue;
         raises ``RecordError`` for a record this model cannot take."""
-        record.validate(self.cfg.max_turns)
+        record.validate(self.cfg.max_turns, self.cfg.face_dim, self.cfg.audio_dim)
         graph = build_hetero_graph(record, ablate=self.cfg.ablate)
         h0 = assemble_node_features(record, graph, self.params, self.vocab,
                                     self.roster, self.cfg, drop)
@@ -62,8 +63,9 @@ class Model:
 
     def mix_inputs(self, encoded: Encoded, record: DialogueRecord,
                    next_speaker: str | None = None) -> tuple[Tensor, Tensor]:
-        p_dec = self.decoder_emotion(encoded, record)
-        e_p = emotion_mix(p_dec, self.params["enc.emotion_emb"])
+        """The decoder's emotion row, the emotion table's rows mixed by
+        ``decoder_emotion`` (1x7 @ 7xd), and the responding speaker's row."""
+        e_p = matmul(self.decoder_emotion(encoded, record), self.params["enc.emotion_emb"])
         speaker = next_speaker if next_speaker is not None else record.next_speaker
         s_p = row_lookup(self.params["enc.speaker_emb"], [self.roster.id_of(speaker)])
         return e_p, s_p
@@ -76,9 +78,12 @@ class Model:
             toks = toks[: self.cfg.max_len - 1]
         return self.vocab.encode(toks) + [EOS]
 
-    def losses(self, record: DialogueRecord, training: bool = False,
-               rng: np.random.Generator | None = None) -> LossOut:
-        drop = Dropouter(self.cfg.dropout, rng) if training and rng is not None else None
+    def losses(self, record: DialogueRecord, rng: np.random.Generator | None = None) -> LossOut:
+        """The joint, generation and classification losses of one dialogue,
+        and its predicted emotion. Given ``rng`` the pass trains: dropout at
+        ``cfg.dropout`` draws its masks from ``rng``. Without it, the pass
+        runs no dropout."""
+        drop = None if rng is None else functools.partial(dropout, rate=self.cfg.dropout, rng=rng)
         encoded = self.encode(record, drop)
         e_p, s_p = self.mix_inputs(encoded, record)
         mll = sequence_nll(self.response_target_ids(record), encoded.h_enc,

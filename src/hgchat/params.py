@@ -56,11 +56,12 @@ _REMOVED_SETTINGS = {"self_loops": True, "mask_orientation": "sender",
                      "attention_residual": False}
 
 
-def xavier_init(shape, seed) -> Tensor:
-    """Uniform Xavier/Glorot init over a 2-D shape; seeded and repeatable."""
+def xavier_init(shape, rng: np.random.Generator) -> Tensor:
+    """Uniform Xavier/Glorot init over a 2-D shape, drawn from ``rng``:
+    ``init_model_params`` draws every matrix from one generator, seeded
+    with ``cfg.seed``."""
     if len(shape) != 2:
         raise ValueError(f"xavier_init needs a 2-D shape, got {shape}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     bound = np.sqrt(6.0 / (shape[0] + shape[1]))
     return Tensor(rng.uniform(-bound, bound, size=shape))
 
@@ -79,15 +80,10 @@ class ModelParams:
         self.rng_state: dict | None = None
         self.order: np.ndarray | None = None
 
-    def add(self, name: str, values) -> Tensor:
+    def add(self, name: str, values: np.ndarray) -> Tensor:
         if name in self._tensors:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = values if isinstance(values, Tensor) else Tensor(values)
-        t.requires_grad = True
-        if t.grad is None:
-            t.grad = np.zeros_like(t.values)
-        t.name = name
-        self._tensors[name] = t
+        t = self._tensors[name] = Tensor(values, requires_grad=True, name=name)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -116,9 +112,10 @@ class ModelParams:
         return sum(t.values.size for t in self._tensors.values())
 
 
-def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int,
-                      seed: int | None = None) -> ModelParams:
-    """Create every trainable tensor: Xavier for matrices, zeros for biases.
+def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int) -> ModelParams:
+    """Create every trainable tensor: Xavier for matrices, zeros for biases,
+    every matrix drawn from one generator seeded with ``cfg.seed`` (another
+    seed is another config: ``dataclasses.replace(cfg, seed=s)``).
 
     Every tensor is stored as the forward pass reads it. Attention
     ``wq``/``wk``/``wv`` are d_in x d, head h in columns h*d/H .. (h+1)*d/H;
@@ -129,7 +126,7 @@ def init_model_params(cfg: TrainConfig, vocab_size: int, roster_size: int,
     ``enc.emotion_head.w`` (d x 7) and ``dec.out_proj.w`` (d x V) are the
     transposes of 7 x d and V x d draws.
     """
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(cfg.seed)
     return _build_params(cfg, vocab_size, roster_size,
                          lambda rows, cols: xavier_init((rows, cols), rng).values)
 

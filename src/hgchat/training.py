@@ -18,8 +18,6 @@ from .diffcore import NumericalError, backward, recording
 from .model import Model
 from .params import ModelParams, init_model_params
 
-__all__ = ["EpochStats", "TrainResult", "adam_step", "train"]
-
 log = logging.getLogger(__name__)
 
 # Seconds a worker gets to exit once its pipe is closed, before it is killed.
@@ -112,7 +110,7 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
     bad: set[int] = set()
     for idx, rec in enumerate(records):
         try:
-            rec.validate(cfg.max_turns)
+            rec.validate(cfg.max_turns, cfg.face_dim, cfg.audio_dim)
         except RecordError as exc:
             bad.add(idx)
             log.warning("skipping record %d: %s", idx, exc)
@@ -295,7 +293,7 @@ def _dialogue(model: Model, records: list[DialogueRecord], idx: int,
     record = records[idx]
     rng = np.random.default_rng(key)
     with recording():
-        out = model.losses(record, training=True, rng=rng)
+        out = model.losses(record, rng)
         value = out.joint.item()
         if not np.isfinite(value):
             raise NumericalError(f"non-finite loss on record {idx}")

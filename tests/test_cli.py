@@ -49,7 +49,7 @@ def test_generate_warns_once_per_truncated_response(ckpt_and_corpus, beam, caplo
 def test_synth_exits_zero(tmp_path):
     out = tmp_path / "corpus.jsonl"
     assert run_command(["synth", "--out", str(out), "--dialogues", "2", "--seed", "3"]) == 0
-    assert len(cp.load_corpus(out)) == 2
+    assert len(cp.load_corpus_verbose(out)[0]) == 2
 
 
 @pytest.mark.parametrize("flag, value", [("--dialogues", "-3"), ("--dialogues", "0"),
@@ -76,7 +76,8 @@ def test_synth_seed_precedence(tmp_path, monkeypatch, capsys, flag_seed, env_see
     assert run_command(["synth", "--out", str(out), "--dialogues", "2", *flag_seed]) == 0
     assert f"(seed {want})" in capsys.readouterr().out
     expected = cp.synthesize_corpus(2, n_speakers=3, seed=want)
-    assert [r.utterances for r in cp.load_corpus(out)] == [r.utterances for r in expected]
+    assert [r.utterances for r in cp.load_corpus_verbose(out)[0]] == [r.utterances
+                                                                      for r in expected]
 
 
 def test_gradcheck_command_passes_on_a_tiny_model(tmp_path, capsys):
@@ -316,7 +317,7 @@ def test_numerical_failure_in_training_exits_three(ckpt_and_corpus, tmp_path, mo
 def test_non_finite_loss_in_a_training_worker_exits_three(ckpt_and_corpus, tmp_path,
                                                          monkeypatch, capsys):
     monkeypatch.setattr(training, "usable_cpus", lambda: 2)
-    records = cp.load_corpus(ckpt_and_corpus[1])
+    records, _ = cp.load_corpus_verbose(ckpt_and_corpus[1])
     # the second record of the first batch goes to the worker
     order = training.train(records, TrainConfig(seed=0, epochs=1)).model.params.order
     records[order[1]].faces[0, :] = 1e308  # finite, but the face FFN overflows
@@ -336,6 +337,64 @@ def test_generate_on_a_corpus_of_other_face_width_is_a_data_error(ckpt_and_corpu
     assert run_command(["generate", "--ckpt", ckpt, "--corpus", str(other)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "face vectors: expected dim 8, got 5" in err
+
+
+def test_train_and_eval_skip_a_record_of_other_face_width(tiny_config, tmp_path, capsys):
+    corpus = tmp_path / "mixed.jsonl"
+    cp.save_corpus(cp.synthesize_corpus(6, seed=1)
+                   + cp.synthesize_corpus(1, seed=1, face_dim=5), corpus)
+    ckpt, report = str(tmp_path / "m.ckpt"), str(tmp_path / "r.txt")
+    assert run_command(["train", "--corpus", str(corpus), "--config", tiny_config,
+                        "--epochs", "1", "--out", ckpt]) == 0
+    assert run_command(["eval", "--ckpt", ckpt, "--corpus", str(corpus), "--report", report]) == 0
+    err = capsys.readouterr().err
+    skipped = "skipped 1 malformed record(s); first: line 7: face vectors: expected dim 8, got 5"
+    assert err.count(skipped) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--corpus", "CORPUS", "--epochs", "3", "--out"],
+    ["train", "--corpus", "CORPUS", "--resume", "CKPT", "--out"],
+    ["eval", "--corpus", "CORPUS", "--ckpt", "CKPT", "--report"],
+    ["synth", "--dialogues", "2", "--out"],
+], ids=["train", "train-resume", "eval", "synth"])
+def test_output_in_a_missing_directory_is_refused_before_any_work(ckpt_and_corpus, tmp_path,
+                                                                  capsys, command):
+    ckpt, corpus = ckpt_and_corpus
+    out = str(tmp_path / "absent" / "out.file")
+    argv = [{"CKPT": ckpt, "CORPUS": corpus}.get(arg, arg) for arg in command]
+    assert run_command([*argv, out]) == 2
+    captured = capsys.readouterr()
+    assert f"data error: cannot write {out}: directory" in captured.err
+    assert captured.out == ""  # no configuration, epoch or result line
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--corpus", "CORPUS", "--out", "OUT", "--seed", "-1"],
+    ["synth", "--out", "OUT", "--dialogues", "2", "--seed", "-5"],
+    ["gradcheck", "--seed", "-2"],
+], ids=["train", "synth", "gradcheck"])
+def test_negative_seed_is_a_usage_error(ckpt_and_corpus, tmp_path, capsys, command):
+    _, corpus = ckpt_and_corpus
+    out = tmp_path / "out.file"
+    argv = [{"CORPUS": corpus, "OUT": str(out)}.get(arg, arg) for arg in command]
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err and command[-1] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+def test_hgnn_seed_that_is_not_a_non_negative_integer_is_a_usage_error(
+        ckpt_and_corpus, tmp_path, monkeypatch, capsys, value):
+    _, corpus = ckpt_and_corpus
+    monkeypatch.setenv("HGNN_SEED", value)
+    out = tmp_path / "synth.jsonl"
+    assert run_command(["synth", "--out", str(out), "--dialogues", "2"]) == 1
+    assert run_command(["inspect-graph", "--corpus", corpus]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"error: HGNN_SEED must be a non-negative integer, got {value!r}") == 2
+    assert not out.exists()
 
 
 def resolved_seed(out: str) -> int:

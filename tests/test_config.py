@@ -19,8 +19,11 @@ from hgchat.graph import ABLATABLE
     ("learning_rate", 0.0, "learning_rate must be positive, got 0.0"),
     ("learning_rate", -1e-3, "learning_rate must be positive, got -0.001"),
     ("epochs", -3, "epochs must be at least 0, got -3"),
+    # numpy refuses a negative seed only once the first generator is made
+    ("seed", -1, "seed must be at least 0, got -1"),
 ], ids=["beta1-one", "beta1-negative", "beta2-one", "beta2-nan", "adam-eps-zero",
-        "adam-eps-negative", "learning-rate-zero", "learning-rate-negative", "epochs-negative"])
+        "adam-eps-negative", "learning-rate-zero", "learning-rate-negative", "epochs-negative",
+        "seed-negative"])
 def test_optimizer_setting_that_cannot_train_is_a_config_error(name, value, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         TrainConfig(**{name: value})

@@ -80,6 +80,18 @@ def test_max_turns_enforced():
         rec.validate(max_turns=4)
 
 
+@pytest.mark.parametrize("which", ["face", "audio"])
+def test_vectors_of_another_width_rejected_with_both_widths(which):
+    rec = cp.synthesize_corpus(1, seed=2, max_turns=3, **{f"{which}_dim": 5})[0]
+    rec.validate(face_dim=None, audio_dim=None)  # no width asked for: any passes
+    with pytest.raises(cp.RecordError, match=f"{which} vectors: expected dim 8, got 5"):
+        rec.validate(face_dim=8, audio_dim=8)
+
+
+def test_record_without_vectors_passes_any_width():
+    make_record(2, with_modalities=False).validate(face_dim=8, audio_dim=8)
+
+
 def test_nan_rejected(tmp_path):
     path = tmp_path / "nan.jsonl"
     path.write_text('{"utterances": ["hi"], "emotions": ["joy"], "speakers": ["s1"], '
@@ -93,8 +105,8 @@ def test_round_trip_structural_equality(tmp_path):
     records = cp.synthesize_corpus(25, seed=3)
     path = tmp_path / "corpus.jsonl"
     cp.save_corpus(records, path)
-    loaded = cp.load_corpus(path)
-    assert len(loaded) == len(records)
+    loaded, errors = cp.load_corpus_verbose(path)
+    assert errors == [] and len(loaded) == len(records)
     assert all(cp.records_equal(a, b) for a, b in zip(records, loaded))
 
 

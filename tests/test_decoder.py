@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hgchat import corpus as cp
 from hgchat import decoder as dec
 from hgchat import diffcore as dc
 from hgchat.config import TrainConfig
-from hgchat.model import Model
+from hgchat.model import Encoded, Model
 from hgchat.params import init_model_params
 
 from oracles import beam_search, decoder_distributions
@@ -26,7 +27,7 @@ def tiny_cfg(**kw):
 def setup(vocab_size=9, seed=0, cfg=None):
     cfg = cfg or tiny_cfg()
     rng = np.random.default_rng(seed)
-    params = init_model_params(cfg, vocab_size, cfg.z_speakers, seed=seed)
+    params = init_model_params(dataclasses.replace(cfg, seed=seed), vocab_size, cfg.z_speakers)
     h_enc = dc.Tensor(rng.standard_normal((5, cfg.d_model)))
     e_p = dc.Tensor(rng.standard_normal((1, cfg.d_model)))
     s_p = dc.Tensor(rng.standard_normal((1, cfg.d_model)))
@@ -51,26 +52,35 @@ def oracle(tokens, h_enc, e_p, s_p, params, cfg):
 
 # --- emotion mixing ---------------------------------------------------------
 
+def mixed_row(p, golden=False):
+    """The emotion row ``Model.mix_inputs`` gives for the predicted
+    distribution ``p`` of a record whose gold emotion is ``EMOTIONS[4]``,
+    and the emotion table."""
+    cfg = tiny_cfg(golden_emotion=golden)
+    rec = cp.synthesize_corpus(1, seed=5, face_dim=cfg.face_dim, audio_dim=cfg.audio_dim)[0]
+    rec.response_emotion = cp.EMOTIONS[4]
+    vocab, roster = cp.build_vocab([rec]), cp.build_roster([rec], cfg.z_speakers)
+    model = Model(cfg, init_model_params(cfg, vocab.size, roster.size), vocab, roster)
+    e_p, _ = model.mix_inputs(Encoded(None, dc.Tensor(p)), rec)
+    return e_p.values[0], model.params["enc.emotion_emb"].values
+
+
 def test_one_hot_mixture_is_table_row():
-    emb = dc.Tensor(np.arange(21.0).reshape(7, 3))
-    one_hot = np.zeros((1, 7))
-    one_hot[0, 4] = 1.0
-    out = dec.emotion_mix(dc.Tensor(one_hot), emb).values
-    assert np.array_equal(out[0], emb.values[4])
+    # golden-emotion mode mixes by the one-hot gold label, not by p
+    row, table = mixed_row(np.full((1, 7), 1 / 7), golden=True)
+    assert np.array_equal(row, table[4])
 
 
 def test_uniform_mixture_is_column_mean():
-    emb = dc.Tensor(np.random.default_rng(1).standard_normal((7, 4)))
-    out = dec.emotion_mix(dc.Tensor(np.full((1, 7), 1 / 7)), emb).values
-    assert np.allclose(out[0], emb.values.mean(axis=0), atol=1e-15)
+    row, table = mixed_row(np.full((1, 7), 1 / 7))
+    assert np.allclose(row, table.mean(axis=0), atol=1e-15)
 
 
 def test_half_half_mixture():
-    emb = dc.Tensor(np.random.default_rng(2).standard_normal((7, 4)))
     p = np.zeros((1, 7))
     p[0, 0] = p[0, 1] = 0.5
-    out = dec.emotion_mix(dc.Tensor(p), emb).values
-    assert np.allclose(out[0], (emb.values[0] + emb.values[1]) / 2, atol=1e-15)
+    row, table = mixed_row(p)
+    assert np.allclose(row, (table[0] + table[1]) / 2, atol=1e-15)
 
 
 # --- gate fusion -------------------------------------------------------------
@@ -96,7 +106,7 @@ def test_gate_zero_weights_half_half():
 
 def test_gate_hand_evaluation_d2():
     cfg = tiny_cfg(d_model=2, heads=1, d_hidden=2, d_pe=2, d_word=2)
-    params = init_model_params(cfg, 6, cfg.z_speakers, seed=1)
+    params = init_model_params(dataclasses.replace(cfg, seed=1), 6, cfg.z_speakers)
     w = np.arange(12.0).reshape(6, 2) / 10.0
     params["dec.gate.wo"].values[:] = w[:2]
     params["dec.gate.wes"].values[:] = w[2:]
@@ -293,7 +303,7 @@ def lockstep_setup(seed, n_dialogues=5):
     early, at different steps, and others reach the cap."""
     cfg = tiny_cfg()
     rng = np.random.default_rng(seed)
-    params = init_model_params(cfg, 20, cfg.z_speakers, seed=seed)
+    params = init_model_params(dataclasses.replace(cfg, seed=seed), 20, cfg.z_speakers)
     params["dec.tok_emb"].values[:] *= 5.0
     params["dec.self_attn.wq"].values[:] *= 0.5
     params["dec.cross_attn.wq"].values[:] *= 10.0

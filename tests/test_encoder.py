@@ -161,14 +161,14 @@ def test_lstm_records_one_affine_per_gate_and_step():
 
 def test_project_modality_zero_input_zero_biases():
     rec, cfg, vocab, roster, params = build_everything()
-    out = enc.project_modality(np.zeros((3, cfg.face_dim)), "face", params, cfg)
+    out = enc.project_modality(np.zeros((3, cfg.face_dim)), "face", params)
     assert np.array_equal(out.values, np.zeros((3, cfg.d_model)))
 
 
 def test_project_modality_shape_contract():
     rec, cfg, vocab, roster, params = build_everything()
     for n in (1, 2, 5):
-        out = enc.project_modality(np.ones((n, cfg.audio_dim)), "audio", params, cfg)
+        out = enc.project_modality(np.ones((n, cfg.audio_dim)), "audio", params)
         assert out.shape == (n, cfg.d_model)
 
 
@@ -176,7 +176,7 @@ def test_project_modality_hand_weights():
     rec, cfg, vocab, roster, params = build_everything()
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, cfg.face_dim))
-    got = enc.project_modality(x, "face", params, cfg).values
+    got = enc.project_modality(x, "face", params).values
     want = ffn_two_layer(x, params["enc.face_ffn.w1"].values,
                          params["enc.face_ffn.b1"].values,
                          params["enc.face_ffn.w2"].values,
@@ -184,10 +184,11 @@ def test_project_modality_hand_weights():
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_project_modality_dim_mismatch_names_dims():
+def test_encode_refuses_a_record_of_another_face_width():
     rec, cfg, vocab, roster, params = build_everything()
-    with pytest.raises(cp.RecordError, match=f"expected dim {cfg.face_dim}, got 7"):
-        enc.project_modality(np.ones((2, 7)), "face", params, cfg)
+    rec.faces = np.ones((rec.n_turns, 7))
+    with pytest.raises(cp.RecordError, match=f"face vectors: expected dim {cfg.face_dim}, got 7"):
+        Model(cfg, params, vocab, roster).encode(rec)
 
 
 # --- node embeddings --------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Source hygiene that no installed linter checks: every imported name and
-every dataclass field is read, the package never unpickles a file and
+"""Source hygiene that no installed linter checks: every imported name,
+every dataclass field and every public function, class and method is read,
+the package never unpickles a file and
 never transposes a stored weight, diffcore's kernels never use ``@``, and
 one class in the package forks processes."""
 import ast
@@ -74,6 +75,66 @@ def test_the_scan_sees_an_unread_field():
                      "@dataclass\nclass R:\n    v: int\nprint(P(1, 2).x, R(3).v)\n")
     other = ast.parse("def f(p):\n    p.y = 2\n")  # a store is not a read
     assert unread_fields(tree, [tree, other]) == ["P.y (line 5)"]
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(name, qualified name, line) of the public module-level functions and
+    classes of ``tree`` and of the public methods of its classes; dunder
+    methods are not public here."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            found.append((node.name, node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            found.extend((method.name, f"{node.name}.{method.name}", method.lineno)
+                         for method in node.body if isinstance(method, ast.FunctionDef)
+                         and not method.name.startswith("_"))
+    return found
+
+
+def unread_definitions(package: dict[str, ast.Module], outside: list[ast.Module]) -> list[str]:
+    """Public names ``public_definitions`` finds in the modules of
+    ``package`` that nothing reads: no ``ast.Name`` or ``ast.Attribute``
+    loads them in ``package``, and no identifier or dotted string names
+    them in ``outside``, where a tracer names its targets as strings."""
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in package.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    for tree in outside:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.update(node.name.split("."))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and all(part.isidentifier() for part in node.value.split("."))):
+                read.update(node.value.split("."))
+    return [f"{module}.{qualified} (line {line})" for module, tree in package.items()
+            for name, qualified, line in public_definitions(tree) if name not in read]
+
+
+def test_every_public_name_in_the_package_is_read():
+    # a name only the tests call is a second way in that the program does not need
+    package = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    outside = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unread_definitions(package, outside) == []
+
+
+def test_the_scan_sees_an_unread_public_name():
+    package = {"m": ast.parse("class C:\n    def used(self): pass\n    def unused(self): pass\n"
+                              "    def __len__(self): return 0\n    def _own(self): pass\n"
+                              "def f(): return C().used()\ndef g(): pass\ndef h(): pass\n"
+                              "def traced(): pass\ndef imported(): pass\ndef _private(): pass\n"
+                              "x = f\n"),
+               "n": ast.parse("def called(): pass\ng = 1\nlater = called\n")}
+    outside = [ast.parse("from pkg.m import imported\nTARGETS = ('m.traced', 'h is here')\n")]
+    assert unread_definitions(package, outside) == [
+        "m.C.unused (line 3)", "m.g (line 7)", "m.h (line 8)"]
 
 
 def pickle_loads(tree: ast.Module) -> list[str]:

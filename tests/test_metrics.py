@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -225,7 +226,7 @@ def eos_model(seed, n_records):
                                    face_dim=cfg.face_dim, audio_dim=cfg.audio_dim)
     vocab = cp.build_vocab(records)
     roster = cp.build_roster(records, cfg.z_speakers)
-    params = init_model_params(cfg, vocab.size, roster.size, seed=seed)
+    params = init_model_params(dataclasses.replace(cfg, seed=seed), vocab.size, roster.size)
     mean_speaker = params["enc.speaker_emb"].values[1:].mean(axis=0)
     params["dec.out_proj.w"].values[:, cp.EOS] = 2.0 * mean_speaker
     return Model(cfg, params, vocab, roster), records

@@ -66,26 +66,26 @@ def assert_no_child_left():
 # --- xavier ----------------------------------------------------------------
 
 def test_xavier_bound_four_by_four():
-    t = xavier_init((4, 4), seed=0)
+    t = xavier_init((4, 4), np.random.default_rng(0))
     bound = np.sqrt(6 / 8)
     assert bound == pytest.approx(0.866, abs=1e-3)
     assert np.all(np.abs(t.values) <= bound)
 
 
 def test_xavier_deterministic():
-    a = xavier_init((5, 7), seed=123)
-    b = xavier_init((5, 7), seed=123)
+    a = xavier_init((5, 7), np.random.default_rng(123))
+    b = xavier_init((5, 7), np.random.default_rng(123))
     assert np.array_equal(a.values, b.values)
 
 
 def test_xavier_empirical_mean_near_zero():
-    t = xavier_init((100, 100), seed=5)
+    t = xavier_init((100, 100), np.random.default_rng(5))
     assert abs(t.values.mean()) < 0.02
 
 
 def test_xavier_rejects_non_2d():
     with pytest.raises(ValueError):
-        xavier_init((3,), seed=0)
+        xavier_init((3,), np.random.default_rng(0))
 
 
 def per_head_init(cfg, vocab_size, roster_size, seed):
@@ -137,7 +137,7 @@ def per_head_init(cfg, vocab_size, roster_size, seed):
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_joined_init_equals_per_head_and_per_type_draws(heads):
     cfg = tiny_cfg(heads=heads, gnn_layers=2)
-    params = init_model_params(cfg, 11, 3, seed=5)
+    params = init_model_params(dataclasses.replace(cfg, seed=5), 11, 3)
     oracle = per_head_init(cfg, 11, 3, seed=5)
     want = {}
     for prefix in ("enc.ctx_attn", "dec.self_attn", "dec.cross_attn"):
@@ -285,6 +285,18 @@ def test_invalid_record_skipped_and_counted():
     records[2].emotions = records[2].emotions[:-1] + ["not-a-feeling"]
     res = tr.train(records, cfg)
     assert res.log[0].skipped == 1
+
+
+@pytest.mark.parametrize("which", ["faces", "audios"])
+def test_record_of_another_modality_width_skipped_and_counted(caplog, which):
+    cfg = tiny_cfg(epochs=1)
+    records = tiny_corpus(4, cfg=cfg)
+    setattr(records[3], which, np.ones((records[3].n_turns, cfg.face_dim + 2)))
+    with caplog.at_level("WARNING", logger="hgchat.training"):
+        res = tr.train(records, cfg)
+    assert res.log[0].skipped == 1
+    assert any(f"skipping record 3: {which[:-1]} vectors: expected dim 3, got 5" in r.getMessage()
+               for r in caplog.records)
 
 
 def test_invalid_record_warned_once_and_skipped_every_epoch(caplog):
@@ -762,7 +774,7 @@ def test_every_product_operand_is_c_or_f_ordered(monkeypatch, overrides):
         monkeypatch.setattr(prim, "backward", watch(kind, prim.backward))
     for record in records:
         with dc.recording():
-            dc.backward(model.losses(record, training=True, rng=np.random.default_rng(1)).joint)
+            dc.backward(model.losses(record, np.random.default_rng(1)).joint)
         model.generate(record, strategy="beam", beam_width=3)
     model.generate_many(records)
     assert strided == []
