@@ -119,12 +119,22 @@ def _record_to_obj(rec: DialogueRecord) -> dict:
     return obj
 
 
+def _strings_from_obj(obj: dict, key: str) -> list[str]:
+    value = obj[key]
+    if not isinstance(value, list):
+        raise RecordError(f"{key}: expected a list, got {type(value).__name__}")
+    return [str(v) for v in value]
+
+
 def _vectors_from_obj(obj: dict, key: str) -> np.ndarray | None:
     if key not in obj:
         return None
-    mat = np.asarray(obj[key], dtype=np.float64)
-    if mat.ndim != 2:
-        raise RecordError(f"{key}: expected a list of equal-length vectors")
+    try:
+        mat = np.asarray(obj[key], dtype=np.float64)
+    except (TypeError, ValueError):  # ragged rows, strings, objects
+        mat = None
+    if mat is None or mat.ndim != 2:
+        raise RecordError(f"{key}: expected a list of equal-length numeric vectors")
     if not np.all(np.isfinite(mat)):
         raise RecordError(f"{key}: non-finite values are not permitted")
     return mat
@@ -135,9 +145,9 @@ def _record_from_obj(obj: dict) -> DialogueRecord:
         raise RecordError("record is not an object")
     try:
         rec = DialogueRecord(
-            utterances=[str(u) for u in obj["utterances"]],
-            emotions=[str(e) for e in obj["emotions"]],
-            speakers=[str(s) for s in obj["speakers"]],
+            utterances=_strings_from_obj(obj, "utterances"),
+            emotions=_strings_from_obj(obj, "emotions"),
+            speakers=_strings_from_obj(obj, "speakers"),
             next_speaker=str(obj["next_speaker"]),
             response=str(obj["response"]),
             response_emotion=str(obj["response_emotion"]),

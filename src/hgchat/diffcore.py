@@ -13,9 +13,15 @@ kinds registered here. Design points:
 - every forward returns a C-contiguous 2-D float64 array, and the output
   tensor is built from it unchecked; ``Tensor()`` checks and converts
   data that comes from outside;
-- a tape is a list of primitive applications; the reverse sweep keys
-  gradients by tensor identity and adds them into the ``grad`` buffers
-  of the leaves that require one at the end;
+- a tape is a list of primitive applications. The reverse sweep pops
+  each entry before running its backward, and each output's gradient as
+  it reads it, so an activation, its ``meta`` (a dropout mask, a
+  ``Keep``) and its gradient are freed as soon as nothing else holds
+  them; the sweep's peak stays near the forward tape's size, not twice
+  it. It keys gradients by tensor identity, stores none for a constant
+  (an input that neither requires grad nor comes from the tape), and
+  adds the leaves' gradients into their ``grad`` buffers only once the
+  whole sweep has run;
 - kernels call numpy's direct entry points: ``ndarray.dot`` for
   products, ``ndarray.take`` for row gathers, a ufunc's ``reduce`` for
   reductions, ``out=`` on buffers the kernel made itself. At the sizes
@@ -96,9 +102,11 @@ class Tensor:
 
 
 # A tape is a plain list of (kind, inputs, output, meta) entries in
-# application order, so it is topological by construction. The entries
-# hold every tensor they touch, which keeps ``id(tensor)`` unique for as
-# long as the tape lives; the reverse sweep keys its gradients by it.
+# application order, so it is topological by construction. The reverse
+# sweep keys its gradients by ``id(tensor)`` while it frees entries:
+# every tensor it looks up was alive, held by the tape, when the sweep
+# began, so no two of them share an id, and the sweep creates no Tensor
+# that could take the address of one it has freed.
 _STATE = threading.local()
 # Recordings active on all threads. A thread that records has raised it
 # before its first primitive, so it always finds its own tape; while it is
@@ -552,41 +560,55 @@ def backward(loss: Tensor) -> None:
 
     Adds this call's gradient into ``grad`` on every leaf that requires
     one and that the loss reaches (leaves it does not reach keep their
-    buffers as they were), and consumes the tape.
+    buffers as they were), and consumes the tape. Each entry leaves the
+    tape before its backward runs, and each output's gradient leaves the
+    map when it is read, so what the sweep has consumed is freed unless
+    the caller holds it. No delta is kept for a constant, an input that
+    neither requires grad nor was produced on this tape: nothing reads
+    one. Gradients stay keyed by ``id``: every tensor the sweep looks up
+    was alive when it began, and it creates no ``Tensor``. If a backward
+    kernel raises, the tape is left empty and no ``grad`` changes, since
+    leaves are added to only after the whole sweep.
     """
     tape = _active_tape()
     if tape is None:
         raise ContractError("backward requires an active tape")
     if loss.values.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-    if not any(entry[2] is loss for entry in reversed(tape)):
+    produced = {id(entry[2]) for entry in tape}
+    if id(loss) not in produced:
         raise ContractError("loss was not produced on the active tape")
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
     owned: set[int] = {id(loss)}
     leaves: list[Tensor] = []
-    for kind, inputs, output, meta in reversed(tape):
-        g = grads.get(id(output))
-        if g is None:
-            continue
-        deltas = _PRIMS[kind].backward([t.values for t in inputs], meta, output.values, g)
-        for tensor, delta in zip(inputs, deltas):
-            key = id(tensor)
-            cur = grads.get(key)
-            if cur is None:
-                grads[key] = delta  # maybe a shared/view array: copy before mutating
-                if tensor.requires_grad:
-                    leaves.append(tensor)
-            else:
-                if key not in owned:
-                    cur = cur.copy()
-                    grads[key] = cur
-                    owned.add(key)
-                cur += delta
+    try:
+        while tape:
+            kind, inputs, output, meta = tape.pop()
+            g = grads.pop(id(output), None)
+            if g is None:
+                continue
+            deltas = _PRIMS[kind].backward([t.values for t in inputs], meta, output.values, g)
+            for tensor, delta in zip(inputs, deltas):
+                key = id(tensor)
+                cur = grads.get(key)
+                if cur is None:
+                    if tensor.requires_grad:
+                        leaves.append(tensor)
+                    elif key not in produced:
+                        continue  # a constant: nothing reads its delta
+                    grads[key] = delta  # maybe a shared/view array: copy before mutating
+                else:
+                    if key not in owned:
+                        cur = cur.copy()
+                        grads[key] = cur
+                        owned.add(key)
+                    cur += delta
+    finally:
+        tape.clear()
 
     for tensor in leaves:
         tensor.grad += grads[id(tensor)]
-    tape.clear()
 
 
 def grad_check(loss_builder: Callable[[], Tensor], params: Mapping[str, Tensor],

@@ -10,6 +10,7 @@ import json
 import numpy as np
 
 from hgchat.corpus import BOS, EOS
+from hgchat.diffcore import _PRIMS, ContractError, _active_tape
 
 
 def central_diff(f, theta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -242,3 +243,44 @@ def rewrite_checkpoint(path, edit) -> None:
     with open(path, "wb") as fh:
         np.savez(fh, header=np.frombuffer(json.dumps(header).encode("utf-8"), np.uint8),
                  **members)
+
+
+def reference_backward(loss) -> None:
+    """The keep-everything reverse sweep that ``diffcore.backward`` replaced:
+    it holds every tape entry and every intermediate gradient until the
+    sweep ends, and stores a delta for every input it reaches. It runs the
+    package's own kernels over the package's tape; only the sweep loop is
+    the old one, kept to check the new one bit for bit."""
+    tape = _active_tape()
+    if tape is None:
+        raise ContractError("backward requires an active tape")
+    if loss.values.size != 1:
+        raise ContractError(f"loss must be scalar, got shape {loss.shape}")
+    if not any(entry[2] is loss for entry in reversed(tape)):
+        raise ContractError("loss was not produced on the active tape")
+
+    grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
+    owned: set[int] = {id(loss)}
+    leaves = []
+    for kind, inputs, output, meta in reversed(tape):
+        g = grads.get(id(output))
+        if g is None:
+            continue
+        deltas = _PRIMS[kind].backward([t.values for t in inputs], meta, output.values, g)
+        for tensor, delta in zip(inputs, deltas):
+            key = id(tensor)
+            cur = grads.get(key)
+            if cur is None:
+                grads[key] = delta  # maybe a shared/view array: copy before mutating
+                if tensor.requires_grad:
+                    leaves.append(tensor)
+            else:
+                if key not in owned:
+                    cur = cur.copy()
+                    grads[key] = cur
+                    owned.add(key)
+                cur += delta
+
+    for tensor in leaves:
+        tensor.grad += grads[id(tensor)]
+    tape.clear()

@@ -352,6 +352,18 @@ def test_train_and_eval_skip_a_record_of_other_face_width(tiny_config, tmp_path,
     assert err.count(skipped) == 2
 
 
+def test_train_skips_lines_with_malformed_fields(tiny_config, tmp_path, capsys):
+    good = [cp._record_to_obj(rec) for rec in cp.synthesize_corpus(3, seed=1)]
+    lines = [good[0], {**good[0], "utterances": 5}, good[1],
+             {**good[0], "faces": [[1.0], [1.0, 2.0]]}, good[2]]
+    corpus = tmp_path / "mixed.jsonl"
+    corpus.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    assert run_command(["train", "--corpus", str(corpus), "--config", tiny_config,
+                        "--epochs", "1", "--out", str(tmp_path / "m.ckpt")]) == 0
+    assert ("skipped 2 malformed record(s); first: line 2: utterances: expected a list, got int"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", [
     ["train", "--corpus", "CORPUS", "--epochs", "3", "--out"],
     ["train", "--corpus", "CORPUS", "--resume", "CKPT", "--out"],

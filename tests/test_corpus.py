@@ -92,6 +92,27 @@ def test_record_without_vectors_passes_any_width():
     make_record(2, with_modalities=False).validate(face_dim=8, audio_dim=8)
 
 
+@pytest.mark.parametrize("key, value, reason", [
+    pytest.param("utterances", 5, "utterances: expected a list, got int", id="int"),
+    pytest.param("utterances", "hello there", "utterances: expected a list, got str", id="str"),
+    pytest.param("emotions", {"0": "joy"}, "emotions: expected a list, got dict", id="dict"),
+    pytest.param("speakers", None, "speakers: expected a list, got NoneType", id="null"),
+    pytest.param("faces", [[1.0], [1.0, 2.0]],
+                 "faces: expected a list of equal-length numeric vectors", id="ragged"),
+    pytest.param("audios", [["loud"]],
+                 "audios: expected a list of equal-length numeric vectors", id="text"),
+    pytest.param("faces", [1.0, 2.0],
+                 "faces: expected a list of equal-length numeric vectors", id="flat"),
+])
+def test_malformed_field_skips_the_line_with_the_field_named(tmp_path, key, value, reason):
+    good = cp._record_to_obj(cp.synthesize_corpus(1, seed=4, min_turns=2, max_turns=2)[0])
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("\n".join(json.dumps(obj) for obj in (good, {**good, key: value}, good)))
+    records, errors = cp.load_corpus_verbose(path)
+    assert len(records) == 2
+    assert errors == [(2, reason)]
+
+
 def test_nan_rejected(tmp_path):
     path = tmp_path / "nan.jsonl"
     path.write_text('{"utterances": ["hi"], "emotions": ["joy"], "speakers": ["s1"], '

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import mmap
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from hgchat import training as tr
 from hgchat.config import TrainConfig
 from hgchat.model import Model
 from hgchat.params import CHECKPOINT_MAGIC, init_model_params, xavier_init
-from oracles import rewrite_checkpoint
+from oracles import reference_backward, rewrite_checkpoint
 
 
 def tiny_cfg(**kw):
@@ -778,3 +780,67 @@ def test_every_product_operand_is_c_or_f_ordered(monkeypatch, overrides):
         model.generate(record, strategy="beam", beam_width=3)
     model.generate_many(records)
     assert strided == []
+
+
+# --- the freeing reverse sweep against the keep-everything one ---------------------
+
+def sweep_grads(model, record, sweep):
+    for t in model.params.values():
+        t.zero_grad()
+    with dc.recording():
+        sweep(model.losses(record, np.random.default_rng(5)).joint)
+    return {name: t.grad.copy() for name, t in model.params.items()}
+
+
+@pytest.mark.parametrize("turns", [1, 35])
+@pytest.mark.parametrize("overrides", [{}, {"gnn_mode": "homo"}, {"golden_emotion": True}],
+                         ids=["hetero", "homo", "golden-emotion"])
+def test_the_sweep_gives_the_keep_everything_sweeps_gradients_bit_for_bit(turns, overrides):
+    cfg = TrainConfig(**overrides)
+    assert cfg.dropout > 0.0
+    records = cp.synthesize_corpus(1, seed=turns, min_turns=turns, max_turns=turns)
+    model = fresh_model(records, cfg)
+    want = sweep_grads(model, records[0], reference_backward)
+    got = sweep_grads(model, records[0], dc.backward)
+    assert any(np.any(g != 0.0) for g in want.values())
+    for name, grad in want.items():
+        assert np.array_equal(got[name], grad), name
+
+
+def state_digest(params):
+    digest = hashlib.sha256(str(params.adam_t).encode())
+    for name, t in params.items():
+        for array in (t.values, params.adam_m[name], params.adam_v[name]):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("procs", [1, 2])
+def test_training_with_the_sweep_equals_training_with_the_keep_everything_sweep(
+        monkeypatch, procs):
+    pin_processes(monkeypatch, procs)
+    cfg = TrainConfig(epochs=2)
+    records = cp.synthesize_corpus(40, seed=3)
+    digests = []
+    for sweep in (reference_backward, dc.backward):
+        monkeypatch.setattr(tr, "backward", sweep)
+        digests.append(state_digest(tr.train(records, cfg).model.params))
+    assert digests[0] == digests[1]
+
+
+def test_the_sweep_peaks_near_the_forward_tape_on_a_long_dialogue():
+    # a sweep that kept every activation and intermediate gradient until
+    # its end peaked at about twice the forward tape
+    records = cp.synthesize_corpus(1, seed=1, min_turns=35, max_turns=35)
+    model = fresh_model(records, TrainConfig())
+    tracemalloc.start()
+    try:
+        with dc.recording():
+            out = model.losses(records[0], np.random.default_rng(1))
+            tape_bytes, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            dc.backward(out.joint)
+            _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * tape_bytes, (peak, tape_bytes)
