@@ -265,8 +265,7 @@ def cmd_gradcheck(args) -> int:
     model = Model(cfg, params, vocab, roster)
     rng = np.random.default_rng(cfg.seed + 1)
     for _ in range(GRADCHECK_DRAWS):  # move off the ReLU kinks
-        for t in params.values():
-            t.values += rng.uniform(-0.05, 0.05, size=t.values.shape)
+        params.flat += rng.uniform(-0.05, 0.05, size=params.flat.size)
         with recording() as tape:
             model.losses(records[0])
         if min(np.abs(inputs[0].values).min() for kind, inputs, _, _ in tape
@@ -277,7 +276,7 @@ def cmd_gradcheck(args) -> int:
     err = grad_check(lambda: model.losses(records[0]).joint,
                      dict(params.items()), eps=1e-5)
     dt = time.monotonic() - t0
-    print(f"max relative error {err:.3e} over {params.n_entries()} entries "
+    print(f"max relative error {err:.3e} over {params.flat.size} entries "
           f"({len(params)} tensors) in {dt:.1f}s")
     if err > GRADCHECK_TOLERANCE:
         print(f"FAIL: exceeds tolerance {GRADCHECK_TOLERANCE}", file=sys.stderr)

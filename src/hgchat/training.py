@@ -24,27 +24,35 @@ log = logging.getLogger(__name__)
 WORKER_EXIT_S = 1.0
 
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
-              cfg: TrainConfig, t: int) -> None:
-    """Bias-corrected Adam update, in place on the parameter value buffers."""
+def adam_step(params: ModelParams, cfg: TrainConfig, t: int) -> None:
+    """Bias-corrected Adam update of ``params.flat`` by the gradient in
+    ``params.flat_grad``, in place over the whole buffer. Its temporaries go
+    into two scratch rows that live only for the step, not for the model's
+    life. A non-finite gradient entry aborts the step before anything
+    changes, naming the tensor that holds it."""
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
+    g = params.flat_grad
+    finite = np.isfinite(g)
+    if not finite.all():
+        name = params.name_at(int(np.argmin(finite)))  # of the first non-finite entry
+        raise NumericalError(f"non-finite gradient for {name}; step aborted")
     b1, b2, eps, lr = cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.learning_rate
-    for name, tensor in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(tensor.values)
-        elif not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for {name}; step aborted")
-        m = params.adam_m.setdefault(name, np.zeros_like(tensor.values))
-        v = params.adam_v.setdefault(name, np.zeros_like(tensor.values))
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        tensor.values -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v, (a, b) = params.adam_m, params.adam_v, np.empty((2, g.size))
+    np.multiply(g, 1.0 - b1, out=a)
+    m *= b1
+    m += a
+    np.multiply(g, 1.0 - b2, out=a)
+    a *= g
+    v *= b2
+    v += a
+    np.divide(v, 1.0 - b2 ** t, out=a)  # the denominator: sqrt(v_hat) + eps
+    np.sqrt(a, out=a)
+    a += eps
+    np.divide(m, 1.0 - b1 ** t, out=b)  # the step: lr * m_hat / denominator
+    b *= lr
+    b /= a
+    params.flat -= b
 
 
 @dataclass
@@ -143,9 +151,9 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
                     totals += result[:3]
                     hits += result[3]
                 seen += len(jobs)
-                grads = {name: t.grad / len(jobs) for name, t in params.items()}
+                params.flat_grad /= len(jobs)
                 params.adam_t = step
-                adam_step(params, grads, cfg, step)
+                adam_step(params, cfg, step)
             if seen == 0:
                 raise ValueError("no valid records in the training corpus")
             params.rng_state, params.order = rng.bit_generator.state, order.copy()
@@ -301,13 +309,10 @@ def _dialogue(model: Model, records: list[DialogueRecord], idx: int,
     return value, out.mll.item(), out.cls.item(), out.predicted_emotion == record.response_emotion
 
 
-def _shared_zeros(shapes: list[tuple[int, int]]) -> list[np.ndarray]:
-    """Zero float64 arrays of ``shapes`` in one anonymous shared mapping,
-    which the processes forked after it share."""
-    sizes = [rows * cols for rows, cols in shapes]
-    flat = np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), dtype=np.float64)
-    bounds = np.cumsum([0] + sizes)
-    return [flat[a:b].reshape(shape) for a, b, shape in zip(bounds, bounds[1:], shapes)]
+def _shared_zeros(size: int) -> np.ndarray:
+    """``size`` float64 zeros in an anonymous shared mapping, which the
+    processes forked after it share."""
+    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
 
 
 class _Workers(Forked):
@@ -321,12 +326,10 @@ class _Workers(Forked):
     pipe: no parameter or gradient is pickled."""
 
     def __init__(self, model: Model, records: list[DialogueRecord], n_procs: int):
-        self.params = model.params
-        shapes = [t.shape for t in self.params.values()]
-        self.slots = [_shared_zeros(shapes) for _ in range(1, n_procs)]
-        for t, shared in zip(self.params.values(), _shared_zeros(shapes)):
-            shared[...] = t.values
-            t.values = shared
+        self.params = params = model.params
+        shared, *self.slots = [_shared_zeros(params.flat.size) for _ in range(n_procs)]
+        np.copyto(shared, params.flat)
+        params._place(shared)
         super().__init__("training worker", _serve,
                          [(slot, model, records) for slot in self.slots])
 
@@ -339,10 +342,9 @@ class _Workers(Forked):
 
     def take(self, k: int) -> tuple[float, float, float, bool]:
         """The result of worker k's next dialogue, its gradient added into
-        ``.grad``."""
+        ``params.flat_grad``."""
         result = self.recv(k)
-        for t, grad in zip(self.params.values(), self.slots[k - 1]):
-            t.grad += grad
+        self.params.flat_grad += self.slots[k - 1]
         self.conns[k - 1].send(None)  # the slot is free
         return result
 
@@ -350,11 +352,10 @@ class _Workers(Forked):
         """End and reap every worker, and give the parameters private
         arrays again."""
         super().close()
-        for t in self.params.values():
-            t.values = t.values.copy()
+        self.params._place(self.params.flat.copy())
 
 
-def _serve(conn, slot: list[np.ndarray], model: Model, records: list[DialogueRecord]) -> None:
+def _serve(conn, slot: np.ndarray, model: Model, records: list[DialogueRecord]) -> None:
     """A worker: run the dialogues the parent deals, copying each gradient
     into ``slot`` once the parent has taken the last."""
     params = model.params
@@ -365,7 +366,6 @@ def _serve(conn, slot: list[np.ndarray], model: Model, records: list[DialogueRec
             result = _dialogue(model, records, idx, key)
             if j:
                 conn.recv()  # the parent has taken the previous gradient
-            for t, shared in zip(params.values(), slot):
-                np.copyto(shared, t.grad)
+            np.copyto(slot, params.flat_grad)
             conn.send(result)
         conn.recv()  # the parent has taken the batch's last gradient

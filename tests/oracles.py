@@ -233,7 +233,7 @@ def kernel_references() -> dict:
 
 
 def rewrite_checkpoint(path, edit) -> None:
-    """Apply ``edit(header, members)`` to the HGNN-CKPT-4 file at ``path``,
+    """Apply ``edit(header, members)`` to the checkpoint file at ``path``,
     in place: ``header`` is its decoded JSON header and ``members`` maps
     every other member's name to its array."""
     with np.load(path, allow_pickle=False) as archive:
@@ -243,6 +243,22 @@ def rewrite_checkpoint(path, edit) -> None:
     with open(path, "wb") as fh:
         np.savez(fh, header=np.frombuffer(json.dumps(header).encode("utf-8"), np.uint8),
                  **members)
+
+
+def per_tensor_adam(values, grads, m, v, cfg, t) -> None:
+    """Bias-corrected Adam one tensor at a time, in place on the dicts
+    ``values``, ``m`` and ``v``, with the temporaries numpy makes: the
+    update that ``training.adam_step`` replaced with one over flat buffers,
+    kept to check it bit for bit."""
+    b1, b2, eps, lr = cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.learning_rate
+    for name, g in grads.items():
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        m_hat = m[name] / (1.0 - b1 ** t)
+        v_hat = v[name] / (1.0 - b2 ** t)
+        values[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def reference_backward(loss) -> None:

@@ -98,57 +98,54 @@ def test_generate_on_a_format_one_checkpoint_is_a_data_error(ckpt_and_corpus, ca
     ckpt, corpus = ckpt_and_corpus
     rewrite_checkpoint(ckpt, lambda header, members: header.update(magic="HGNN-CKPT-1"))
     assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
-    assert "HGNN-CKPT-4" in capsys.readouterr().err
+    assert "not a HGNN-CKPT-5 checkpoint; HGNN-CKPT-1" in capsys.readouterr().err
 
 
-def as_format_three(header, members):
-    """A checkpoint as format 3 wrote it: the gate weight in one 3d x d
-    tensor, the hetero layers' type blocks side by side, and the emotion
-    head and the output projection transposed."""
-    header.update(magic="HGNN-CKPT-3")
-    members["param/dec.gate.w"] = np.vstack(
-        [members.pop("param/dec.gate.wo"), members.pop("param/dec.gate.wes")])
-    members["param/enc.gnn.l0.w"] = np.hstack(np.split(members["param/enc.gnn.l0.w"], 5))
-    for name in ("param/enc.emotion_head.w", "param/dec.out_proj.w"):
-        members[name] = members[name].T
+def as_format_four(ckpt):
+    """The edit that makes the checkpoint ``ckpt`` as format 4 wrote it: a
+    member per tensor, each in its shape, and a setting format 5 no longer
+    has at the one value the model kept."""
+    params = Model.load(ckpt).params
+
+    def edit(header, members):
+        header.update(magic="HGNN-CKPT-4")
+        header["config"].update(self_loops=True)
+        members.pop("param")
+        members.update((f"param/{name}", t.values) for name, t in params.items())
+    return edit
+
+
+def as_format_three(ckpt):
+    """The edit that makes ``ckpt`` as format 3 wrote it: format 4's members,
+    but the gate weight in one 3d x d tensor, the hetero layers' type blocks
+    side by side, and the emotion head and the output projection transposed."""
+    four = as_format_four(ckpt)
+
+    def edit(header, members):
+        four(header, members)
+        header.update(magic="HGNN-CKPT-3")
+        members["param/dec.gate.w"] = np.vstack(
+            [members.pop("param/dec.gate.wo"), members.pop("param/dec.gate.wes")])
+        members["param/enc.gnn.l0.w"] = np.hstack(np.split(members["param/enc.gnn.l0.w"], 5))
+        for name in ("param/enc.emotion_head.w", "param/dec.out_proj.w"):
+            members[name] = np.ascontiguousarray(members[name].T)
+    return edit
 
 
 def test_generate_on_a_format_three_checkpoint_is_a_data_error(ckpt_and_corpus, capsys):
     ckpt, corpus = ckpt_and_corpus
-    rewrite_checkpoint(ckpt, as_format_three)
+    rewrite_checkpoint(ckpt, as_format_three(ckpt))
     assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
     err = capsys.readouterr().err
-    assert "data error" in err and "not a HGNN-CKPT-4 checkpoint" in err
+    assert "data error" in err and "not a HGNN-CKPT-5 checkpoint; HGNN-CKPT-3" in err
 
 
-# the settings that format-4 checkpoints stored before they were removed,
-# each at the one value the model kept
-REMOVED_SETTINGS = {"self_loops": True, "mask_orientation": "sender",
-                    "normalize_adjacency": False, "detach_predicted_emotion": False,
-                    "attention_residual": False}
-
-
-def test_generate_on_a_checkpoint_with_the_removed_settings_at_their_kept_values(
-        ckpt_and_corpus, capsys):
+def test_generate_on_a_format_four_checkpoint_is_a_data_error(ckpt_and_corpus, capsys):
     ckpt, corpus = ckpt_and_corpus
-    assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 0
-    want = capsys.readouterr().out
-    rewrite_checkpoint(ckpt, lambda header, members: header["config"].update(REMOVED_SETTINGS))
-    assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 0
-    assert capsys.readouterr().out == want
-
-
-@pytest.mark.parametrize("key, value", [
-    ("self_loops", False), ("mask_orientation", "receiver"), ("normalize_adjacency", True),
-    ("detach_predicted_emotion", True), ("attention_residual", True), ("self_loops", 1)])
-def test_generate_on_a_checkpoint_with_a_removed_reading_is_a_data_error(
-        ckpt_and_corpus, capsys, key, value):
-    ckpt, corpus = ckpt_and_corpus
-    rewrite_checkpoint(ckpt, lambda header, members: header["config"].update(
-        {**REMOVED_SETTINGS, key: value}))
+    rewrite_checkpoint(ckpt, as_format_four(ckpt))
     assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
     err = capsys.readouterr().err
-    assert "data error" in err and f"setting {key!r} is {value!r}" in err
+    assert "data error" in err and "not a HGNN-CKPT-5 checkpoint; HGNN-CKPT-4" in err
 
 
 def test_config_file_naming_a_removed_setting_is_a_usage_error(ckpt_and_corpus, tmp_path,
@@ -177,28 +174,27 @@ def test_generate_on_a_file_that_is_not_format_four_is_a_data_error(ckpt_and_cor
     Path(ckpt).write_bytes(Path(ckpt).read_bytes()[:100] if content is None else content)
     assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
     err = capsys.readouterr().err
-    assert "data error" in err and "not a HGNN-CKPT-4 checkpoint" in err
+    assert "data error" in err and "not a HGNN-CKPT-5 checkpoint" in err
     assert not any(word in err for word in ("Traceback", "BadZipFile", "pickle"))
 
 
 @pytest.mark.parametrize("edit, named", [
     (lambda header, members: header.pop("vocab"), "missing 'vocab'"),
-    # every tensor in one array, not a member per name
-    (lambda header, members: members.update(params=np.concatenate(
-        [members.pop(name).ravel() for name in list(members) if name.startswith("param/")])),
-     "'params'"),
-    (lambda header, members: members.pop("param/dec.gate.b"), "'dec.gate.b'"),
-    (lambda header, members: members.update({"param/stray": np.zeros((1, 1))}), "'stray'"),
-    # not square, so the transpose has the wrong shape
-    (lambda header, members: members.update(
-        {"param/dec.gate.wes": members["param/dec.gate.wes"].T}), "'dec.gate.wes'"),
-    (lambda header, members: members.update({"param/dec.gate.wes": np.zeros(0)}),
-     "'dec.gate.wes'"),
+    # a member per tensor, as format 4 stored them
+    (lambda header, members: members.update({"param/enc.word_emb": members.pop("param")}),
+     "member 'param/enc.word_emb' is not part of a HGNN-CKPT-5"),
+    (lambda header, members: members.pop("param"), "missing 'param'"),
+    (lambda header, members: members.update({"param/stray": np.zeros((1, 1))}),
+     "'param/stray'"),
+    # one entry short of the layout
+    (lambda header, members: members.update(param=members["param"][:-1]),
+     "member 'param' is float64 of shape"),
+    (lambda header, members: members.update(param=np.zeros(0)),
+     "member 'param' is float64 of shape [0]"),
     (lambda header, members: header.update(vocab=5), "'vocab'"),
     (lambda header, members: header.update(roster=5), "'roster'"),
-    (lambda header, members: members.update(
-        {"param/dec.gate.wes": members["param/dec.gate.wes"].astype(np.float32)}),
-     "tensor 'dec.gate.wes' is float32"),
+    (lambda header, members: members.update(param=members["param"].astype(np.float32)),
+     "member 'param' is float32"),
     (lambda header, members: header["config"].update(bogus=1), "'config'"),
 ], ids=["vocab", "params-not-a-map", "missing-tensor", "extra-tensor", "wrong-shape", "missing-values",
         "vocab-not-a-list", "roster-not-a-list", "float32-tensor", "unknown-config-key"])
@@ -239,9 +235,8 @@ def test_train_resume_equals_one_uninterrupted_run(ckpt_and_corpus, tiny_config,
                         "--out", out["resumed"]]) == 0
     whole, resumed = Model.load(out["whole"]).params, Model.load(out["resumed"]).params
     assert resumed.adam_t == whole.adam_t
-    for name, t in whole.items():
-        assert np.array_equal(t.values, resumed[name].values), name
-        assert np.array_equal(whole.adam_m[name], resumed.adam_m[name]), name
+    for buffer in ("flat", "adam_m", "adam_v"):
+        assert np.array_equal(getattr(whole, buffer), getattr(resumed, buffer)), buffer
 
 
 @pytest.mark.parametrize("content", [None, b"not a checkpoint\n"], ids=["missing", "unreadable"])

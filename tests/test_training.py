@@ -20,8 +20,8 @@ from hgchat import diffcore as dc
 from hgchat import training as tr
 from hgchat.config import TrainConfig
 from hgchat.model import Model
-from hgchat.params import CHECKPOINT_MAGIC, init_model_params, xavier_init
-from oracles import reference_backward, rewrite_checkpoint
+from hgchat.params import CHECKPOINT_MAGIC, ModelParams, init_model_params, xavier_init
+from oracles import per_tensor_adam, reference_backward, rewrite_checkpoint
 
 
 def tiny_cfg(**kw):
@@ -170,11 +170,10 @@ def test_joined_init_equals_per_head_and_per_type_draws(heads):
 def test_adam_zero_gradient_leaves_fresh_params_unchanged():
     cfg = tiny_cfg()
     params = init_model_params(cfg, 8, 3)
-    before = {n: t.values.copy() for n, t in params.items()}
-    grads = {n: np.zeros_like(t.values) for n, t in params.items()}
-    tr.adam_step(params, grads, cfg, t=1)
-    assert all(np.array_equal(before[n], t.values) for n, t in params.items())
-    assert all(np.all(m == 0) for m in params.adam_m.values())
+    before = params.flat.copy()
+    tr.adam_step(params, cfg, t=1)
+    assert np.array_equal(before, params.flat)
+    assert not params.adam_m.any() and not params.adam_v.any()
 
 
 def test_adam_scalar_first_step_hand_value():
@@ -182,8 +181,8 @@ def test_adam_scalar_first_step_hand_value():
     params = init_model_params(cfg, 8, 3)
     name = "enc.emotion_head.w"
     params[name].values[:] = 1.0
-    grads = {name: np.ones_like(params[name].values)}
-    tr.adam_step(params, grads, cfg, t=1)
+    params[name].grad[:] = 1.0
+    tr.adam_step(params, cfg, t=1)
     # bias correction makes the first step lr * g/(|g| + eps)
     want = 1.0 - 0.1 * 1.0 / (1.0 + cfg.adam_eps)
     assert np.allclose(params[name].values, want, atol=1e-15)
@@ -192,16 +191,38 @@ def test_adam_scalar_first_step_hand_value():
 def test_adam_aborts_on_nonfinite_gradient_with_name():
     cfg = tiny_cfg()
     params = init_model_params(cfg, 8, 3)
-    grads = {"dec.gate.wes": np.full_like(params["dec.gate.wes"].values, np.nan)}
-    with pytest.raises(dc.NumericalError, match="dec.gate.wes"):
-        tr.adam_step(params, grads, cfg, t=1)
+    params["dec.gate.wes"].grad[1:, 2] = np.nan
+    params["dec.gate.b"].grad[:] = np.inf
+    params["enc.pe"].grad[:] = 1.0
+    before = params.flat.copy()
+    with pytest.raises(dc.NumericalError, match="^non-finite gradient for dec.gate.wes;"):
+        tr.adam_step(params, cfg, t=1)
+    # the step is aborted before it changes anything
+    assert np.array_equal(params.flat, before) and not params.adam_m.any()
+
+
+def test_adam_step_equals_the_per_tensor_update_bit_for_bit():
+    cfg = tiny_cfg(learning_rate=0.01)
+    params = init_model_params(cfg, 8, 3)
+    values = {name: t.values.copy() for name, t in params.items()}
+    m = {name: np.zeros(t.shape) for name, t in params.items()}
+    v = {name: np.zeros(t.shape) for name, t in params.items()}
+    rng = np.random.default_rng(0)
+    for step in range(1, 6):
+        grads = {name: rng.standard_normal(t.shape) for name, t in params.items()}
+        for name, t in params.items():
+            t.grad[...] = grads[name]
+        tr.adam_step(params, cfg, step)
+        per_tensor_adam(values, grads, m, v, cfg, step)
+    for want, got in ((values, params.flat), (m, params.adam_m), (v, params.adam_v)):
+        assert np.array_equal(np.concatenate([a.ravel() for a in want.values()]), got)
 
 
 def test_adam_requires_positive_step_index():
     cfg = tiny_cfg()
     params = init_model_params(cfg, 8, 3)
     with pytest.raises(ValueError):
-        tr.adam_step(params, {}, cfg, t=0)
+        tr.adam_step(params, cfg, t=0)
 
 
 # --- joint loss ----------------------------------------------------------------
@@ -326,6 +347,52 @@ def test_continue_training_resumes():
     assert second.model.params.adam_t > t_after
 
 
+# --- the flat buffers ---------------------------------------------------------------
+
+def assert_tensors_are_views_of_the_buffers(params):
+    for name, t in params.items():
+        assert np.shares_memory(t.values, params.flat), name
+        assert np.shares_memory(t.grad, params.flat_grad), name
+    params.flat_grad[:] = np.arange(params.flat_grad.size)  # each entry tells its place
+    for flat, arrays in ((params.flat, [t.values for t in params.values()]),
+                         (params.flat_grad, [t.grad for t in params.values()])):
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), flat)
+
+
+@pytest.mark.parametrize("case", ["init", "load", "trained-in-two-processes"])
+def test_every_tensor_is_a_view_of_the_buffers(tmp_path, monkeypatch, case):
+    cfg = tiny_cfg(epochs=1)
+    records = tiny_corpus(4, cfg=cfg)
+    model = fresh_model(records, cfg)
+    if case == "load":
+        model.save(tmp_path / "model.ckpt")
+        model = Model.load(tmp_path / "model.ckpt")
+    if case == "trained-in-two-processes":
+        pin_processes(monkeypatch, 2)
+        shared = []
+        tr.train(records, cfg, model=model,
+                 log_fn=lambda stats: shared.append(in_shared_memory(model.params.flat)))
+        # the workers ran on the shared buffer, and it is private again
+        assert shared == [True] and not in_shared_memory(model.params.flat)
+    assert_tensors_are_views_of_the_buffers(model.params)
+
+
+def test_params_built_by_add_are_packed_once_and_train_as_init_builds_them(monkeypatch):
+    pin_processes(monkeypatch, 2)
+    cfg = tiny_cfg(epochs=2, dropout=0.1)
+    records = tiny_corpus(5, cfg=cfg)
+    model = fresh_model(records, cfg)
+    added = ModelParams()
+    for name, t in model.params.items():
+        added.add(name, t.values.copy())
+    tr.train(records, cfg, model=Model(cfg, added, model.vocab, model.roster))
+    tr.train(records, cfg, model=model)
+    assert state_digest(added) == state_digest(model.params)
+    assert_tensors_are_views_of_the_buffers(added)
+    with pytest.raises(ValueError, match="cannot add 'stray': the parameters are packed"):
+        added.add("stray", np.zeros((1, 1)))
+
+
 # --- checkpoints ------------------------------------------------------------------
 
 def test_checkpoint_round_trip_exact(tmp_path):
@@ -343,13 +410,29 @@ def test_checkpoint_round_trip_exact(tmp_path):
     assert loaded.vocab.tokens == res.model.vocab.tokens
     assert loaded.roster.names == res.model.roster.names
     saved, back = res.model.params, loaded.params
-    for name, t in saved.items():
-        assert np.array_equal(t.values, back[name].values), name
-        assert np.array_equal(saved.adam_m[name], back.adam_m[name]), name
-        assert np.array_equal(saved.adam_v[name], back.adam_v[name]), name
+    assert list(back.names()) == list(saved.names())
+    for buffer in ("flat", "adam_m", "adam_v"):
+        assert np.array_equal(getattr(saved, buffer), getattr(back, buffer)), buffer
     assert back.adam_t == saved.adam_t > 0
     assert back.rng_state == saved.rng_state is not None
     assert np.array_equal(back.order, saved.order)
+
+
+def test_moments_are_stored_once_the_model_has_taken_a_step(tmp_path):
+    cfg = tiny_cfg(epochs=1)
+    records = tiny_corpus(3, cfg=cfg)
+    model = fresh_model(records, cfg)
+    for trained in (False, True):
+        if trained:
+            tr.train(records, cfg, model=model)
+        model.save(tmp_path / "model.ckpt")
+        with zipfile.ZipFile(tmp_path / "model.ckpt") as archive:
+            assert archive.namelist() == ["header.npy", "param.npy"] + trained * [
+                "adam_m.npy", "adam_v.npy", "order.npy"]
+        loaded = Model.load(tmp_path / "model.ckpt").params
+        assert loaded.adam_t == model.params.adam_t == trained
+        assert np.array_equal(loaded.adam_m, model.params.adam_m)
+        assert loaded.adam_m.any() == trained
 
 
 def test_checkpoint_magic_checked(tmp_path):
@@ -364,20 +447,26 @@ def test_format_one_checkpoint_rejected_by_name(tmp_path):
     path = tmp_path / "old.ckpt"
     fresh_model(tiny_corpus(2, cfg=cfg), cfg).save(path)
     rewrite_checkpoint(path, lambda header, members: header.update(magic="HGNN-CKPT-1"))
-    with pytest.raises(ValueError, match="HGNN-CKPT-4"):
+    with pytest.raises(ValueError, match="not a HGNN-CKPT-5 checkpoint; HGNN-CKPT-1"):
         Model.load(path)
 
 
 @pytest.mark.parametrize("edit, named", [
-    (lambda header, members: members.pop("adam_v/dec.gate.b"), "adam_v of tensor 'dec.gate.b'"),
-    (lambda header, members: members.update({"adam_m/enc.pe": members["adam_m/enc.pe"][:1]}),
-     "adam_m of tensor 'enc.pe'"),
+    (lambda header, members: members.pop("adam_v"), "'adam_t' 1 is missing 'adam_v'"),
+    (lambda header, members: members.update(adam_m=members["adam_m"][:1]),
+     "member 'adam_m' is float64 of shape [1]"),
     (lambda header, members: header.update(adam_t=-1), "'adam_t'"),
     (lambda header, members: header.update(rng_state={"bit_generator": "MT19937"}), "'rng_state'"),
     (lambda header, members: members.update(order=members["order"] * 2), "'order'"),
     (lambda header, members: members.pop("order"), "'order'"),
+    # a step counted, but no moments: resuming from zeroed moments would not be exact
+    (lambda header, members: (members.pop("adam_m"), members.pop("adam_v")),
+     "'adam_t' 1 is missing 'adam_m', 'adam_v'"),
+    # moments, but no step counted
+    (lambda header, members: header.update(adam_t=0),
+     "member 'adam_m' is not part of a HGNN-CKPT-5 checkpoint with 'adam_t' 0"),
 ], ids=["missing-moment", "moment-shape", "adam-t", "rng-state", "order-not-a-permutation",
-        "rng-state-without-order"])
+        "rng-state-without-order", "steps-without-moments", "moments-without-steps"])
 def test_bad_training_state_rejected_by_name(tmp_path, edit, named):
     cfg = tiny_cfg(epochs=1)
     records = tiny_corpus(3, cfg=cfg)
@@ -398,7 +487,9 @@ def npy_bytes(values, **kwargs) -> bytes:
     b"not an array", b"\x93NUMPY\x01\x00cut short", npy_bytes(np.zeros((2, 2)))[:-8],
     npy_bytes(np.zeros((2, 2))) + bytes(8),
     npy_bytes(np.array([{"code": "run"}], dtype=object), allow_pickle=True),
-], ids=["raw-bytes", "truncated-header", "truncated-values", "trailing-bytes", "pickle"])
+    npy_bytes(np.asfortranarray(np.zeros((2, 3)))),
+], ids=["raw-bytes", "truncated-header", "truncated-values", "trailing-bytes", "pickle",
+        "fortran-order"])
 def test_member_that_is_not_an_array_rejected_by_name(tmp_path, content):
     cfg = tiny_cfg()
     path = tmp_path / "model.ckpt"
@@ -430,20 +521,8 @@ def test_damaged_member_rejected_by_name(tmp_path):
     at = data.index(model.params["dec.gate.wes"].values.tobytes())
     data[at + 3] ^= 0x10  # one bit of the stored values, caught by the zip CRC
     path.write_bytes(bytes(data))
-    with pytest.raises(ValueError, match="member 'param/dec.gate.wes' is not a readable array"):
+    with pytest.raises(ValueError, match="member 'param' is not a readable array"):
         Model.load(path)
-
-
-def test_fortran_ordered_member_reads_as_its_values(tmp_path):
-    cfg = tiny_cfg()
-    model = fresh_model(tiny_corpus(2, cfg=cfg), cfg)
-    path = tmp_path / "model.ckpt"
-    model.save(path)
-    rewrite_checkpoint(path, lambda header, members: members.update(
-        {"param/dec.gate.wes": np.asfortranarray(members["param/dec.gate.wes"])}))
-    loaded = Model.load(path).params["dec.gate.wes"].values
-    assert np.array_equal(loaded, model.params["dec.gate.wes"].values)
-    assert loaded.flags.c_contiguous
 
 
 def test_failed_save_leaves_the_old_checkpoint(tmp_path, monkeypatch):
@@ -503,23 +582,18 @@ def test_resumed_training_equals_uninterrupted_training(tmp_path, monkeypatch, s
         assert epoch_losses(part.log) + epoch_losses(rest.log) == epoch_losses(whole.log)
         want, got = whole.model.params, rest.model.params
         assert got.adam_t == want.adam_t
-        for name, t in want.items():
-            assert np.array_equal(t.values, got[name].values), (procs, name)
-            assert np.array_equal(want.adam_m[name], got.adam_m[name]), (procs, name)
-            assert np.array_equal(want.adam_v[name], got.adam_v[name]), (procs, name)
+        for buffer in ("flat", "adam_m", "adam_v"):
+            assert np.array_equal(getattr(want, buffer), getattr(got, buffer)), (procs, buffer)
 
 
 def trained_state(result):
     params = result.model.params
-    return (epoch_losses(result.log), params.adam_t,
-            {name: (t.values, params.adam_m[name], params.adam_v[name])
-             for name, t in params.items()})
+    return (epoch_losses(result.log), params.adam_t, params.flat, params.adam_m, params.adam_v)
 
 
 def assert_same_state(a, b):
     assert a[:2] == b[:2]
-    for name, arrays in a[2].items():
-        assert all(np.array_equal(x, y) for x, y in zip(arrays, b[2][name])), name
+    assert all(np.array_equal(x, y) for x, y in zip(a[2:], b[2:]))
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
@@ -809,9 +883,8 @@ def test_the_sweep_gives_the_keep_everything_sweeps_gradients_bit_for_bit(turns,
 
 def state_digest(params):
     digest = hashlib.sha256(str(params.adam_t).encode())
-    for name, t in params.items():
-        for array in (t.values, params.adam_m[name], params.adam_v[name]):
-            digest.update(np.ascontiguousarray(array).tobytes())
+    for array in (params.flat, params.adam_m, params.adam_v):
+        digest.update(array.tobytes())
     return digest.hexdigest()
 
 
