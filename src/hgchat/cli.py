@@ -246,9 +246,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect_graph(args) -> int:
+    if args.index < 0:
+        raise UsageError(f"--index must be at least 0, got {args.index}")
     cfg = _resolved(args)
     records = _load_records(args.corpus, cfg)
-    if not 0 <= args.index < len(records):
+    if args.index >= len(records):
         raise ValueError(f"--index {args.index} outside corpus of {len(records)}")
     graph = build_hetero_graph(records[args.index], ablate=cfg.ablate)
     print(format_graph(graph))

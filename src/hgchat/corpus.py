@@ -86,21 +86,7 @@ def distinct_speakers(record: DialogueRecord) -> list[str]:
 
 
 def records_equal(a: DialogueRecord, b: DialogueRecord) -> bool:
-    def same(x, y):
-        if (x is None) != (y is None):
-            return False
-        return x is None or np.array_equal(x, y)
-
-    return (
-        a.utterances == b.utterances
-        and a.emotions == b.emotions
-        and a.speakers == b.speakers
-        and a.next_speaker == b.next_speaker
-        and a.response == b.response
-        and a.response_emotion == b.response_emotion
-        and same(a.faces, b.faces)
-        and same(a.audios, b.audios)
-    )
+    return _record_to_obj(a) == _record_to_obj(b)
 
 
 def _record_to_obj(rec: DialogueRecord) -> dict:

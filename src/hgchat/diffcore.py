@@ -4,12 +4,14 @@ Every model computation in this package is composed from the primitive
 kinds registered here. Design points:
 
 - tensors are 2-D float64 matrices (vectors are 1xN rows, scalars 1x1);
-- recording happens on a thread-local tape, so independent evaluations
-  may run concurrently with one tape each;
-- with no tape active, primitives just compute values (the fast path used
-  by generation, evaluation and the numeric side of gradient checks). A
-  process-wide count of active recordings gates the tape lookup: while no
-  thread records, a primitive touches no thread-local state;
+- one thread records per process; parallel work forks. The process
+  holds one stack of open tapes and the id of the thread that opened
+  them. Recordings nest on that thread, and another thread that opens one
+  meanwhile gets a ``ContractError``;
+- with no tape open, primitives just compute values (the fast path used
+  by generation, evaluation and the numeric side of gradient checks): a
+  primitive tests the stack once, and one on a thread that does not
+  record never reaches a tape;
 - every forward returns a C-contiguous 2-D float64 array, and the output
   tensor is built from it unchecked; ``Tensor()`` checks and converts
   data that comes from outside;
@@ -107,36 +109,27 @@ class Tensor:
 # every tensor it looks up was alive, held by the tape, when the sweep
 # began, so no two of them share an id, and the sweep creates no Tensor
 # that could take the address of one it has freed.
-_STATE = threading.local()
-# Recordings active on all threads. A thread that records has raised it
-# before its first primitive, so it always finds its own tape; while it is
-# 0, no primitive looks a tape up.
-_recordings = 0
-_recordings_lock = threading.Lock()
-
-
-def _active_tape() -> list | None:
-    stack = getattr(_STATE, "tapes", None)
-    return stack[-1] if stack else None
+_tapes: list[list] = []  # the open tapes, innermost last; never rebound
+_recorder: int | None = None  # the thread that opened them
+_tapes_lock = threading.Lock()
 
 
 @contextmanager
 def recording() -> Iterator[list]:
-    """Make a fresh tape the active one on this thread; recordings nest."""
-    global _recordings
+    """Open a fresh tape on this thread; recordings nest. Raises
+    ``ContractError`` while another thread records."""
+    global _recorder
     tape: list[tuple] = []
-    stack = getattr(_STATE, "tapes", None)
-    if stack is None:
-        stack = _STATE.tapes = []
-    stack.append(tape)
-    with _recordings_lock:
-        _recordings += 1
+    with _tapes_lock:
+        if _tapes and _recorder != threading.get_ident():
+            raise ContractError("another thread is recording; one thread records per process")
+        _recorder = threading.get_ident()
+        _tapes.append(tape)
     try:
         yield tape
     finally:
-        with _recordings_lock:
-            _recordings -= 1
-        stack.pop()
+        with _tapes_lock:
+            _tapes.pop()
 
 
 # --- primitive registry ------------------------------------------------
@@ -449,7 +442,7 @@ _register("dropout", _fwd_dropout, _bwd_dropout)
 
 
 def apply_primitive(kind: str, inputs: tuple[Tensor, ...], **meta) -> Tensor:
-    """Apply one primitive; record it if a tape is active on this thread."""
+    """Apply one primitive; record it if this thread has a tape open."""
     prim = _PRIMS.get(kind)
     if prim is None:
         raise ValueError(f"unknown primitive kind: {kind!r}")
@@ -459,10 +452,8 @@ def apply_primitive(kind: str, inputs: tuple[Tensor, ...], **meta) -> Tensor:
     out.requires_grad = False
     out.grad = None
     out.name = None
-    if _recordings:
-        tape = _active_tape()
-        if tape is not None:
-            tape.append((kind, inputs, out, meta))
+    if _tapes and _recorder == threading.get_ident():
+        _tapes[-1].append((kind, inputs, out, meta))
     return out
 
 
@@ -570,9 +561,9 @@ def backward(loss: Tensor) -> None:
     kernel raises, the tape is left empty and no ``grad`` changes, since
     leaves are added to only after the whole sweep.
     """
-    tape = _active_tape()
-    if tape is None:
+    if not _tapes or _recorder != threading.get_ident():
         raise ContractError("backward requires an active tape")
+    tape = _tapes[-1]
     if loss.values.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     produced = {id(entry[2]) for entry in tape}

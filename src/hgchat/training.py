@@ -152,8 +152,8 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
                     hits += result[3]
                 seen += len(jobs)
                 params.flat_grad /= len(jobs)
-                params.adam_t = step
                 adam_step(params, cfg, step)
+                params.adam_t = step  # only once the step is taken
             if seen == 0:
                 raise ValueError("no valid records in the training corpus")
             params.rng_state, params.order = rng.bit_generator.state, order.copy()

@@ -404,6 +404,16 @@ def test_hgnn_seed_that_is_not_a_non_negative_integer_is_a_usage_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("index, code, message", [
+    ("-1", 1, "error: --index must be at least 0, got -1"),
+    ("2", 2, "data error: --index 2 outside corpus of 2"),
+], ids=["negative", "past-the-end"])
+def test_inspect_graph_index_outside_the_corpus(ckpt_and_corpus, capsys, index, code, message):
+    _, corpus = ckpt_and_corpus
+    assert run_command(["inspect-graph", "--corpus", corpus, "--index", index]) == code
+    assert message in capsys.readouterr().err
+
+
 def resolved_seed(out: str) -> int:
     return int(re.search(r"^seed = (-?\d+)$", out, re.MULTILINE).group(1))
 

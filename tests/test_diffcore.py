@@ -717,7 +717,7 @@ def test_every_backward_delta_has_its_inputs_shape(case):
     assert [d.shape for d in deltas] == [a.shape for a in arrays]
 
 
-def test_recording_threads_keep_their_own_tapes_beside_untaped_threads():
+def test_untaped_threads_run_beside_a_recording_thread():
     rng = np.random.default_rng(14)
     w0, x0 = rng.standard_normal((4, 4)) / 2.0, rng.standard_normal((3, 4))
     a = dc.Tensor(rng.standard_normal((2, 2)))
@@ -745,43 +745,73 @@ def test_recording_threads_keep_their_own_tapes_beside_untaped_threads():
             untaped[k] += 2
 
     def recorder():
-        for _ in range(15):
+        for _ in range(30):
             runs.append(recorded())
 
     untaped_threads = [threading.Thread(target=untaped_loop, args=(k,)) for k in range(2)]
-    recorders = [threading.Thread(target=recorder) for _ in range(2)]
+    recorder_thread = threading.Thread(target=recorder)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads every few primitives
     try:
-        for t in untaped_threads + recorders:
+        for t in [*untaped_threads, recorder_thread]:
             t.start()
-        for t in recorders:
-            t.join(timeout=60)
+        recorder_thread.join(timeout=60)
     finally:
         stop.set()
         for t in untaped_threads:
             t.join(timeout=10)
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in untaped_threads + recorders)
+    assert not any(t.is_alive() for t in [*untaped_threads, recorder_thread])
     assert all(untaped) and len(runs) == 30
     for kinds, grad in runs:
         assert kinds == alone[0]
         assert grad.tobytes() == alone[1].tobytes()
-    assert dc._recordings == 0
+    assert dc._tapes == []
 
 
-def test_the_recording_count_returns_to_zero():
-    assert dc._recordings == 0
-    with dc.recording():
-        with dc.recording():
-            assert dc._recordings == 2
-        assert dc._recordings == 1
-    assert dc._recordings == 0
+def test_another_threads_recording_is_refused_while_one_is_open():
+    a = dc.Tensor(np.ones((2, 2)))
+    outcome = []
+
+    def other():
+        try:
+            with dc.recording() as tape:
+                dc.relu(a)
+                outcome.append([kind for kind, *_ in tape])
+        except dc.ContractError as exc:
+            dc.relu(a)  # untaped: reaches no tape
+            outcome.append(exc)
+
+    with dc.recording() as tape:
+        dc.add(a, a)
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join(timeout=10)
+        assert [kind for kind, *_ in tape] == ["add"]
+    assert isinstance(outcome[0], dc.ContractError)
+    assert "another thread is recording" in str(outcome[0])
+    thread = threading.Thread(target=other)
+    thread.start()
+    thread.join(timeout=10)
+    assert outcome[1] == ["relu"] and dc._tapes == []
+
+
+def test_recordings_nest_and_the_stack_empties_after_a_raise():
+    w = dc.Tensor(np.full((1, 1), 3.0), requires_grad=True)
+    with dc.recording() as outer:
+        dc.add(w, w)
+        with dc.recording() as inner:
+            assert dc._tapes == [outer, inner]
+            dc.backward(dc.scale(w, 2.0))
+        assert [kind for kind, *_ in outer] == ["add"] and inner == []
+    assert w.grad[0, 0] == 2.0 and dc._tapes == []
     with pytest.raises(KeyError):
         with dc.recording():
             with dc.recording():
                 raise KeyError("inside")
-    assert dc._recordings == 0 and dc._active_tape() is None
+    assert dc._tapes == []
+    with pytest.raises(dc.ContractError, match="requires an active tape"):
+        dc.backward(dc.scale(w, 2.0))
 
 
 def wrapper_calls() -> dict:

@@ -218,6 +218,27 @@ def test_adam_step_equals_the_per_tensor_update_bit_for_bit():
         assert np.array_equal(np.concatenate([a.ravel() for a in want.values()]), got)
 
 
+def test_a_refused_step_leaves_the_step_count_and_the_buffers_as_they_were(monkeypatch):
+    pin_processes(monkeypatch, 1)
+    cfg = tiny_cfg(epochs=1)
+    records = tiny_corpus(6, cfg=cfg)
+    params = (model := tr.train(records, cfg).model).params  # steps taken, moments non-zero
+    before = (params.adam_t, params.flat.copy(), params.adam_m.copy(), params.adam_v.copy())
+    real = tr._dialogue
+
+    def poisoned(model, records, idx, key):
+        result = real(model, records, idx, key)
+        model.params.flat_grad[0] = np.nan
+        return result
+
+    monkeypatch.setattr(tr, "_dialogue", poisoned)
+    with pytest.raises(dc.NumericalError, match="step aborted"):
+        tr.train(records, cfg, model=model)
+    assert params.adam_t == before[0] == 2
+    for want, got in zip(before[1:], (params.flat, params.adam_m, params.adam_v)):
+        assert np.array_equal(want, got)
+
+
 def test_adam_requires_positive_step_index():
     cfg = tiny_cfg()
     params = init_model_params(cfg, 8, 3)
