@@ -84,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--resume", default=None, metavar="CKPT",
-                   help="continue this checkpoint's model, settings, optimizer and "
-                        "generator state for --epochs more epochs (default: its own)")
+                   help="continue this checkpoint's model, settings and optimizer "
+                        "for --epochs more epochs (default: its own)")
 
     p = sub.add_parser("generate", help="emit one response per corpus record")
     p.add_argument("--ckpt", required=True)
@@ -159,6 +159,13 @@ def _load_records(path: str, cfg: TrainConfig) -> list[cp.DialogueRecord]:
     if errors:
         print(f"skipped {len(errors)} malformed record(s); first: "
               f"line {errors[0][0]}: {errors[0][1]}", file=sys.stderr)
+    # the model reads the first max_len tokens of an utterance, and the first
+    # max_len - 1 of a response, then EOS
+    truncated = sum(max(len(cp.tokenize(u)) for u in rec.utterances) > cfg.max_len
+                    or len(cp.tokenize(rec.response)) > cfg.max_len - 1 for rec in records)
+    if truncated:
+        print(f"truncated {truncated} record(s): an utterance over max_len={cfg.max_len} "
+              f"tokens, or a response over {cfg.max_len - 1}", file=sys.stderr)
     if not records:
         raise ValueError(f"no valid records in {path}")
     return records

@@ -105,11 +105,21 @@ def _record_to_obj(rec: DialogueRecord) -> dict:
     return obj
 
 
+def _string_from_obj(obj: dict, key: str) -> str:
+    value = obj[key]
+    if not isinstance(value, str):
+        raise RecordError(f"{key}: expected a string, got {type(value).__name__}")
+    return value
+
+
 def _strings_from_obj(obj: dict, key: str) -> list[str]:
     value = obj[key]
     if not isinstance(value, list):
         raise RecordError(f"{key}: expected a list, got {type(value).__name__}")
-    return [str(v) for v in value]
+    for v in value:
+        if not isinstance(v, str):
+            raise RecordError(f"{key}: expected a list of strings, got {type(v).__name__}")
+    return value
 
 
 def _vectors_from_obj(obj: dict, key: str) -> np.ndarray | None:
@@ -134,9 +144,9 @@ def _record_from_obj(obj: dict) -> DialogueRecord:
             utterances=_strings_from_obj(obj, "utterances"),
             emotions=_strings_from_obj(obj, "emotions"),
             speakers=_strings_from_obj(obj, "speakers"),
-            next_speaker=str(obj["next_speaker"]),
-            response=str(obj["response"]),
-            response_emotion=str(obj["response_emotion"]),
+            next_speaker=_string_from_obj(obj, "next_speaker"),
+            response=_string_from_obj(obj, "response"),
+            response_emotion=_string_from_obj(obj, "response_emotion"),
             faces=_vectors_from_obj(obj, "faces"),
             audios=_vectors_from_obj(obj, "audios"),
         )

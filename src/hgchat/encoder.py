@@ -9,8 +9,6 @@ feed-forward nets; emotion and speaker features come from learned tables.
 """
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .config import TrainConfig
@@ -23,17 +21,11 @@ from .graph import HeteroGraph, NODE_TYPES, NodeType
 from .layers import Drop, ffn, multihead, project_kv
 from .params import ModelParams
 
-log = logging.getLogger(__name__)
-
 
 def utterance_token_ids(record: DialogueRecord, vocab: Vocab, max_len: int) -> list[list[int]]:
     rows = []
     for utt in record.utterances:
-        toks = tokenize(utt)
-        if len(toks) > max_len:
-            log.warning("utterance truncated from %d to %d tokens", len(toks), max_len)
-            toks = toks[:max_len]
-        ids = vocab.encode(toks)
+        ids = vocab.encode(tokenize(utt)[:max_len])
         rows.append(ids if ids else [PAD])
     return rows
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +15,6 @@ from .encoder import assemble_node_features, hgnn_forward, predict_emotion
 from .graph import build_hetero_graph
 from .layers import Drop
 from .params import ModelParams, load_checkpoint, save_checkpoint
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -71,12 +68,7 @@ class Model:
         return e_p, s_p
 
     def response_target_ids(self, record: DialogueRecord) -> list[int]:
-        toks = tokenize(record.response)
-        if len(toks) > self.cfg.max_len - 1:
-            log.warning("response truncated from %d to %d tokens",
-                        len(toks), self.cfg.max_len - 1)
-            toks = toks[: self.cfg.max_len - 1]
-        return self.vocab.encode(toks) + [EOS]
+        return self.vocab.encode(tokenize(record.response)[:self.cfg.max_len - 1]) + [EOS]
 
     def losses(self, record: DialogueRecord, rng: np.random.Generator | None = None) -> LossOut:
         """The joint, generation and classification losses of one dialogue,

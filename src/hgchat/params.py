@@ -1,26 +1,24 @@
 """Named parameter registry, initialization, and checkpoint files.
 
-A checkpoint (format ``HGNN-CKPT-5``) is one uncompressed ``.npz`` archive,
+A checkpoint (format ``HGNN-CKPT-6``) is one uncompressed ``.npz`` archive,
 whatever the suffix of its path, with the members
 
 - ``header``: UTF-8 JSON bytes (uint8) with ``magic``, ``config``,
-  ``vocab``, ``roster``, ``adam_t`` and ``rng_state``, the
-  ``bit_generator.state`` of the generator that shuffles the training
-  corpus each epoch (null until the model has trained); dropout draws
-  from generators keyed by the Adam step and batch position instead;
+  ``vocab``, ``roster`` and ``adam_t``, the Adam step count;
 - ``param``: the values of every tensor in one 1-D float64 buffer, in the
   layout that ``_layout`` gives the stored config, each tensor's entries
   in the row-major order of the shape the forward pass reads;
 - ``adam_m`` and ``adam_v``: Adam's moments in the same layout, once the
-  model has taken a step (``adam_t`` > 0); before that, none;
-- ``order``: the epoch order of the training corpus, once the model has
-  trained.
+  model has taken a step (``adam_t`` > 0); before that, none.
 
-Together they resume training exactly where it stopped. Every member is
+Together they resume training exactly where it stopped: ``training.train``
+keys each epoch's shuffle and every dropout mask by the seed and the step
+count, so no generator state is stored. Every member is
 stored uncompressed, as ``np.savez`` writes it. A checkpoint is untrusted
 input: the reader refuses compressed members and object arrays (pickles),
 and checks each buffer's length against the layout of its config. Formats
-1-4 are refused by their magic: they stored a member per tensor.
+1-5 are refused by their magic: 1-4 stored a member per tensor, and 5 the
+shuffle generator's state and epoch order.
 """
 from __future__ import annotations
 
@@ -34,12 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import TrainConfig
-from .corpus import EMOTIONS, SpeakerRoster, Vocab
+from .corpus import EMOTIONS, RESERVED_TOKENS, UNK_SPEAKER, SpeakerRoster, Vocab
 from .diffcore import Tensor
 from .graph import NODE_TYPES
 
-CHECKPOINT_MAGIC = "HGNN-CKPT-5"
-_HEADER_KEYS = ("config", "vocab", "roster", "adam_t", "rng_state")
+CHECKPOINT_MAGIC = "HGNN-CKPT-6"
+_HEADER_KEYS = ("config", "vocab", "roster", "adam_t")
 # the buffers of a packed ModelParams, each in its layout
 _BUFFERS = ("flat", "flat_grad", "adam_m", "adam_v")
 
@@ -55,10 +53,8 @@ def xavier_init(shape, rng: np.random.Generator) -> Tensor:
 
 
 class ModelParams:
-    """Name -> tensor map over flat float64 buffers, plus what resuming
-    training needs: the Adam step count, the state of the generator that
-    shuffles the epochs and the epoch order (None until the model has
-    trained).
+    """Name -> tensor map over flat float64 buffers, plus the Adam step
+    count, which is all that resuming training needs beside them.
 
     The buffers ``flat`` (values), ``flat_grad``, ``adam_m`` and ``adam_v``
     each hold every tensor's entries, tensor by tensor in the order they
@@ -71,8 +67,6 @@ class ModelParams:
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
         self.adam_t: int = 0
-        self.rng_state: dict | None = None
-        self.order: np.ndarray | None = None
 
     def add(self, name: str, values: np.ndarray) -> Tensor:
         if "flat" in vars(self):
@@ -235,13 +229,11 @@ def save_checkpoint(path: str | Path, params: ModelParams, cfg: TrainConfig,
     """Write beside ``path``, flush to disk, then rename: a failed or
     interrupted save leaves the old file."""
     header = {"magic": CHECKPOINT_MAGIC, "config": cfg.to_dict(), "vocab": vocab.tokens,
-              "roster": roster.names, "adam_t": params.adam_t, "rng_state": params.rng_state}
+              "roster": roster.names, "adam_t": params.adam_t}
     members = {"header": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
                "param": params.flat}
     if params.adam_t:
         members.update(adam_m=params.adam_m, adam_v=params.adam_v)
-    if params.order is not None:
-        members["order"] = params.order
     archive = io.BytesIO()  # built in memory, written with one call
     np.savez(archive, **members)
     path = Path(path)
@@ -314,18 +306,14 @@ def _read_header(path, header: np.ndarray | None) -> dict:
         raise ValueError(f"{path}: checkpoint is missing {', '.join(map(repr, missing))}")
     if not isinstance(fields["config"], dict):
         raise ValueError(f"{path}: checkpoint 'config' must map settings to values")
-    for key in ("vocab", "roster"):
+    for key, reserved in (("vocab", RESERVED_TOKENS), ("roster", (UNK_SPEAKER,))):
         if not (isinstance(fields[key], list) and all(isinstance(s, str) for s in fields[key])):
             raise ValueError(f"{path}: checkpoint {key!r} must be a list of strings")
+        if tuple(fields[key][:len(reserved)]) != reserved:
+            raise ValueError(f"{path}: checkpoint {key!r} must start with {list(reserved)}")
     adam_t = fields["adam_t"]
     if not (isinstance(adam_t, int) and not isinstance(adam_t, bool) and adam_t >= 0):
         raise ValueError(f"{path}: checkpoint 'adam_t' must be a non-negative integer")
-    if fields["rng_state"] is not None:
-        try:
-            np.random.default_rng(0).bit_generator.state = fields["rng_state"]
-        except (TypeError, ValueError, KeyError, OverflowError):
-            raise ValueError(f"{path}: checkpoint 'rng_state' is not a generator state "
-                             f"of numpy's default_rng") from None
     return fields
 
 
@@ -346,7 +334,6 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, TrainConfig, Vocab, 
     roster = SpeakerRoster(fields["roster"])
     layout = _layout(cfg, vocab.size, roster.size)
     size = sum(math.prod(shape) for _, shape in layout)
-    order = members.pop("order", None)
     adam_t = fields["adam_t"]
     # Adam's moments come as a pair, stored once the model has taken a step
     stored = ("param", "adam_m", "adam_v") if adam_t else ("param",)
@@ -362,12 +349,6 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, TrainConfig, Vocab, 
         if values.dtype != np.float64 or values.shape != (size,):
             raise ValueError(f"{path}: member {name!r} is {values.dtype} of shape "
                              f"{list(values.shape)}; its config needs float64 of shape [{size}]")
-    if order is not None and not (order.ndim == 1 and order.dtype.kind == "i" and np.array_equal(
-            np.sort(order), np.arange(order.size))):
-        raise ValueError(f"{path}: checkpoint 'order' must be a permutation of 0 .. n-1")
-    if (order is None) != (fields["rng_state"] is None):
-        raise ValueError(f"{path}: checkpoint 'rng_state' and 'order' are stored together "
-                         f"or not at all")
     params = _packed(layout, members["param"], members.get("adam_m"), members.get("adam_v"))
-    params.adam_t, params.rng_state, params.order = adam_t, fields["rng_state"], order
+    params.adam_t = adam_t
     return params, cfg, vocab, roster

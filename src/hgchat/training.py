@@ -1,6 +1,7 @@
 """Joint optimization of the generation and classification losses."""
 from __future__ import annotations
 
+import dataclasses
 import functools
 import logging
 import mmap
@@ -90,11 +91,12 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
     index in the batch. So the results do not depend on the process count.
 
     Pass a previous result's model, or one read back from its checkpoint,
-    to continue training on the same records: it goes on from the stored
-    shuffle generator state and epoch order, so the run equals one
-    uninterrupted run of all the epochs. A model without that state seeds
-    its generator with ``cfg.seed + adam_t`` and starts from the records in
-    file order. The epoch count always comes from ``cfg.epochs``. Records
+    to continue training: it must have been built under ``cfg``, but for
+    the epoch count. Each epoch visits the records in an order drawn from a
+    generator seeded with ``(cfg.seed, t, 0, 1)``, t the step count at the
+    epoch's start, so a resumed run equals one uninterrupted run of all the
+    epochs. (numpy reads a key of under four words as if padded with zeros:
+    the last word keeps this key apart from every dropout key.) Records
     that fail validation are logged once, before epoch 1, and skipped in
     every epoch.
     """
@@ -105,15 +107,11 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
         roster = build_roster(records, cfg.z_speakers)
         params = init_model_params(cfg, vocab.size, roster.size)
         model = Model(cfg, params, vocab, roster)
+    differ = [f.name for f in dataclasses.fields(cfg)
+              if f.name != "epochs" and getattr(cfg, f.name) != getattr(model.cfg, f.name)]
+    if differ:
+        raise ValueError(f"the model was built under other settings: {', '.join(differ)}")
     params = model.params
-    rng = np.random.default_rng(cfg.seed + params.adam_t)
-    order = np.arange(len(records))
-    if params.order is not None:
-        if len(params.order) != len(records):
-            raise ValueError(f"the model's stored epoch order covers {len(params.order)} "
-                             f"records, but the corpus has {len(records)}")
-        rng.bit_generator.state = params.rng_state
-        order = params.order.copy()
     history: list[EpochStats] = []
     bad: set[int] = set()
     for idx, rec in enumerate(records):
@@ -127,7 +125,9 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
     workers = _Workers(model, records, n_procs) if n_procs > 1 else None
     try:
         for epoch in range(1, cfg.epochs + 1):
-            rng.shuffle(order)
+            # every epoch takes a step, or raises: no two share a key
+            rng = np.random.default_rng((cfg.seed, params.adam_t, 0, 1))
+            order = rng.permutation(len(records))
             totals = np.zeros(3)
             hits = 0
             seen = 0
@@ -156,7 +156,6 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
                 params.adam_t = step  # only once the step is taken
             if seen == 0:
                 raise ValueError("no valid records in the training corpus")
-            params.rng_state, params.order = rng.bit_generator.state, order.copy()
             stats = EpochStats(epoch, *(totals / seen), hits / seen, skipped)
             history.append(stats)
             if log_fn is not None:

@@ -245,6 +245,12 @@ def rewrite_checkpoint(path, edit) -> None:
                  **members)
 
 
+def epoch_order(seed: int, adam_t: int, n: int) -> np.ndarray:
+    """The order in which ``training.train`` visits ``n`` records in an
+    epoch that starts after ``adam_t`` steps."""
+    return np.random.default_rng((seed, adam_t, 0, 1)).permutation(n)
+
+
 def per_tensor_adam(values, grads, m, v, cfg, t) -> None:
     """Bias-corrected Adam one tensor at a time, in place on the dicts
     ``values``, ``m`` and ``v``, with the temporaries numpy makes: the

@@ -13,7 +13,7 @@ from hgchat.config import TrainConfig
 from hgchat.diffcore import NumericalError
 from hgchat.model import Model
 from hgchat.params import init_model_params
-from oracles import rewrite_checkpoint
+from oracles import epoch_order, rewrite_checkpoint
 
 
 @pytest.fixture
@@ -98,7 +98,7 @@ def test_generate_on_a_format_one_checkpoint_is_a_data_error(ckpt_and_corpus, ca
     ckpt, corpus = ckpt_and_corpus
     rewrite_checkpoint(ckpt, lambda header, members: header.update(magic="HGNN-CKPT-1"))
     assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
-    assert "not a HGNN-CKPT-5 checkpoint; HGNN-CKPT-1" in capsys.readouterr().err
+    assert "not a HGNN-CKPT-6 checkpoint; HGNN-CKPT-1" in capsys.readouterr().err
 
 
 def as_format_four(ckpt):
@@ -137,7 +137,7 @@ def test_generate_on_a_format_three_checkpoint_is_a_data_error(ckpt_and_corpus, 
     rewrite_checkpoint(ckpt, as_format_three(ckpt))
     assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
     err = capsys.readouterr().err
-    assert "data error" in err and "not a HGNN-CKPT-5 checkpoint; HGNN-CKPT-3" in err
+    assert "data error" in err and "not a HGNN-CKPT-6 checkpoint; HGNN-CKPT-3" in err
 
 
 def test_generate_on_a_format_four_checkpoint_is_a_data_error(ckpt_and_corpus, capsys):
@@ -145,7 +145,18 @@ def test_generate_on_a_format_four_checkpoint_is_a_data_error(ckpt_and_corpus, c
     rewrite_checkpoint(ckpt, as_format_four(ckpt))
     assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
     err = capsys.readouterr().err
-    assert "data error" in err and "not a HGNN-CKPT-5 checkpoint; HGNN-CKPT-4" in err
+    assert "data error" in err and "not a HGNN-CKPT-6 checkpoint; HGNN-CKPT-4" in err
+
+
+def test_generate_on_a_format_five_checkpoint_is_a_data_error(ckpt_and_corpus, capsys):
+    # format 5 stored the shuffle generator's state and the epoch order
+    ckpt, corpus = ckpt_and_corpus
+    rewrite_checkpoint(ckpt, lambda header, members: (
+        header.update(magic="HGNN-CKPT-5", rng_state=np.random.default_rng(0).bit_generator.state),
+        members.update(order=np.arange(2))))
+    assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "HGNN-CKPT-5 is an older format" in err
 
 
 def test_config_file_naming_a_removed_setting_is_a_usage_error(ckpt_and_corpus, tmp_path,
@@ -174,7 +185,7 @@ def test_generate_on_a_file_that_is_not_format_four_is_a_data_error(ckpt_and_cor
     Path(ckpt).write_bytes(Path(ckpt).read_bytes()[:100] if content is None else content)
     assert run_command(["generate", "--ckpt", ckpt, "--corpus", corpus]) == 2
     err = capsys.readouterr().err
-    assert "data error" in err and "not a HGNN-CKPT-5 checkpoint" in err
+    assert "data error" in err and "not a HGNN-CKPT-6 checkpoint" in err
     assert not any(word in err for word in ("Traceback", "BadZipFile", "pickle"))
 
 
@@ -182,7 +193,7 @@ def test_generate_on_a_file_that_is_not_format_four_is_a_data_error(ckpt_and_cor
     (lambda header, members: header.pop("vocab"), "missing 'vocab'"),
     # a member per tensor, as format 4 stored them
     (lambda header, members: members.update({"param/enc.word_emb": members.pop("param")}),
-     "member 'param/enc.word_emb' is not part of a HGNN-CKPT-5"),
+     "member 'param/enc.word_emb' is not part of a HGNN-CKPT-6"),
     (lambda header, members: members.pop("param"), "missing 'param'"),
     (lambda header, members: members.update({"param/stray": np.zeros((1, 1))}),
      "'param/stray'"),
@@ -196,8 +207,14 @@ def test_generate_on_a_file_that_is_not_format_four_is_a_data_error(ckpt_and_cor
     (lambda header, members: members.update(param=members["param"].astype(np.float32)),
      "member 'param' is float32"),
     (lambda header, members: header["config"].update(bogus=1), "'config'"),
+    # one word in every entry: the reserved ids 0-3 and the unknown speaker's row 0 are lost
+    (lambda header, members: header.update(vocab=["a"] * len(header["vocab"])),
+     "checkpoint 'vocab' must start with ['<pad>', '<unk>', '<bos>', '<eos>']"),
+    (lambda header, members: header.update(roster=["s1"] * len(header["roster"])),
+     "checkpoint 'roster' must start with ['<unk>']"),
 ], ids=["vocab", "params-not-a-map", "missing-tensor", "extra-tensor", "wrong-shape", "missing-values",
-        "vocab-not-a-list", "roster-not-a-list", "float32-tensor", "unknown-config-key"])
+        "vocab-not-a-list", "roster-not-a-list", "float32-tensor", "unknown-config-key",
+        "vocab-without-reserved-tokens", "roster-without-unknown-speaker"])
 def test_generate_on_a_checkpoint_without_a_vocab_is_a_data_error(ckpt_and_corpus, capsys,
                                                                   edit, named):
     ckpt, corpus = ckpt_and_corpus
@@ -252,18 +269,18 @@ def test_train_resume_from_a_missing_or_unreadable_checkpoint_is_a_data_error(
     assert not (tmp_path / "m.ckpt").exists()
 
 
-def test_train_resume_on_a_corpus_of_another_size_is_a_data_error(ckpt_and_corpus, tiny_config,
-                                                                  tmp_path, capsys):
+def test_train_resume_on_a_corpus_of_another_size_trains(ckpt_and_corpus, tiny_config,
+                                                         tmp_path):
+    # each epoch's order is keyed by the step count, not stored for one corpus
     _, corpus = ckpt_and_corpus
-    part = str(tmp_path / "part.ckpt")
+    part, out = str(tmp_path / "part.ckpt"), str(tmp_path / "m.ckpt")
     assert run_command(["train", "--corpus", corpus, "--config", tiny_config,
                         "--epochs", "1", "--out", part]) == 0
     bigger = tmp_path / "bigger.jsonl"
     cp.save_corpus(cp.synthesize_corpus(3, seed=1, max_turns=2), bigger)
-    assert run_command(["train", "--corpus", str(bigger), "--resume", part,
-                        "--out", str(tmp_path / "m.ckpt")]) == 2
-    err = capsys.readouterr().err
-    assert "data error" in err and "covers 2 records, but the corpus has 3" in err
+    assert run_command(["train", "--corpus", str(bigger), "--resume", part, "--epochs", "1",
+                        "--out", out]) == 0
+    assert Model.load(out).params.adam_t == 2 + 3  # batch_size 1
 
 
 @pytest.mark.parametrize("flag", [["--homo"], ["--lambda", "0.2"], ["--seed", "3"],
@@ -314,7 +331,7 @@ def test_non_finite_loss_in_a_training_worker_exits_three(ckpt_and_corpus, tmp_p
     monkeypatch.setattr(training, "usable_cpus", lambda: 2)
     records, _ = cp.load_corpus_verbose(ckpt_and_corpus[1])
     # the second record of the first batch goes to the worker
-    order = training.train(records, TrainConfig(seed=0, epochs=1)).model.params.order
+    order = epoch_order(seed=0, adam_t=0, n=len(records))
     records[order[1]].faces[0, :] = 1e308  # finite, but the face FFN overflows
     corpus = tmp_path / "diverging.jsonl"
     cp.save_corpus(records, corpus)
@@ -345,6 +362,22 @@ def test_train_and_eval_skip_a_record_of_other_face_width(tiny_config, tmp_path,
     err = capsys.readouterr().err
     skipped = "skipped 1 malformed record(s); first: line 7: face vectors: expected dim 8, got 5"
     assert err.count(skipped) == 2
+
+
+def test_an_over_long_utterance_is_reported_once_per_command(tmp_path, capsys, caplog):
+    # the model reads its first max_len tokens on every pass, without a warning each time
+    records = cp.synthesize_corpus(4, seed=1)
+    records[2].utterances[0] = " ".join(["word"] * 60)
+    corpus, ckpt, config = tmp_path / "long.jsonl", str(tmp_path / "m.ckpt"), tmp_path / "run.cfg"
+    cp.save_corpus(records, corpus)
+    config.write_text("d_model = 8\nheads = 2\ngnn_layers = 1\n")
+    line = "truncated 1 record(s): an utterance over max_len=50 tokens, or a response over 49"
+    with caplog.at_level("WARNING"):
+        for command in (["train", "--config", str(config), "--epochs", "3", "--out", ckpt],
+                        ["eval", "--ckpt", ckpt, "--report", str(tmp_path / "r.txt")]):
+            assert run_command([*command, "--corpus", str(corpus)]) == 0
+            assert capsys.readouterr().err.count(line) == 1, command[0]
+    assert not [r for r in caplog.records if "utterance truncated" in r.getMessage()]
 
 
 def test_train_skips_lines_with_malformed_fields(tiny_config, tmp_path, capsys):

@@ -97,6 +97,18 @@ def test_record_without_vectors_passes_any_width():
     pytest.param("utterances", "hello there", "utterances: expected a list, got str", id="str"),
     pytest.param("emotions", {"0": "joy"}, "emotions: expected a list, got dict", id="dict"),
     pytest.param("speakers", None, "speakers: expected a list, got NoneType", id="null"),
+    # no JSON value but a string is coerced to one
+    pytest.param("utterances", [None, None], "utterances: expected a list of strings, got NoneType",
+                 id="utterances-of-null"),
+    pytest.param("emotions", ["joy", 3], "emotions: expected a list of strings, got int",
+                 id="emotions-of-int"),
+    pytest.param("speakers", [1, 1], "speakers: expected a list of strings, got int",
+                 id="speakers-of-int"),
+    pytest.param("next_speaker", None, "next_speaker: expected a string, got NoneType",
+                 id="next-speaker-null"),
+    pytest.param("response", ["ok"], "response: expected a string, got list", id="response-list"),
+    pytest.param("response_emotion", 3, "response_emotion: expected a string, got int",
+                 id="response-emotion-int"),
     pytest.param("faces", [[1.0], [1.0, 2.0]],
                  "faces: expected a list of equal-length numeric vectors", id="ragged"),
     pytest.param("audios", [["loud"]],

@@ -21,8 +21,8 @@ def held_out_emotion_accuracy(ablate: tuple[str, ...]) -> float:
 
 def test_the_full_model_reads_the_emotion_that_face_and_audio_carry():
     # over model seeds s = 0..6 with corpora 2s + 1 and 2s + 2, the full
-    # model scored 0.379-0.543 and the ablated one 0.086-0.164, gaps
-    # 0.229-0.436; seed 0 scores 0.407 and 0.086
+    # model scored 0.393-0.529 and the ablated one 0.100-0.193, gaps
+    # 0.243-0.393; seed 0 scores 0.493 and 0.100
     full = held_out_emotion_accuracy(())
     ablated = held_out_emotion_accuracy(("face", "audio"))
     assert full - ablated >= 0.15

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import json
 import mmap
 import os
 import re
@@ -21,7 +22,7 @@ from hgchat import training as tr
 from hgchat.config import TrainConfig
 from hgchat.model import Model
 from hgchat.params import CHECKPOINT_MAGIC, ModelParams, init_model_params, xavier_init
-from oracles import per_tensor_adam, reference_backward, rewrite_checkpoint
+from oracles import epoch_order, per_tensor_adam, reference_backward, rewrite_checkpoint
 
 
 def tiny_cfg(**kw):
@@ -435,8 +436,6 @@ def test_checkpoint_round_trip_exact(tmp_path):
     for buffer in ("flat", "adam_m", "adam_v"):
         assert np.array_equal(getattr(saved, buffer), getattr(back, buffer)), buffer
     assert back.adam_t == saved.adam_t > 0
-    assert back.rng_state == saved.rng_state is not None
-    assert np.array_equal(back.order, saved.order)
 
 
 def test_moments_are_stored_once_the_model_has_taken_a_step(tmp_path):
@@ -449,7 +448,10 @@ def test_moments_are_stored_once_the_model_has_taken_a_step(tmp_path):
         model.save(tmp_path / "model.ckpt")
         with zipfile.ZipFile(tmp_path / "model.ckpt") as archive:
             assert archive.namelist() == ["header.npy", "param.npy"] + trained * [
-                "adam_m.npy", "adam_v.npy", "order.npy"]
+                "adam_m.npy", "adam_v.npy"]
+        with np.load(tmp_path / "model.ckpt") as archive:
+            header = json.loads(archive["header"].tobytes())
+        assert list(header) == ["magic", "config", "vocab", "roster", "adam_t"]
         loaded = Model.load(tmp_path / "model.ckpt").params
         assert loaded.adam_t == model.params.adam_t == trained
         assert np.array_equal(loaded.adam_m, model.params.adam_m)
@@ -468,7 +470,7 @@ def test_format_one_checkpoint_rejected_by_name(tmp_path):
     path = tmp_path / "old.ckpt"
     fresh_model(tiny_corpus(2, cfg=cfg), cfg).save(path)
     rewrite_checkpoint(path, lambda header, members: header.update(magic="HGNN-CKPT-1"))
-    with pytest.raises(ValueError, match="not a HGNN-CKPT-5 checkpoint; HGNN-CKPT-1"):
+    with pytest.raises(ValueError, match="not a HGNN-CKPT-6 checkpoint; HGNN-CKPT-1"):
         Model.load(path)
 
 
@@ -477,17 +479,14 @@ def test_format_one_checkpoint_rejected_by_name(tmp_path):
     (lambda header, members: members.update(adam_m=members["adam_m"][:1]),
      "member 'adam_m' is float64 of shape [1]"),
     (lambda header, members: header.update(adam_t=-1), "'adam_t'"),
-    (lambda header, members: header.update(rng_state={"bit_generator": "MT19937"}), "'rng_state'"),
-    (lambda header, members: members.update(order=members["order"] * 2), "'order'"),
-    (lambda header, members: members.pop("order"), "'order'"),
     # a step counted, but no moments: resuming from zeroed moments would not be exact
     (lambda header, members: (members.pop("adam_m"), members.pop("adam_v")),
      "'adam_t' 1 is missing 'adam_m', 'adam_v'"),
     # moments, but no step counted
     (lambda header, members: header.update(adam_t=0),
-     "member 'adam_m' is not part of a HGNN-CKPT-5 checkpoint with 'adam_t' 0"),
-], ids=["missing-moment", "moment-shape", "adam-t", "rng-state", "order-not-a-permutation",
-        "rng-state-without-order", "steps-without-moments", "moments-without-steps"])
+     "member 'adam_m' is not part of a HGNN-CKPT-6 checkpoint with 'adam_t' 0"),
+], ids=["missing-moment", "moment-shape", "adam-t", "steps-without-moments",
+        "moments-without-steps"])
 def test_bad_training_state_rejected_by_name(tmp_path, edit, named):
     cfg = tiny_cfg(epochs=1)
     records = tiny_corpus(3, cfg=cfg)
@@ -640,6 +639,37 @@ def test_training_is_bit_identical_for_any_process_count(monkeypatch, dropout):
         assert_same_state(trained_state(results[1]), trained_state(results[n]))
 
 
+def test_each_epoch_visits_the_records_in_the_order_its_step_count_keys(monkeypatch):
+    pin_processes(monkeypatch, 1)
+    cfg = tiny_cfg(epochs=2, batch_size=2, seed=3)
+    records = tiny_corpus(5, cfg=cfg)
+    visited = []
+    dialogue = tr._dialogue
+
+    def spy(model, records, idx, key):
+        visited.append(idx)
+        return dialogue(model, records, idx, key)
+
+    monkeypatch.setattr(tr, "_dialogue", spy)
+    tr.train(records, cfg)
+    assert visited == [*epoch_order(3, 0, 5), *epoch_order(3, 3, 5)]  # 3 steps an epoch
+    # numpy reads the key (seed, t) as (seed, t, 0), the dropout key of step t's first dialogue
+    assert not np.array_equal(epoch_order(3, 3, 1000),
+                              np.random.default_rng((3, 3, 0)).permutation(1000))
+
+
+@pytest.mark.parametrize("changes", [{"learning_rate": 0.01}, {"dropout": 0.2, "max_turns": 5}])
+def test_train_refuses_a_model_built_under_other_settings(changes):
+    cfg = tiny_cfg(epochs=1)
+    records = tiny_corpus(3, cfg=cfg)
+    model = fresh_model(records, cfg)
+    with pytest.raises(ValueError, match=f"other settings: {', '.join(changes)}$"):
+        tr.train(records, dataclasses.replace(cfg, **changes), model=model)
+    assert model.params.adam_t == 0
+    tr.train(records, dataclasses.replace(cfg, epochs=2), model=model)  # the one it may change
+    assert model.params.adam_t == 2
+
+
 def test_process_count_is_one_per_usable_cpu_within_a_batch(monkeypatch):
     monkeypatch.setattr(tr, "usable_cpus", lambda: 8)
     assert tr.process_count(16, 100) == 8
@@ -677,11 +707,10 @@ def test_one_dialogue_trains_without_forking_or_loading_multiprocessing():
 
 
 def record_dealt_to_a_worker(records, cfg, position=1):
-    """Index of the record at ``position`` of the first batch in epoch 1,
-    whose order a one-epoch run stores: with two processes, positions 1
-    and 3 are the second process's first and second dialogues."""
-    order = tr.train(records, dataclasses.replace(cfg, epochs=1)).model.params.order
-    return int(order[position])
+    """Index of the record at ``position`` of the first batch in epoch 1:
+    with two processes, positions 1 and 3 are the second process's first
+    and second dialogues."""
+    return int(epoch_order(cfg.seed, 0, len(records))[position])
 
 
 def diverge(record):
