@@ -215,8 +215,7 @@ def cmd_train(args) -> int:
         model, cfg = None, _resolved(args, overrides)
     records = _load_records(args.corpus, cfg)
     t0 = time.monotonic()
-    train(records, cfg, model=model, log_fn=lambda s: print(s.line()),
-          checkpoint_path=args.out)
+    train(records, cfg, model=model, log_fn=lambda s: print(s.line())).model.save(args.out)
     print(f"trained {cfg.epochs} epochs on {len(records)} dialogues "
           f"in {time.monotonic() - t0:.1f}s; checkpoint: {args.out}")
     return 0
@@ -227,14 +226,18 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--beam must be at least 1, got {args.beam}")
     model = Model.load(args.ckpt)
     records = _load_records(args.corpus, _show(model.cfg))
-    # the decoder itself logs a response that hits the length cap
     if args.beam and args.beam > 1:
         outputs = (model.generate(rec, strategy="beam", beam_width=args.beam,
                                   next_speaker=args.speaker) for rec in records)
     else:
         outputs = model.generate_many(records, next_speaker=args.speaker)
-    for tokens, _ in outputs:
+    capped = 0
+    for tokens, truncated in outputs:
         print(" ".join(tokens))
+        capped += truncated
+    if capped:
+        print(f"truncated {capped} response(s) at max_len={model.cfg.max_len} tokens "
+              "without EOS", file=sys.stderr)
     return 0
 
 

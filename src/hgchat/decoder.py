@@ -5,7 +5,6 @@ responding speaker's personality, shared by teacher forcing and search."""
 from __future__ import annotations
 
 import functools
-import logging
 
 import numpy as np
 
@@ -16,8 +15,6 @@ from .diffcore import (ContractError, Keep, Tensor, add, affine, concat_cols,
                        scale, sigmoid, softmax_rows, transpose)
 from .layers import Drop, causal_mask, ffn, key_weight, multihead, project_kv
 from .params import ModelParams
-
-log = logging.getLogger(__name__)
 
 # Most dialogues one greedy search decodes in lockstep. Every row's
 # cross-attention scores span the whole group's encoder rows, so that part
@@ -69,15 +66,16 @@ def step_distributions(prefix_ids: list[int], h_enc: Tensor, e_p: Tensor,
                        drop: Drop | None = None) -> Tensor:
     """Next-token distributions for every prefix position (teacher-forced).
 
-    Row t is the distribution over token t+1 given tokens up to t: the
-    decoder block runs on the whole prefix from an empty cache, and the
+    Row t is the distribution over token t+1 given tokens up to t: every
+    prefix token is a row of dialogue 0 (``keep([0] * n)``), the decoder
+    block runs on them all from an empty cache in one ``run``, and the
     causal mask keeps each row independent of everything after it.
     """
     if not prefix_ids:
         raise ContractError("decoder prefix must not be empty (start with BOS)")
     state = DecodeState(h_enc, e_p, s_p, params, cfg)
-    probs, _ = state.run(None, prefix_ids, causal_mask(len(prefix_ids), cfg.heads), drop)
-    return probs
+    state.keep([0] * len(prefix_ids))
+    return state.run(prefix_ids, causal_mask(len(prefix_ids), cfg.heads), drop)
 
 
 def sequence_nll(target_ids: list[int], h_enc: Tensor, e_p: Tensor, s_p: Tensor,
@@ -92,27 +90,25 @@ def sequence_nll(target_ids: list[int], h_enc: Tensor, e_p: Tensor, s_p: Tensor,
 
 
 class DecodeState:
-    """The decoder block with the constants of D dialogues: the
+    """The decoder block with the constants of D dialogues (the
     cross-attention keys and values of their encoder rows and the gate's
-    folded terms.
+    folded terms), its W rows and their self-attention cache.
 
-    ``run`` decodes new token rows against the self-attention cache
-    ``(K, V)`` of the tokens before them, as in incremental decoding
-    (Shazeer 2019, arXiv:1911.02150); each row decodes the dialogue that
-    ``dialogues`` names. Teacher forcing is one ``run`` over the whole
-    prefix of one dialogue from an empty cache under a causal mask.
-    ``step`` decodes the newest token of each of W rows of equal length in
-    one ``run``: the live hypotheses of one dialogue's beam, or a row per
-    unfinished dialogue of a greedy search (iteration-level batching, as in
-    Orca, Yu et al., OSDI 2022). Its cache is step-major: row ``s*W + i``
-    holds row i's token s, so a step appends its W rows with one
-    ``concat_rows``. With W > 1 the self-attention scores get a block mask,
-    a ``Keep`` that lets query i see only the cache rows ``≡ i (mod W)``;
-    with D > 1 the cross-attention scores get a ``Keep`` that lets it see
-    only its own dialogue's encoder rows, built once per layout of rows.
-    Greedy decoding of one dialogue needs neither, and without later rows
-    no causal mask is needed either. ``reorder``
-    picks the cache rows of the rows that go on. Caches are extended into
+    ``rows[j]`` is the dialogue that row j decodes; at first row j decodes
+    dialogue j. ``run`` decodes one new token per row against ``cache``,
+    the keys and values ``(K, V)`` of the tokens before it, as in
+    incremental decoding (Shazeer 2019, arXiv:1911.02150), and appends its
+    tokens to the cache. The cache is step-major: row ``s*W + i`` holds row
+    i's token s, so a run appends its W rows with one ``concat_rows``. With
+    W > 1 the self-attention scores get a block mask, a ``Keep`` that lets
+    row i see only the cache rows ``≡ i (mod W)``; with D > 1 the
+    cross-attention scores get a ``Keep`` that lets it see only its own
+    dialogue's encoder rows. ``keep`` makes row j continue row
+    ``parents[j]``: the live hypotheses of one dialogue's beam, or a row
+    per unfinished dialogue of a greedy search (iteration-level batching,
+    as in Orca, Yu et al., OSDI 2022). Teacher forcing is ``keep([0] * n)``
+    and one ``run`` over the whole prefix under a causal mask. Greedy
+    decoding of one dialogue needs no mask at all. Caches are extended into
     new tensors, never written in place.
     """
 
@@ -121,75 +117,71 @@ class DecodeState:
         """``h_enc`` stacks the dialogues' encoder rows, ``nodes[j]`` of them
         for dialogue j (None: all of one dialogue's), and row j of ``e_p``
         and ``s_p`` belongs to dialogue j."""
-        self.params, self.heads = params, cfg.heads
-        self.self_wk = key_weight(params, "dec.self_attn", cfg.heads)
-        self.cross_kv = project_kv(params, "dec.cross_attn", h_enc, cfg.heads)
-        self.node_dialogue = (None if nodes is None or len(nodes) == 1
-                              else np.repeat(np.arange(len(nodes)), nodes))
-        self.fold = fold_gate(e_p, s_p, params)
-        self._layout: tuple = (None, None, None)
+        self._params, self._heads = params, cfg.heads
+        self._self_wk = key_weight(params, "dec.self_attn", cfg.heads)
+        self._cross_kv = project_kv(params, "dec.cross_attn", h_enc, cfg.heads)
+        self._node_dialogue = (None if nodes is None or len(nodes) == 1
+                               else np.repeat(np.arange(len(nodes)), nodes))
+        self._dialogue_fold = fold_gate(e_p, s_p, params)
+        self.rows: list[int] = list(range(e_p.shape[0]))
+        self.cache: tuple[Tensor, Tensor] | None = None
+        self._row_terms()
 
-    def _rows(self, dialogues: tuple[int, ...]) -> tuple:
-        """The gate terms and the head-tiled cross-attention mask of rows
-        that decode ``dialogues``, rebuilt only when the layout changes."""
-        if dialogues != self._layout[0]:
-            rows = np.asarray(dialogues)
-            fold = self.fold
-            if dialogues != tuple(range(fold[1].shape[0])):
-                fold = (fold[0], *(row_lookup(t, rows) for t in fold[1:]))
-            mask = None
-            if self.node_dialogue is not None:
-                mask = Keep(np.tile(rows[:, None] == self.node_dialogue, (self.heads, 1)))
-            self._layout = (dialogues, fold, mask)
-        return self._layout[1:]
+    def _row_terms(self) -> None:
+        """The gate terms and the head-tiled cross-attention mask of
+        ``rows``."""
+        rows, fold = np.asarray(self.rows), self._dialogue_fold
+        if self.rows != list(range(fold[1].shape[0])):
+            fold = (fold[0], *(row_lookup(t, rows) for t in fold[1:]))
+        self._fold, self._cross_mask = fold, None
+        if self._node_dialogue is not None:
+            self._cross_mask = Keep(np.tile(rows[:, None] == self._node_dialogue,
+                                            (self._heads, 1)))
 
-    def run(self, cache: tuple[Tensor, Tensor] | None, tokens: list[int],
-            mask: Keep | None, drop: Drop | None = None,
-            dialogues: tuple[int, ...] | None = None
-            ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """Next-token distributions (n x V) for the n rows ``tokens``, given
-        the ``cache`` before them, a ``Keep`` of the self-attention scores
-        (``mask``: head-tiled, H*n x cached + n rows, or None) and the
-        dialogue each row decodes (None: dialogue 0 for every row), and the
-        extended cache."""
-        params = self.params
-        fold, cross_mask = self._rows(dialogues or (0,) * len(tokens))
+    def run(self, tokens: list[int], mask: Keep | None = None,
+            drop: Drop | None = None) -> Tensor:
+        """Next-token distributions (W x V) after ``tokens[j]``, row j's
+        newest token, and the cache extended by them. ``mask`` is the
+        ``Keep`` of the self-attention scores (head-tiled, H*W x cached + W
+        rows); None keeps each row to its own tokens."""
+        width, params, heads = len(self.rows), self._params, self._heads
+        if len(tokens) != width:
+            raise ContractError(f"run: {len(tokens)} tokens for {width} rows")
         x = row_lookup(params["dec.tok_emb"], tokens)
-        k, v = matmul(x, self.self_wk), matmul(x, params["dec.self_attn.wv"])
-        if cache is not None:
-            k, v = concat_rows(cache[0], k), concat_rows(cache[1], v)
-        h_r = multihead(params, "dec.self_attn", x, (transpose(k), v), self.heads, mask, drop)
-        attended = multihead(params, "dec.cross_attn", h_r, self.cross_kv, self.heads,
-                             cross_mask, drop)
+        k, v = matmul(x, self._self_wk), matmul(x, params["dec.self_attn.wv"])
+        if self.cache is not None:
+            k, v = concat_rows(self.cache[0], k), concat_rows(self.cache[1], v)
+        if mask is None and width > 1:
+            mask = _hypothesis_mask(width, k.shape[0] // width, heads)
+        h_r = multihead(params, "dec.self_attn", x, (transpose(k), v), heads, mask, drop)
+        attended = multihead(params, "dec.cross_attn", h_r, self._cross_kv, heads,
+                             self._cross_mask, drop)
         o = ffn(params, "dec.ffn", attended, drop)
-        return softmax_rows(matmul(gate_fuse(o, fold), params["dec.out_proj.w"])), (k, v)
+        self.cache = k, v
+        return softmax_rows(matmul(gate_fuse(o, self._fold), params["dec.out_proj.w"]))
 
-    def step(self, cache: tuple[Tensor, Tensor] | None, tokens: list[int],
-             dialogues: tuple[int, ...] | None = None
-             ) -> tuple[np.ndarray, tuple[Tensor, Tensor]]:
-        """Next-token distributions (W x V) after the last token of each of
-        W rows, ``tokens[i]`` being row i's, given the step-major
-        self-attention ``cache`` of the tokens before them (None at BOS),
-        and the cache extended by ``tokens``; ``dialogues`` as for ``run``."""
-        width = len(tokens)
-        steps = 1 + (0 if cache is None else cache[0].shape[0] // width)
-        mask = _hypothesis_mask(width, steps, self.heads) if width > 1 else None
-        probs, cache = self.run(cache, tokens, mask, dialogues=dialogues)
-        return probs.values, cache
-
-    @staticmethod
-    def reorder(cache: tuple[Tensor, Tensor], width: int, parents: list[int]
-                ) -> tuple[Tensor, Tensor]:
-        """The step-major cache of new rows, given the cache of ``width``
-        old ones: row j continues old row ``parents[j]``, so cache row
-        ``s*W_new + j`` is old row ``s*width + parents[j]``. Parents may
-        repeat, and there may be fewer new rows than old. Keeping every
-        row in place returns ``cache`` itself."""
+    def keep(self, parents: list[int]) -> None:
+        """Make row j continue row ``parents[j]``: cache row ``s*W_new + j``
+        becomes old row ``s*W + parents[j]``. Parents may repeat, and there
+        may be fewer rows than before, or none. Keeping every row in place
+        changes nothing."""
+        width = len(self.rows)
+        bad = [p for p in parents if not 0 <= p < width]
+        if bad:
+            raise ContractError(f"keep: parent {bad[0]} outside the {width} rows")
         if parents == list(range(width)):
-            return cache
-        steps = cache[0].shape[0] // width
-        rows = (np.arange(steps)[:, None] * width + np.asarray(parents)).ravel()
-        return row_lookup(cache[0], rows), row_lookup(cache[1], rows)
+            return
+        rows = [self.rows[p] for p in parents]
+        if not rows:
+            self.rows, self.cache = rows, None
+            return
+        if self.cache is not None:
+            steps = self.cache[0].shape[0] // width
+            index = (np.arange(steps)[:, None] * width + np.asarray(parents)).ravel()
+            self.cache = row_lookup(self.cache[0], index), row_lookup(self.cache[1], index)
+        if rows != self.rows:
+            self.rows = rows
+            self._row_terms()
 
 
 @functools.lru_cache(maxsize=256)
@@ -204,30 +196,25 @@ def greedy_many(dialogues: list[tuple[Tensor, Tensor, Tensor]], params: ModelPar
     """Greedy responses of the dialogues ``(h_enc, e_p, s_p)``, in order,
     each with a flag for reaching ``cfg.max_len`` tokens without EOS.
 
-    All of them decode in lockstep in one ``DecodeState``: each step takes
-    the argmax of every unfinished dialogue's row, and a dialogue that
-    emits EOS leaves the batch, ``reorder`` dropping its cache rows.
+    All of them decode in lockstep in one ``DecodeState``, a row per
+    unfinished dialogue: each ``run`` takes the argmax of every row, and
+    ``keep`` drops the rows that emitted EOS.
     """
     h_enc, e_p, s_p = (concat_rows(*parts) for parts in zip(*dialogues))
     state = DecodeState(h_enc, e_p, s_p, params, cfg, [h.shape[0] for h, _, _ in dialogues])
     responses: list[list[int]] = [[] for _ in dialogues]
-    live, tokens, cache = tuple(range(len(dialogues))), [BOS] * len(dialogues), None
+    tokens = [BOS] * len(dialogues)
     for _ in range(cfg.max_len):
-        dists, cache = state.step(cache, tokens, live)
-        picks = np.argmax(dists, axis=1)
+        picks = np.argmax(state.run(tokens).values, axis=1)
         going = [row for row, tok in enumerate(picks) if tok != EOS]
-        if not going:
-            live = ()
-            break
-        if len(going) < len(live):
-            cache = state.reorder(cache, len(live), going)
-            live = tuple(live[row] for row in going)
+        if len(going) < len(picks):
+            state.keep(going)
         tokens = [int(picks[row]) for row in going]
-        for dialogue, tok in zip(live, tokens):
+        for dialogue, tok in zip(state.rows, tokens):
             responses[dialogue].append(tok)
-    for _ in live:
-        log.warning("generation hit the %d-token cap without EOS; truncated", cfg.max_len)
-    return [(ids, dialogue in live) for dialogue, ids in enumerate(responses)]
+        if not tokens:
+            break
+    return [(ids, dialogue in state.rows) for dialogue, ids in enumerate(responses)]
 
 
 def beam_decode(h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
@@ -235,24 +222,22 @@ def beam_decode(h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
     """Length-normalized beam search of up to ``cfg.max_len`` tokens;
     width 1 reproduces greedy decoding.
 
-    A hypothesis is its ids and its log-probability. All live hypotheses
-    step in one ``DecodeState.step`` call, their caches held step-major.
-    Each of the W_old hypotheses proposes its ``width`` best tokens; the
-    best ``width`` children overall survive or finish on EOS, and
-    ``DecodeState.reorder`` gathers each survivor's parent's cache rows,
-    ``s*W_old + parent``. This covers siblings of one parent and a beam
-    that narrows as hypotheses finish. Children rank by score, descending,
-    then by ids. Their scores are added in numpy, and only the survivors'
-    ids are built.
+    A hypothesis is its ids and its log-probability, and a row of one
+    ``DecodeState``: all live hypotheses decode in one ``run``. Each of the
+    W_old hypotheses proposes its ``width`` best tokens; the best ``width``
+    children overall survive or finish on EOS, and ``keep`` makes each
+    survivor a row that continues its parent's. This covers siblings of
+    one parent and a beam that narrows as hypotheses finish. Children rank
+    by score, descending, then by ids. Their scores are added in numpy, and
+    only the survivors' ids are built.
     """
     if width < 1:
         raise ValueError(f"beam width must be at least 1, got {width}")
     state = DecodeState(h_enc, e_p, s_p, params, cfg)
-    live, scores, cache = [[BOS]], [0.0], None
+    live, scores = [[BOS]], [0.0]
     done: list[tuple[list[int], float]] = []
     for _ in range(cfg.max_len):
-        dists, cache = state.step(cache, [ids[-1] for ids in live])
-        logp = np.log(dists)
+        logp = np.log(state.run([ids[-1] for ids in live]).values)
         best = np.argsort(-logp, axis=1, kind="stable")[:, :width]
         pool = np.array(scores)[:, None] + logp[np.arange(len(live))[:, None], best]
         # live ids are distinct and of one length, so a child's ids rank as
@@ -274,11 +259,10 @@ def beam_decode(h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
         if not kept or len(done) >= width:
             break
         live = kept
-        cache = state.reorder(cache, len(dists), parents)
+        state.keep(parents)
     if done:
         done.sort(key=lambda item: (-item[1], item[0]))
         return done[0][0], False
-    log.warning("beam search hit the %d-token cap without EOS; truncated", cfg.max_len)
     best = max(zip(live, scores), key=lambda item: item[1] / max(1, len(item[0]) - 1))
     return best[0][1:], True
 

@@ -78,8 +78,7 @@ class TrainResult:
 
 
 def train(records: list[DialogueRecord], cfg: TrainConfig,
-          model: Model | None = None, log_fn=None,
-          checkpoint_path=None) -> TrainResult:
+          model: Model | None = None, log_fn=None) -> TrainResult:
     """Minibatch training loop; dialogues are processed one graph at a
     time and the batch gradient is the per-dialogue average.
 
@@ -163,8 +162,6 @@ def train(records: list[DialogueRecord], cfg: TrainConfig,
     finally:
         if workers is not None:
             workers.close()
-    if checkpoint_path:
-        model.save(checkpoint_path)
     return TrainResult(model, history)
 
 

@@ -124,15 +124,14 @@ def decoder_distributions(tokens, h_enc, e_p, s_p, weights, heads):
 
 
 def beam_search(state, width: int, max_len: int) -> tuple[list[int], bool]:
-    """Length-normalized beam search over ``state``'s ``step`` and
-    ``reorder`` (a ``DecodeState``), its candidates held as Python lists
-    and sorted by (score descending, ids): ``decoder.beam_decode`` as it
-    read before it ranked them in numpy."""
-    live, cache = [([BOS], 0.0)], None
+    """Length-normalized beam search over ``state``'s ``run`` and ``keep``
+    (a ``DecodeState``), its candidates held as Python lists and sorted by
+    (score descending, ids): ``decoder.beam_decode`` as it read before it
+    ranked them in numpy."""
+    live = [([BOS], 0.0)]
     done = []
     for _ in range(max_len):
-        dists, cache = state.step(cache, [ids[-1] for ids, _ in live])
-        logp = np.log(dists)
+        logp = np.log(state.run([ids[-1] for ids, _ in live]).values)
         best = np.argsort(-logp, axis=1, kind="stable")[:, :width]
         pool = [(ids + [int(tok)], score + float(logp[parent, tok]), parent)
                 for parent, (ids, score) in enumerate(live) for tok in best[parent]]
@@ -146,7 +145,7 @@ def beam_search(state, width: int, max_len: int) -> tuple[list[int], bool]:
                 parents.append(parent)
         if not live or len(done) >= width:
             break
-        cache = state.reorder(cache, len(dists), parents)
+        state.keep(parents)
     if done:
         done.sort(key=lambda item: (-item[1], item[0]))
         return done[0][0], False

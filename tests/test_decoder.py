@@ -180,14 +180,13 @@ def test_cached_step_matches_step_distributions(seed):
     tokens = [cp.BOS] + [int(rng.integers(4, 9)) for _ in range(9)]
     state = dec.DecodeState(h_enc, e_p, s_p, params, cfg)
     full = oracle(tokens, h_enc, e_p, s_p, params, cfg)
-    cache = None
     for t, tok in enumerate(tokens):
-        dist, cache = state.step(cache, [tok])
+        dist = state.run([tok]).values
         assert dist.shape == (1, params["dec.out_proj.w"].shape[1])
         prefix = oracle(tokens[:t + 1], h_enc, e_p, s_p, params, cfg)
         assert np.max(np.abs(dist[0] - prefix[-1])) <= 1e-12
         assert np.max(np.abs(dist[0] - full[t])) <= 1e-12
-        assert cache[0].shape == (t + 1, cfg.d_model)
+        assert state.cache[0].shape == (t + 1, cfg.d_model)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -209,19 +208,30 @@ def test_batched_step_matches_step_distributions_per_hypothesis(seed):
             assert np.max(np.abs(row - want)) <= 1e-12
 
     prefixes = [[cp.BOS, a, b] for a, b in zip(distinct_tokens(4), distinct_tokens(4))]
-    cache = None
+    state.keep([0] * 4)
     for t in range(3):
-        dists, cache = state.step(cache, [p[t] for p in prefixes])
-        check(dists, [p[:t + 1] for p in prefixes])
+        check(state.run([p[t] for p in prefixes]).values, [p[:t + 1] for p in prefixes])
     for parents in ([3, 1, 1, 0], [2, 0]):  # a repeated parent, then 4 -> 2
-        cache = dec.DecodeState.reorder(cache, len(prefixes), parents)
+        state.keep(parents)
         prefixes = [list(prefixes[j]) for j in parents]
         for _ in range(3):
             for prefix, tok in zip(prefixes, distinct_tokens(len(prefixes))):
                 prefix.append(tok)
-            dists, cache = state.step(cache, [p[-1] for p in prefixes])
-            check(dists, prefixes)
-            assert cache[0].shape == (len(prefixes[0]) * len(prefixes), cfg.d_model)
+            check(state.run([p[-1] for p in prefixes]).values, prefixes)
+            assert state.cache[0].shape == (len(prefixes[0]) * len(prefixes), cfg.d_model)
+
+
+def test_run_and_keep_reject_rows_they_do_not_have():
+    cfg, params, h_enc, e_p, s_p = setup()
+    state = dec.DecodeState(h_enc, e_p, s_p, params, cfg)
+    state.keep([0, 0, 0])
+    with pytest.raises(dc.ContractError, match="run: 2 tokens for 3 rows"):
+        state.run([cp.BOS, cp.BOS])
+    state.run([cp.BOS] * 3)
+    for parent in (3, -1):
+        with pytest.raises(dc.ContractError, match=f"keep: parent {parent} outside the 3 rows"):
+            state.keep([0, parent])
+    assert state.rows == [0, 0, 0] and state.cache[0].shape == (3, cfg.d_model)
 
 
 def test_hypothesis_mask_is_built_once_and_read_only():
@@ -282,15 +292,13 @@ def test_beam_width_one_equals_greedy():
         assert greedy[0] == beam[0]
 
 
-def test_cap_reached_flags_truncation(caplog):
+def test_cap_reached_flags_truncation():
     cfg, params, h_enc, e_p, s_p = setup()
     w = params["dec.out_proj.w"].values
     w[:] = 0.0
     w[:, 4] = 5.0  # argmax is always token 4, never EOS
-    with caplog.at_level("WARNING"):
-        ids, truncated = dec.greedy_many([(h_enc, e_p, s_p)], params, cfg)[0]
+    ids, truncated = dec.greedy_many([(h_enc, e_p, s_p)], params, cfg)[0]
     assert truncated is True and len(ids) == cfg.max_len
-    assert any("cap" in r.message for r in caplog.records)
 
 
 def lockstep_setup(seed, n_dialogues=5):
@@ -327,6 +335,25 @@ def test_lockstep_greedy_equals_per_dialogue_greedy(n_dialogues, seed):
         assert len({len(ids) for ids, truncated in got if not truncated}) >= 2
 
 
+def test_lockstep_group_that_ends_at_the_first_step(monkeypatch):
+    """Every dialogue's first argmax is EOS: every response is empty and
+    not truncated, and the one ``keep([])`` leaves no row and no cache."""
+    cfg, params, dialogues = lockstep_setup(1, 3)
+    w = params["dec.out_proj.w"].values
+    w[:] = 0.0
+    w[:, cp.EOS] = 5.0
+    kept = []
+
+    class Spy(dec.DecodeState):
+        def keep(self, parents):
+            super().keep(parents)
+            kept.append((list(parents), self.rows, self.cache))
+
+    monkeypatch.setattr(dec, "DecodeState", Spy)
+    assert dec.greedy_many(dialogues, params, cfg) == [([], False)] * 3
+    assert kept == [([], [], None)]
+
+
 def test_lockstep_rows_match_their_own_dialogue():
     """Three dialogues step together, then one leaves: every row is the last
     row of its own dialogue's teacher-forced distributions under the
@@ -339,13 +366,12 @@ def test_lockstep_rows_match_their_own_dialogue():
     def run(dialogues):
         h_enc, e_p, s_p = (dc.concat_rows(*parts) for parts in zip(*dialogues))
         state = dec.DecodeState(h_enc, e_p, s_p, params, cfg, [h.shape[0] for h, _, _ in dialogues])
-        live, cache, out = (0, 1, 2), None, []
+        out = []
         for t in range(len(prefixes[0])):
             if t == 3:  # dialogue 1 leaves the batch
-                cache = state.reorder(cache, 3, [0, 2])
-                live = (0, 2)
-            dists, cache = state.step(cache, [prefixes[j][t] for j in live], live)
-            out.append(dict(zip(live, dists)))
+                state.keep([0, 2])
+            dists = state.run([prefixes[j][t] for j in state.rows]).values
+            out.append(dict(zip(state.rows, dists)))
         return out
 
     base = run(dialogues)
@@ -437,12 +463,11 @@ class ScriptedState:
     def __init__(self, table):
         self.table = table
 
-    def step(self, cache, tokens, dialogues=None):
-        return self.table[tokens], None
+    def run(self, tokens):
+        return dc.Tensor(self.table[tokens])
 
-    @staticmethod
-    def reorder(cache, width, parents):
-        return None
+    def keep(self, parents):
+        pass
 
 
 def test_beam_ties_across_parents_rank_by_ids_not_by_parent_position(monkeypatch):

@@ -394,7 +394,8 @@ def lockstep_cross_mask(nodes: list[int], live: tuple[int, ...]) -> dc.Keep:
     h_enc, e_p, s_p = (dc.Tensor(rng.standard_normal((rows, cfg.d_model)))
                        for rows in (sum(nodes), len(nodes), len(nodes)))
     state = dec.DecodeState(h_enc, e_p, s_p, init_model_params(cfg, 12, 3), cfg, nodes)
-    return state._rows(live)[1]
+    state.keep(list(live))
+    return state._cross_mask
 
 
 def model_mask(name: str, large: bool) -> tuple[dc.Keep, np.ndarray]:

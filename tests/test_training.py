@@ -491,7 +491,7 @@ def test_bad_training_state_rejected_by_name(tmp_path, edit, named):
     cfg = tiny_cfg(epochs=1)
     records = tiny_corpus(3, cfg=cfg)
     path = tmp_path / "model.ckpt"
-    tr.train(records, cfg, checkpoint_path=path)
+    tr.train(records, cfg).model.save(path)
     rewrite_checkpoint(path, edit)
     with pytest.raises(ValueError, match=re.escape(named)):
         Model.load(path)
