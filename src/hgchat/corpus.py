@@ -8,14 +8,11 @@ from __future__ import annotations
 
 import functools
 import json
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 EMOTIONS = ("anger", "disgust", "fear", "joy", "sadness", "surprise", "neutral")
 EMOTION_INDEX = {name: i for i, name in enumerate(EMOTIONS)}
@@ -178,11 +175,8 @@ def load_corpus_verbose(path: str | Path, **limits
                 rec.validate(**limits)
             except (json.JSONDecodeError, RecordError, ValueError) as exc:
                 errors.append((lineno, str(exc)))
-                log.warning("%s line %d: %s", path, lineno, exc)
                 continue
             records.append(rec)
-    if not records:
-        log.warning("%s: no valid records loaded", path)
     return records, errors
 
 
@@ -204,13 +198,7 @@ class Vocab:
         return len(self.tokens)
 
     def encode(self, tokens: list[str]) -> list[int]:
-        ids = []
-        for tok in tokens:
-            tid = self.token_to_id.get(tok, UNK)
-            if tid == UNK and tok != RESERVED_TOKENS[UNK]:
-                log.debug("token %r outside vocab, mapped to UNK", tok)
-            ids.append(tid)
-        return ids
+        return [self.token_to_id.get(tok, UNK) for tok in tokens]
 
     def decode(self, ids: list[int]) -> list[str]:
         return [self.tokens[i] for i in ids]

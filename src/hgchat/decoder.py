@@ -241,11 +241,8 @@ def beam_decode(h_enc: Tensor, e_p: Tensor, s_p: Tensor, params: ModelParams,
         best = np.argsort(-logp, axis=1, kind="stable")[:, :width]
         pool = np.array(scores)[:, None] + logp[np.arange(len(live))[:, None], best]
         # live ids are distinct and of one length, so a child's ids rank as
-        # its parent's ids among the live ones, then as its token
-        rank = [0] * len(live)
-        for r, parent in enumerate(sorted(range(len(live)), key=live.__getitem__)):
-            rank[parent] = r
-        ranked = sorted((-score, rank[parent], tok, parent)
+        # its parent's ids, then as its token; the parent never breaks a tie
+        ranked = sorted((-score, live[parent], tok, parent)
                         for parent, (row, toks) in enumerate(zip(pool.tolist(), best.tolist()))
                         for score, tok in zip(row, toks))
         kept, parents, scores = [], [], []

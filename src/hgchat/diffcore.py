@@ -21,7 +21,7 @@ kinds registered here. Design points:
   ``Keep``) and its gradient are freed as soon as nothing else holds
   them; the sweep's peak stays near the forward tape's size, not twice
   it. It keys gradients by tensor identity, stores none for a constant
-  (an input that neither requires grad nor comes from the tape), and
+  (an input with no ``grad`` buffer, not from the tape), and
   adds the leaves' gradients into their ``grad`` buffers only once the
   whole sweep has run;
 - kernels call numpy's direct entry points: ``ndarray.dot`` for
@@ -70,7 +70,7 @@ class Tensor:
     flight; only the optimizer writes to parameter values, between steps.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "name")
+    __slots__ = ("values", "grad", "name")
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(values, dtype=np.float64)
@@ -81,7 +81,6 @@ class Tensor:
         elif arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D, got ndim={arr.ndim}")
         self.values = np.ascontiguousarray(arr)
-        self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.values) if requires_grad else None
         self.name = name
 
@@ -449,7 +448,6 @@ def apply_primitive(kind: str, inputs: tuple[Tensor, ...], **meta) -> Tensor:
     # the forward's array is already C-contiguous 2-D float64: no Tensor() checks
     out = object.__new__(Tensor)
     out.values = prim.forward([t.values for t in inputs], meta)
-    out.requires_grad = False
     out.grad = None
     out.name = None
     if _tapes and _recorder == threading.get_ident():
@@ -549,17 +547,17 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Reverse sweep from a scalar loss over the active tape.
 
-    Adds this call's gradient into ``grad`` on every leaf that requires
-    one and that the loss reaches (leaves it does not reach keep their
-    buffers as they were), and consumes the tape. Each entry leaves the
-    tape before its backward runs, and each output's gradient leaves the
-    map when it is read, so what the sweep has consumed is freed unless
-    the caller holds it. No delta is kept for a constant, an input that
-    neither requires grad nor was produced on this tape: nothing reads
-    one. Gradients stay keyed by ``id``: every tensor the sweep looks up
-    was alive when it began, and it creates no ``Tensor``. If a backward
-    kernel raises, the tape is left empty and no ``grad`` changes, since
-    leaves are added to only after the whole sweep.
+    Adds this call's gradient into ``grad`` on every leaf that has a
+    ``grad`` buffer and that the loss reaches (leaves it does not reach
+    keep their buffers as they were), and consumes the tape. Each entry
+    leaves the tape before its backward runs, and each output's gradient
+    leaves the map when it is read, so what the sweep has consumed is
+    freed unless the caller holds it. No delta is kept for a constant, an
+    input with no ``grad`` buffer that was not produced on this tape:
+    nothing reads one. Gradients stay keyed by ``id``: every tensor the
+    sweep looks up was alive when it began, and it creates no ``Tensor``.
+    If a backward kernel raises, the tape is left empty and no ``grad``
+    changes, since leaves are added to only after the whole sweep.
     """
     if not _tapes or _recorder != threading.get_ident():
         raise ContractError("backward requires an active tape")
@@ -584,7 +582,7 @@ def backward(loss: Tensor) -> None:
                 key = id(tensor)
                 cur = grads.get(key)
                 if cur is None:
-                    if tensor.requires_grad:
+                    if tensor.grad is not None:
                         leaves.append(tensor)
                     elif key not in produced:
                         continue  # a constant: nothing reads its delta

@@ -174,9 +174,14 @@ def evaluate(model: Model, records: list[DialogueRecord]) -> EvalReport:
     this process may use (``training.process_count``; ``taskset -c 0``
     gives one), forked for this call. A group costs the summed turn counts
     of its records; the groups are dealt heaviest first, each to the
-    least-loaded process, the parent first. Neither the report nor the
-    error raised, the one that one process would meet first, depends on
-    the process count."""
+    least-loaded process, the parent first. The report does not depend on
+    the process count. Every record is checked against the model's limits
+    before any work, so a record the model cannot take raises the first
+    ``RecordError`` in record order, with nothing scored and nothing
+    forked."""
+    cfg = model.cfg
+    for rec in records:
+        rec.validate(cfg.max_turns, cfg.face_dim, cfg.audio_dim)
     scored = _score(model, records)
     stats = [(s.nll, s.tokens) for s in scored]
     preds = [s.label for s in scored]
@@ -229,10 +234,9 @@ def _score_group(model: Model, group: list[DialogueRecord]) -> list[Scored]:
 
 def _score(model: Model, records: list[DialogueRecord]) -> list[Scored]:
     """Every record scored, in order, its lockstep groups dealt by
-    ``_deal``. The parent scores its own groups in record order, holding
-    back the first error, and then takes each group's rows in record
-    order, so that the error raised is the first in record order, its own
-    or a child's."""
+    ``_deal``; ``evaluate`` has checked the records. The parent scores its
+    own groups, then takes each group's rows in record order; a child's
+    exception is raised as the parent reaches that child's next group."""
     groups = lockstep_groups(records)
     n_procs = training.process_count(len(groups))
     if n_procs == 1:
@@ -242,22 +246,11 @@ def _score(model: Model, records: list[DialogueRecord]) -> list[Scored]:
                                [(model, [g for g, k in zip(groups, owner) if k == child])
                                 for child in range(1, n_procs)])
     try:
-        own, error = {}, None
-        for j, group in enumerate(groups):
-            if owner[j] == 0:
-                try:
-                    own[j] = _score_group(model, group)
-                except Exception as exc:  # raised below unless a child's comes first
-                    error = exc
-                    break
+        own = {j: _score_group(model, group)
+               for j, (group, k) in enumerate(zip(groups, owner)) if k == 0}
         rows = []
         for j, k in enumerate(owner):
-            if k:
-                rows += children.recv(k)
-            elif j in own:
-                rows += own[j]
-            else:
-                raise error
+            rows += children.recv(k) if k else own[j]
         return rows
     finally:
         children.close()

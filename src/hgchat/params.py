@@ -91,7 +91,7 @@ class ModelParams:
         self.adam_v = np.zeros(flat.size) if adam_v is None else adam_v
         self._ends = np.cumsum([t.values.size for t in self._tensors.values()])
         for t, grad in zip(self._tensors.values(), np.split(self.flat_grad, self._ends[:-1])):
-            t.requires_grad, t.grad = True, grad.reshape(t.shape)
+            t.grad = grad.reshape(t.shape)
         self._place(flat)
 
     def _place(self, flat: np.ndarray) -> None:

@@ -293,7 +293,7 @@ def reference_backward(loss) -> None:
             cur = grads.get(key)
             if cur is None:
                 grads[key] = delta  # maybe a shared/view array: copy before mutating
-                if tensor.requires_grad:
+                if tensor.grad is not None:
                     leaves.append(tensor)
             else:
                 if key not in owned:

@@ -381,16 +381,35 @@ def test_an_over_long_utterance_is_reported_once_per_command(tmp_path, capsys, c
     assert not [r for r in caplog.records if "utterance truncated" in r.getMessage()]
 
 
-def test_train_skips_lines_with_malformed_fields(tiny_config, tmp_path, capsys):
+def test_train_skips_lines_with_malformed_fields(tiny_config, tmp_path, capsys, caplog):
     good = [cp._record_to_obj(rec) for rec in cp.synthesize_corpus(3, seed=1)]
     lines = [good[0], {**good[0], "utterances": 5}, good[1],
              {**good[0], "faces": [[1.0], [1.0, 2.0]]}, good[2]]
     corpus = tmp_path / "mixed.jsonl"
     corpus.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
-    assert run_command(["train", "--corpus", str(corpus), "--config", tiny_config,
-                        "--epochs", "1", "--out", str(tmp_path / "m.ckpt")]) == 0
+    with caplog.at_level("WARNING"):
+        assert run_command(["train", "--corpus", str(corpus), "--config", tiny_config,
+                            "--epochs", "1", "--out", str(tmp_path / "m.ckpt")]) == 0
     assert ("skipped 2 malformed record(s); first: line 2: utterances: expected a list, got int"
             in capsys.readouterr().err)
+    assert not caplog.records  # the one line above counts them, and no warning per line
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--epochs", "1", "--out", "OUT"],
+    ["eval", "--ckpt", "CKPT", "--report", "OUT"],
+], ids=["train", "eval"])
+def test_a_corpus_with_no_valid_record_is_a_data_error(ckpt_and_corpus, tmp_path, capsys,
+                                                       caplog, command):
+    ckpt, _ = ckpt_and_corpus
+    corpus, out = tmp_path / "bad.jsonl", tmp_path / "out.file"
+    corpus.write_text('{"utterances": 5}\nnot json\n')
+    argv = [{"CKPT": ckpt, "OUT": str(out)}.get(arg, arg) for arg in command]
+    with caplog.at_level("DEBUG"):
+        assert run_command([*argv, "--corpus", str(corpus)]) == 2
+    assert f"data error: no valid records in {corpus}" in capsys.readouterr().err
+    assert not caplog.records  # the error line alone: no warning per line, none for the file
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -472,6 +472,26 @@ def test_the_first_error_in_record_order_is_raised_whoever_scores_it(monkeypatch
     assert raised[2] == raised[1]
 
 
+@pytest.mark.parametrize("n_procs", PROCESS_COUNTS)
+def test_a_record_the_model_cannot_take_is_refused_before_any_scoring(monkeypatch, n_procs):
+    model, records = turn_sorted(2, 3 * dec.GREEDY_GROUP)
+    # in the heaviest group, which the parent scores
+    heavy = records[2 * dec.GREEDY_GROUP + 1]
+    heavy.emotions = heavy.emotions[:-1]
+    scored = []
+    monkeypatch.setattr(mx, "_score_group", lambda model, group: scored.append(group))
+
+    def no_fork(*args):
+        raise AssertionError("forked before the records were checked")
+
+    monkeypatch.setattr(tr, "Forked", no_fork)
+    pin_processes(monkeypatch, n_procs)
+    with pytest.raises(cp.RecordError, match="^emotions: "):
+        mx.evaluate(model, records)
+    assert scored == []
+    assert_no_child_left()
+
+
 def test_deal_gives_the_heaviest_group_to_the_least_loaded_process():
     assert mx._deal([9, 18, 29], 2) == [1, 1, 0]
     assert mx._deal([9, 18, 29], 3) == [2, 1, 0]
